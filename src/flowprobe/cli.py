@@ -71,7 +71,7 @@ def _load_config(args: argparse.Namespace) -> dict:
     experiments.apply_overrides(config, args.overrides)
     if args.seed is not None:
         config["seed"] = args.seed
-        for entry in config.get("scenarios", []):
+        for entry in experiments.scenario_entries(config):
             entry["seed"] = args.seed
     return config
 

@@ -423,7 +423,10 @@ def attack_from_dict(d: dict) -> AttackConfig:
         if k in d
     }
     if "bootstrap" in d:
-        kwargs["bootstrap"] = BootstrapParams(**d["bootstrap"])
+        try:
+            kwargs["bootstrap"] = BootstrapParams(**d["bootstrap"])
+        except TypeError as exc:
+            raise ValueError(f"attack.bootstrap: {exc}") from None
     return AttackConfig(**kwargs)
 
 
@@ -444,11 +447,18 @@ def scenario_from_dict(d: dict) -> Scenario:
     )
 
 
-def scenarios_from_config(config: dict) -> list[Scenario]:
+def scenario_entries(config: dict) -> list[dict]:
     """Accept either a single scenario object or {"scenarios": [...]}."""
-    if "scenarios" in config:
-        return [scenario_from_dict(d) for d in config["scenarios"]]
-    return [scenario_from_dict(config)]
+    if "scenarios" not in config:
+        return [config]
+    entries = config["scenarios"]
+    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+        raise ValueError(f"scenarios must be a list of objects, got {entries!r}")
+    return entries
+
+
+def scenarios_from_config(config: dict) -> list[Scenario]:
+    return [scenario_from_dict(d) for d in scenario_entries(config)]
 
 
 def load_config(path: str) -> dict:
@@ -472,16 +482,18 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = config
-        parts = path.split(".")
-        for part in parts[:-1]:
-            if isinstance(node, list):
-                node = node[int(part)]
-            else:
-                node = node.setdefault(part, {})
-        if isinstance(node, list):
-            node[int(parts[-1])] = value
-        else:
-            node[parts[-1]] = value
+        *parents, last = path.split(".")
+        try:
+            for part in parents:
+                if isinstance(node, list):
+                    node = node[int(part)]
+                else:
+                    node = node.setdefault(part, {})
+            node[int(last) if isinstance(node, list) else last] = value
+        except (AttributeError, IndexError, TypeError, ValueError):
+            raise ValueError(
+                f"override {assignment!r}: {path!r} does not fit the config's structure"
+            ) from None
     return config
 
 
@@ -492,10 +504,9 @@ def check_suite(config: dict) -> tuple[list[SweepResult], list[str]]:
     max_capacity_rel_error / max_usage_rel_error; violations (and any
     failed runs) are returned as human-readable strings.
     """
-    entries = config["scenarios"] if "scenarios" in config else [config]
     results: list[SweepResult] = []
     violations: list[str] = []
-    for entry in entries:
+    for entry in scenario_entries(config):
         bounds = entry.get("bounds", {})
         scenario = scenario_from_dict(entry)
         result = run_scenario(scenario)

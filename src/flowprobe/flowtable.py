@@ -9,7 +9,7 @@ identical table states.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -32,25 +32,13 @@ class ClockError(Exception):
     """An operation was issued with a timestamp earlier than one already seen."""
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Exact-match header tuple identifying one flow."""
 
     src_ip: str
     dst_ip: str
     src_mac: str
     dst_mac: str
-    # Keys are dict-hashed on every lookup; cache the hash once.
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash",
-            hash((self.src_ip, self.dst_ip, self.src_mac, self.dst_mac)),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(slots=True)
@@ -89,7 +77,6 @@ class FlowEntry:
 
 
 class InsertResult(NamedTuple):
-    installed: bool
     evicted: Optional[FlowKey]
     was_full: bool
 
@@ -113,10 +100,16 @@ class RemovalRecord(NamedTuple):
 class FlowTable:
     """Bounded store of flow entries with deterministic replacement.
 
-    FIFO evicts the entry with the smallest insertion time; a hit never
-    reorders the queue. LRU evicts the entry with the smallest last-access
-    time, ties broken by earlier insertion time, then by insertion sequence
-    number, so the victim is always unique.
+    FIFO evicts the entry with the smallest insertion time. LRU evicts the
+    entry with the smallest last-access time, ties broken by earlier
+    insertion time, then by insertion sequence number, so the victim is
+    always unique.
+
+    One ordered dict, `entries`, is kept in victim order for both policies:
+    its first key is the next victim. An insert appends, since the new entry
+    sorts last under either rule. FIFO never reorders the dict. An LRU hit
+    moves the entry to the back; entries touched in the same microsecond
+    still order by insertion time, then sequence number.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO):
@@ -126,9 +119,12 @@ class FlowTable:
             raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self.entries: dict[FlowKey, FlowEntry] = {}
+        self.entries: OrderedDict[FlowKey, FlowEntry] = OrderedDict()
         self.removal_log: list[RemovalRecord] = []
-        self._fifo_order: deque[tuple[int, FlowKey]] = deque()
+        self._lru = policy == LRU
+        # Latest time any entry's last_access was set; while it differs from
+        # `now`, a refreshed LRU entry is the sole one touched at `now`.
+        self._touched_at = -1
         # Lazy min-heap of (deadline, seq, key); entries with no finite
         # timeout never enter it, so the common permanent-entry case pays
         # nothing for expiry checks.
@@ -187,7 +183,25 @@ class FlowTable:
                 heapq.heappush(
                     heap, (entry.next_deadline(), entry.seq, key),  # type: ignore[arg-type]
                 )
+            if self._lru:
+                self.entries.move_to_end(key)
+                if self._touched_at == now:
+                    self._order_tail(entry, now)
+                self._touched_at = now
         return True
+
+    def _order_tail(self, entry: FlowEntry, now: int) -> None:
+        """Move entries touched at `now` and inserted after `entry` behind it."""
+        rank = (entry.inserted_at, entry.seq)
+        later = []
+        tail = reversed(self.entries.values())
+        next(tail)  # `entry` itself
+        for other in tail:
+            if other.last_access != now or (other.inserted_at, other.seq) < rank:
+                break
+            later.append(other.key)
+        for key in reversed(later):
+            self.entries.move_to_end(key)
 
     def insert(self, entry: FlowEntry, now: int) -> InsertResult:
         """Install `entry` at `now`, evicting one victim if the table is full.
@@ -203,39 +217,19 @@ class FlowTable:
         was_full = len(self.entries) >= self.capacity
         evicted_key: Optional[FlowKey] = None
         if was_full:
-            evicted_key = self._select_victim()
-            victim = self.entries.pop(evicted_key)
+            evicted_key, victim = self.entries.popitem(last=False)
             self.removal_log.append(
                 RemovalRecord(now, evicted_key, victim.owner, EVICTED)
             )
 
         self._seq += 1
-        entry.inserted_at = now
-        entry.last_access = now
+        entry.inserted_at = entry.last_access = self._touched_at = now
         entry.seq = self._seq
         self.entries[entry.key] = entry
-        self._fifo_order.append((entry.seq, entry.key))
         deadline = entry.next_deadline()
         if deadline is not None:
             heapq.heappush(self._expiry_heap, (deadline, entry.seq, entry.key))
-        return InsertResult(True, evicted_key, was_full)
-
-    def _select_victim(self) -> FlowKey:
-        if self.policy == FIFO:
-            order = self._fifo_order
-            entries = self.entries
-            while order:
-                seq, key = order[0]
-                entry = entries.get(key)
-                if entry is not None and entry.seq == seq:
-                    return key
-                order.popleft()  # tombstone of an expired/evicted/reinstalled entry
-            raise RuntimeError("victim requested from an empty table")
-        victim = min(
-            self.entries.values(),
-            key=lambda e: (e.last_access, e.inserted_at, e.seq),
-        )
-        return victim.key
+        return InsertResult(evicted_key, was_full)
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""
@@ -245,7 +239,3 @@ class FlowTable:
             if entry.owner == OWNER_ATTACKER:
                 attacker += 1
         return Occupancy(attacker, len(self.entries) - attacker)
-
-    def is_full(self, now: int) -> bool:
-        self.purge_expired(now)
-        return len(self.entries) >= self.capacity

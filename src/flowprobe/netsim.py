@@ -39,7 +39,6 @@ NOISE_MODES = (NOISE_NONE, NOISE_UNIFORM, NOISE_TRUNCATED_GAUSSIAN)
 
 EVENT_PROBE = "probe"
 EVENT_BACKGROUND = "background_arrival"
-EVENT_REPORT = "report"
 
 US_PER_MS = 1000
 
@@ -89,10 +88,6 @@ class LatencyModel:
             BRANCH_MISS_FULL: self.miss_full_ms,
         }[branch]
         return ms_to_us(lo), ms_to_us(hi)
-
-    def midpoint_us(self, branch: str) -> int:
-        lo, hi = self.range_us(branch)
-        return (lo + hi) // 2
 
     def with_seed(self, seed: int) -> "LatencyModel":
         return replace(self, seed=seed)
@@ -173,7 +168,7 @@ class RttSample(NamedTuple):
 
 class SimEvent(NamedTuple):
     time_us: int
-    kind: str  # EVENT_PROBE | EVENT_BACKGROUND | EVENT_REPORT
+    kind: str  # EVENT_PROBE | EVENT_BACKGROUND
     key: Optional[FlowKey]
     owner: str
     branch: str

@@ -53,6 +53,18 @@ class TestUsageErrors:
         assert main(["infer", "--config", "/no/such/file.json"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, override", [
+        ("bootstrap", "fifo400.json", "scenarios.9.seed=1"),
+        ("bootstrap", "fifo400.json", "capacity.x=1"),
+        ("bootstrap", "fifo400.json", "attack.bootstrap.foo=1"),
+        ("infer", "paper-suite.json", "scenarios.9.seed=1"),
+    ])
+    def test_bad_override_path_exits_2(self, command, config, override, capsys):
+        assert main([command, "--config", str(CONFIGS / config),
+                     "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 class TestInfer:
     def test_reports_exact_capacity(self, config_path, capsys):

