@@ -37,9 +37,6 @@ STATE_EXIST = "exist"
 STATE_NOT_EXIST_NOT_FULL = "not_exist_not_full"
 STATE_NOT_EXIST_FULL = "not_exist_full"
 
-STRATEGY_DOUBLING_BISECT = "doubling-then-bisect"
-
-
 class AttackError(Exception):
     """Base class for domain-level attack failures."""
 
@@ -224,12 +221,13 @@ def bootstrap_thresholds(session: ProbeSession,
                          params: BootstrapParams) -> RttThresholds:
     """Calibrate the three RTT bands by driving the table into overflow.
 
-    Each round pins one fresh key (its first probe samples the miss band,
-    its delayed re-probe the hit band), then streams distinct fillers every
-    ts2 until one classifies above the running miss-band median by the jump
-    factor. The jump is confirmed with an immediately-sent fresh key whose
-    RTT becomes the full-band sample; a failed confirmation folds both
-    samples back into the miss band and the stream continues.
+    Each round pins one fresh key (its first probe seeds the miss band, its
+    delayed re-probe samples the hit band), then streams distinct fillers
+    every ts2 until one classifies above the running miss-band median by the
+    jump factor. The jump is confirmed with an immediately-sent fresh key
+    whose RTT becomes the full-band sample, and the miss-band median becomes
+    the miss-band sample; a failed confirmation folds both samples back into
+    the miss band and the stream continues.
     """
     t1_samples: list[float] = []
     t2_samples: list[float] = []
@@ -241,7 +239,6 @@ def bootstrap_thresholds(session: ProbeSession,
 
         pinned = session.fresh_key()
         first = session.probe(pinned)
-        t2_samples.append(us_to_ms(first.rtt_us))
 
         session.wait_until_us(first.time_us + ms_to_us(params.ts1_ms))
         re_probe = session.probe(pinned)
@@ -263,6 +260,7 @@ def bootstrap_thresholds(session: ProbeSession,
                     confirm = session.probe(session.fresh_key())
                     fillers += 1
                     if confirm.rtt_us > params.jump_factor * median:
+                        t2_samples.append(us_to_ms(median))
                         t3_samples.append(us_to_ms(confirm.rtt_us))
                         jumped = True
                         break
@@ -283,8 +281,7 @@ def bootstrap_thresholds(session: ProbeSession,
 def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
                          initial_ms: float = 100.0,
                          ceiling_ms: float = 120_000.0,
-                         resolution_ms: float = 100.0,
-                         strategy: str = STRATEGY_DOUBLING_BISECT) -> float:
+                         resolution_ms: float = 100.0) -> float:
     """Measure the idle timeout by growing, then bisecting, one key's gaps.
 
     A gap that still hits proves the timeout exceeds it; the first missing
@@ -293,8 +290,6 @@ def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
     Meaningful when the idle timer is the binding one; a much shorter hard
     timeout will dominate what this observes.
     """
-    if strategy != STRATEGY_DOUBLING_BISECT:
-        raise ValueError(f"unknown strategy {strategy!r}")
     ceiling_us = ms_to_us(ceiling_ms)
     resolution_us = max(1, ms_to_us(resolution_ms))
 

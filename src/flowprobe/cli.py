@@ -70,7 +70,6 @@ def _load_config(args: argparse.Namespace) -> dict:
     config = experiments.load_config(args.config)
     experiments.apply_overrides(config, args.overrides)
     if args.seed is not None:
-        config["seed"] = args.seed
         for entry in experiments.scenario_entries(config):
             entry["seed"] = args.seed
     return config
@@ -176,7 +175,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = experiments.checked_block(
+        _load_config(args), ("latency", "n_per_state", "seed"), "config")
     latency = experiments.latency_from_dict(config.get("latency", {}))
     summary = experiments.rtt_characterization(
         latency,

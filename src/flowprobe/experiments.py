@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import fmean
 from typing import Optional, TextIO
 
@@ -73,6 +73,12 @@ class AttackConfig:
     timeout_ceiling_ms: float = 120_000.0
     timeout_resolution_ms: float = 100.0
     hard_gap_ms: float = 100.0
+
+    def __post_init__(self) -> None:
+        if self.send_rate_pps <= 0:
+            raise ValueError("attack.send_rate_pps must be positive")
+        if self.key_budget < 1:
+            raise ValueError("attack.key_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -399,39 +405,49 @@ def rtt_characterization(latency: LatencyModel, n_per_state: int,
 # -- configuration files ---------------------------------------------------
 
 
+_SCENARIO_KEYS = ("name", "policy", "capacity", "initial_usage",
+                  "background_rate", "timeouts", "latency", "repeats", "seed",
+                  "attack", "bounds")
+_TIMEOUT_KEYS = ("hard_ms", "idle_ms")
+_LATENCY_BANDS = ("hit_ms", "miss_notfull_ms", "miss_full_ms")
+_LATENCY_KEYS = tuple(f.name for f in fields(LatencyModel))
+_ATTACK_KEYS = tuple(f.name for f in fields(AttackConfig))
+_BOUND_KEYS = ("max_capacity_rel_error", "max_usage_rel_error")
+
+
+def checked_block(d, allowed: tuple[str, ...], where: str) -> dict:
+    """Return config block `d`, or raise ValueError if it is not an object
+    or holds a key outside `allowed`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    for key in d:
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return d
+
+
 def latency_from_dict(d: dict) -> LatencyModel:
-    kwargs = {}
-    if "hit_ms" in d:
-        kwargs["hit_ms"] = tuple(d["hit_ms"])
-    if "miss_notfull_ms" in d:
-        kwargs["miss_notfull_ms"] = tuple(d["miss_notfull_ms"])
-    if "miss_full_ms" in d:
-        kwargs["miss_full_ms"] = tuple(d["miss_full_ms"])
-    if "noise" in d:
-        kwargs["noise"] = d["noise"]
-    if "seed" in d:
-        kwargs["seed"] = d["seed"]
+    kwargs = dict(checked_block(d, _LATENCY_KEYS, "latency"))
+    for band in _LATENCY_BANDS:
+        if band in kwargs:
+            kwargs[band] = tuple(kwargs[band])
     return LatencyModel(**kwargs)
 
 
 def attack_from_dict(d: dict) -> AttackConfig:
-    kwargs = {
-        k: d[k]
-        for k in ("send_rate_pps", "key_budget", "capacity_guess",
-                  "timeout_initial_ms", "timeout_ceiling_ms",
-                  "timeout_resolution_ms", "hard_gap_ms")
-        if k in d
-    }
-    if "bootstrap" in d:
+    kwargs = dict(checked_block(d, _ATTACK_KEYS, "attack"))
+    if "bootstrap" in kwargs:
         try:
-            kwargs["bootstrap"] = BootstrapParams(**d["bootstrap"])
+            kwargs["bootstrap"] = BootstrapParams(**kwargs["bootstrap"])
         except TypeError as exc:
             raise ValueError(f"attack.bootstrap: {exc}") from None
     return AttackConfig(**kwargs)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    timeouts = d.get("timeouts", {})
+    checked_block(d, _SCENARIO_KEYS, "scenario")
+    checked_block(d.get("bounds", {}), _BOUND_KEYS, "bounds")
+    timeouts = checked_block(d.get("timeouts", {}), _TIMEOUT_KEYS, "timeouts")
     return Scenario(
         name=d.get("name", "scenario"),
         policy=d["policy"],
@@ -451,7 +467,7 @@ def scenario_entries(config: dict) -> list[dict]:
     """Accept either a single scenario object or {"scenarios": [...]}."""
     if "scenarios" not in config:
         return [config]
-    entries = config["scenarios"]
+    entries = checked_block(config, ("scenarios",), "suite")["scenarios"]
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise ValueError(f"scenarios must be a list of objects, got {entries!r}")
     return entries
@@ -502,13 +518,15 @@ def check_suite(config: dict) -> tuple[list[SweepResult], list[str]]:
 
     Each scenario object may carry a "bounds" block with
     max_capacity_rel_error / max_usage_rel_error; violations (and any
-    failed runs) are returned as human-readable strings.
+    failed runs) are returned as human-readable strings. Every scenario is
+    parsed before the first one runs, so a config error costs no run.
     """
     results: list[SweepResult] = []
     violations: list[str] = []
-    for entry in scenario_entries(config):
+    entries = scenario_entries(config)
+    scenarios = [scenario_from_dict(entry) for entry in entries]
+    for entry, scenario in zip(entries, scenarios):
         bounds = entry.get("bounds", {})
-        scenario = scenario_from_dict(entry)
         result = run_scenario(scenario)
         results.append(result)
         name = scenario.name

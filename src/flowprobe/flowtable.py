@@ -125,9 +125,12 @@ class FlowTable:
         # Latest time any entry's last_access was set; while it differs from
         # `now`, a refreshed LRU entry is the sole one touched at `now`.
         self._touched_at = -1
-        # Lazy min-heap of (deadline, seq, key); entries with no finite
-        # timeout never enter it, so the common permanent-entry case pays
-        # nothing for expiry checks.
+        # Lazy min-heap of (deadline, seq, key): one record per live entry
+        # with a finite timeout, pushed at insert. A hit only moves an
+        # entry's true deadline later, so a record's deadline never exceeds
+        # it; hits leave the heap alone, and purge_expired re-pushes a
+        # popped record whose entry is still live at its current deadline.
+        # Permanent entries never enter the heap.
         self._expiry_heap: list[tuple[int, int, FlowKey]] = []
         self._seq = 0
         self._now = 0
@@ -155,10 +158,10 @@ class FlowTable:
                 self.removal_log.append(RemovalRecord(now, key, entry.owner, EXPIRED))
                 removed.append(key)
             else:
-                # Idle deadline moved forward since the record was pushed.
-                deadline = entry.next_deadline()
-                if deadline is not None:
-                    heapq.heappush(heap, (deadline, seq, key))
+                # Hits moved the idle deadline forward since the push.
+                heapq.heappush(
+                    heap, (entry.next_deadline(), seq, key),  # type: ignore[arg-type]
+                )
         return removed
 
     def lookup(self, key: FlowKey, now: int) -> bool:
@@ -179,10 +182,6 @@ class FlowTable:
             return False
         if entry.last_access != now:
             entry.last_access = now
-            if entry.idle_timeout > 0:
-                heapq.heappush(
-                    heap, (entry.next_deadline(), entry.seq, key),  # type: ignore[arg-type]
-                )
             if self._lru:
                 self.entries.move_to_end(key)
                 if self._touched_at == now:

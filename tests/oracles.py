@@ -34,12 +34,14 @@ class ReplayOracle:
         self.capacity = capacity
         self.policy = policy
         self.entries: dict = {}
+        # (time, key, owner, reason) per removal, reason "evicted" or "expired"
+        self.removal_log: list = []
         self._seq = 0
 
     def purge(self, now: int) -> list:
         dead = [k for k, e in self.entries.items() if e.expired(now)]
         for key in dead:
-            del self.entries[key]
+            self.removal_log.append((now, key, self.entries.pop(key).owner, "expired"))
         return dead
 
     def lookup(self, key, now: int) -> bool:
@@ -73,7 +75,9 @@ class ReplayOracle:
                                                  self.entries[k].inserted,
                                                  self.entries[k].seq)
                 )
-            del self.entries[evicted]
+            self.removal_log.append(
+                (now, evicted, self.entries.pop(evicted).owner, "evicted")
+            )
         self._seq += 1
         self.entries[key] = OracleEntry(now, now, hard, idle, owner, self._seq)
         return evicted, was_full

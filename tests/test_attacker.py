@@ -139,11 +139,6 @@ class TestTimeoutMeasurement:
             measure_idle_timeout(session, MIDPOINT_THRESHOLDS,
                                  ceiling_ms=120_000.0)
 
-    def test_unknown_strategy_rejected(self):
-        session = ProbeSession(make_sim(capacity=64))
-        with pytest.raises(ValueError):
-            measure_idle_timeout(session, MIDPOINT_THRESHOLDS, strategy="sweep")
-
     def test_hard_measurement_with_idle_refresh(self):
         # hard 30 s with idle 10 s: the 0.1 s refresh train keeps the idle
         # timer quiet, so the first miss lands exactly on the hard boundary.

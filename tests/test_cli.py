@@ -58,6 +58,13 @@ class TestUsageErrors:
         ("bootstrap", "fifo400.json", "capacity.x=1"),
         ("bootstrap", "fifo400.json", "attack.bootstrap.foo=1"),
         ("infer", "paper-suite.json", "scenarios.9.seed=1"),
+        ("infer", "fifo400.json", "backround_rate=50"),
+        ("sweep", "paper-suite.json", "backround_rate=50"),
+        ("infer", "fifo400.json", "attack.key_budget=0"),
+        ("check", "paper-suite.json", "scenarios.4.attack.send_rate_pps=0"),
+        ("infer", "fifo400.json", "timeouts.idel_ms=5"),
+        ("infer", "fifo400.json", "latency.nosie=none"),
+        ("characterize-rtt", "characterize.json", "n_per_stat=5"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),

@@ -44,6 +44,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario(policy="ARC")
 
+    @pytest.mark.parametrize("field, value", [
+        ("key_budget", 0), ("send_rate_pps", 0.0), ("send_rate_pps", -5.0),
+    ])
+    def test_attack_ranges(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AttackConfig(**{field: value})
+
 
 class TestRunScenario:
     def test_fifo_pipeline_is_exact_without_interference(self):
@@ -59,6 +66,19 @@ class TestRunScenario:
         assert result.mean_capacity == 45.0
         assert result.mean_usage == 15.0
         assert not result.failures
+
+    @pytest.mark.parametrize("seed", [11005, 20006, 37009])
+    def test_t2_is_the_miss_band_median(self, seed):
+        # At these seeds the pinned key's one miss RTT lands near the bottom
+        # of the 3-5 ms band; a t2 taken from it alone put full_cut below
+        # 5 ms, so plain misses read as "table full" and n1 came too early.
+        result = run_scenario(scenario(
+            capacity=400, initial_usage=100, background_rate=10.0,
+            latency=LatencyModel(noise="uniform"), repeats=1, seed=seed,
+        ))
+        run = result.runs[0]
+        assert run.thresholds.full_cut_ms > 5.0
+        assert run.report.f_other == 100
 
     def test_pipeline_with_finite_idle_timeout(self):
         result = run_scenario(scenario(idle_timeout_ms=5000.0, repeats=1))
@@ -193,6 +213,23 @@ class TestConfig:
         assert s.attack.send_rate_pps == 5000.0
         assert s.attack.bootstrap.ts1_ms == 50.0
         assert s.attack.bootstrap.repeat == 2
+
+    @pytest.mark.parametrize("config, misspelt", [
+        ({"backround_rate": 5.0}, "backround_rate"),
+        ({"timeouts": {"idel_ms": 5.0}}, "idel_ms"),
+        ({"latency": {"nosie": "none"}}, "nosie"),
+        ({"attack": {"keybudget": 10}}, "keybudget"),
+        ({"bounds": {"max_capacity_error": 0.1}}, "max_capacity_error"),
+    ])
+    def test_unknown_keys_rejected(self, config, misspelt):
+        with pytest.raises(ValueError, match=misspelt):
+            scenario_from_dict(dict(config, policy="FIFO", capacity=5))
+        with pytest.raises(ValueError, match=misspelt):
+            check_suite({"scenarios": [dict(config, policy="FIFO", capacity=5)]})
+
+    def test_unknown_suite_key_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            scenarios_from_config({"scenarios": [], "seed": 3})
 
     def test_scenarios_from_config_accepts_both_shapes(self):
         single = scenarios_from_config({"policy": "FIFO", "capacity": 5})

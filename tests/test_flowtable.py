@@ -174,6 +174,13 @@ class TestPurge:
         assert table.purge_expired(150 * MS) == []
         assert table.entries == snapshot
 
+    def test_hits_leave_one_heap_record(self):
+        table = FlowTable(capacity=4)
+        table.insert(entry(1, idle=1000 * MS), 0)
+        for t in range(1, 10_001):
+            assert table.lookup(key(1), t * MS // 10) is True
+        assert len(table._expiry_heap) == 1
+
     def test_frequent_access_prevents_idle_expiry(self):
         table = FlowTable(capacity=4)
         idle = 1000 * MS
@@ -262,6 +269,8 @@ class TestOracleEquivalence:
         # Flush with fresh keys so every surviving entry's victim rank shows.
         for j in range(100, 100 + capacity):
             assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
+        # Expiries that share a timestamp may be logged in any order.
+        assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_occupancy_never_exceeds_capacity(self, policy):
