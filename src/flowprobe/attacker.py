@@ -21,7 +21,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Optional
+from typing import Optional, Sequence
 
 from .flowtable import FlowKey
 from .netsim import (
@@ -205,6 +205,21 @@ class ProbeSession:
         self.now_us += self.send_gap_us
         self.probes_sent += 1
         return sample
+
+    def probe_burst(self, keys: Sequence[FlowKey],
+                    stop_rtt_us: float) -> Optional[RttSample]:
+        """Probe `keys` back to back, as that many `probe` calls would, up to
+        and including the first whose RTT is at least `stop_rtt_us`.
+
+        Returns that probe's sample, or None if no probe reached the cut.
+        """
+        sent, stop = self.sim.send_burst(keys, self.now_us, self.send_gap_us,
+                                         stop_rtt_us)
+        if sent:
+            self.last_send_us = self.now_us + (sent - 1) * self.send_gap_us
+            self.now_us = self.last_send_us + self.send_gap_us
+            self.probes_sent += sent
+        return stop
 
     def wait_us(self, delta_us: int) -> None:
         self.now_us += delta_us
@@ -450,7 +465,8 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     After inserting each new key the rolling maintainer re-accesses every
     previously inserted attacker key in insertion order, keeping them the
     most recently used entries; the first re-access that misses is the
-    eviction signal. The rolling traffic is quadratic in the number of
+    eviction signal. Each round's re-accesses go out as one probe burst
+    that stops at that miss. The rolling traffic is quadratic in the number of
     inserted keys, so a finite time budget turns into InfeasibleRate when
     the stream cannot complete inside it.
     """
@@ -469,16 +485,13 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     while len(inserted) < key_budget:
         key = session.fresh_key()
         sample = probe(key)
-        inserted.append(key)
         if n1 is None and sample.rtt_us >= full_cut_us:
-            n1 = len(inserted) - 1
-        for old_key in inserted[:-1]:
-            refresh = probe(old_key)
-            if refresh.rtt_us >= hit_cut_us:
-                reinstalls += 1
-                n2 = len(inserted) - 1
-                break
-        if n2 is not None:
+            n1 = len(inserted)
+        evicted = session.probe_burst(inserted, hit_cut_us)
+        inserted.append(key)
+        if evicted is not None:
+            reinstalls += 1  # the miss reinstalled that earlier key
+            n2 = len(inserted) - 1
             break
         if budget_us is not None and session.now_us - start_us > budget_us:
             raise InfeasibleRate(

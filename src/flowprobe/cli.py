@@ -180,8 +180,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     latency = experiments.latency_from_dict(config.get("latency", {}))
     summary = experiments.rtt_characterization(
         latency,
-        n_per_state=config.get("n_per_state", 100),
-        seed=config.get("seed", 0),
+        n_per_state=experiments.checked_number(
+            config.get("n_per_state", 100), "n_per_state", integer=True),
+        seed=experiments.checked_number(config.get("seed", 0), "seed", integer=True),
     )
     _dump_json(args, summary)
     return EXIT_OK

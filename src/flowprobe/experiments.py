@@ -412,6 +412,7 @@ _TIMEOUT_KEYS = ("hard_ms", "idle_ms")
 _LATENCY_BANDS = ("hit_ms", "miss_notfull_ms", "miss_full_ms")
 _LATENCY_KEYS = tuple(f.name for f in fields(LatencyModel))
 _ATTACK_KEYS = tuple(f.name for f in fields(AttackConfig))
+_BOOTSTRAP_KEYS = tuple(f.name for f in fields(BootstrapParams))
 _BOUND_KEYS = ("max_capacity_rel_error", "max_usage_rel_error")
 
 
@@ -426,28 +427,60 @@ def checked_block(d, allowed: tuple[str, ...], where: str) -> dict:
     return d
 
 
+def checked_number(value, where: str, integer: bool = False):
+    """Return `value`, or raise ValueError if it is not a number (an int
+    when `integer`); bools are neither."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _checked_numbers(d: dict, where: str, cls=None, numbers=()) -> dict:
+    """Type-check the numeric values of config block `d`: each key in
+    `numbers`, and each key that names an int or float field of `cls`."""
+    types = {f.name: f.type for f in fields(cls)} if cls else {}
+    for key, value in d.items():
+        kind = "float" if key in numbers else types.get(key)
+        if kind in ("int", "float"):
+            checked_number(value, f"{where}.{key}", integer=kind == "int")
+    return d
+
+
 def latency_from_dict(d: dict) -> LatencyModel:
-    kwargs = dict(checked_block(d, _LATENCY_KEYS, "latency"))
+    kwargs = _checked_numbers(dict(checked_block(d, _LATENCY_KEYS, "latency")),
+                              "latency", LatencyModel)
     for band in _LATENCY_BANDS:
         if band in kwargs:
-            kwargs[band] = tuple(kwargs[band])
+            value = kwargs[band]
+            if not isinstance(value, list) or len(value) != 2:
+                raise ValueError(
+                    f"latency.{band} must be a [low, high] list, got {value!r}")
+            kwargs[band] = tuple(
+                checked_number(bound, f"latency.{band}") for bound in value)
     return LatencyModel(**kwargs)
 
 
 def attack_from_dict(d: dict) -> AttackConfig:
-    kwargs = dict(checked_block(d, _ATTACK_KEYS, "attack"))
+    kwargs = _checked_numbers(dict(checked_block(d, _ATTACK_KEYS, "attack")),
+                              "attack", AttackConfig)
     if "bootstrap" in kwargs:
-        try:
-            kwargs["bootstrap"] = BootstrapParams(**kwargs["bootstrap"])
-        except TypeError as exc:
-            raise ValueError(f"attack.bootstrap: {exc}") from None
+        bootstrap = checked_block(kwargs["bootstrap"], _BOOTSTRAP_KEYS,
+                                  "attack.bootstrap")
+        kwargs["bootstrap"] = BootstrapParams(
+            **_checked_numbers(bootstrap, "attack.bootstrap", BootstrapParams))
     return AttackConfig(**kwargs)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     checked_block(d, _SCENARIO_KEYS, "scenario")
-    checked_block(d.get("bounds", {}), _BOUND_KEYS, "bounds")
-    timeouts = checked_block(d.get("timeouts", {}), _TIMEOUT_KEYS, "timeouts")
+    _checked_numbers(d, "scenario", Scenario)
+    _checked_numbers(checked_block(d.get("bounds", {}), _BOUND_KEYS, "bounds"),
+                     "bounds", numbers=_BOUND_KEYS)
+    timeouts = _checked_numbers(
+        checked_block(d.get("timeouts", {}), _TIMEOUT_KEYS, "timeouts"),
+        "timeouts", numbers=_TIMEOUT_KEYS)
     return Scenario(
         name=d.get("name", "scenario"),
         policy=d["policy"],

@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from random import Random
-from typing import NamedTuple, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .flowtable import (
     FIFO,
@@ -288,19 +288,24 @@ class SwitchSimulator:
             now_us,
         )
 
+    def _miss(self, key: FlowKey, at_us: int, owner: str) -> str:
+        """Install `key` after a missed lookup; return the miss branch."""
+        table = self.table
+        branch = BRANCH_MISS_FULL if len(table.entries) >= table.capacity \
+            else BRANCH_MISS_NOTFULL
+        self._install(key, at_us, owner)
+        return branch
+
     def _handle_packet(self, key: FlowKey, at_us: int, owner: Optional[str],
                        kind: str) -> RttSample:
         # `owner` may be None for probes; it is only resolved when an entry
         # is installed or an event is traced (hits dominate the hot path).
-        table = self.table
-        if table.lookup(key, at_us):
+        if self.table.lookup(key, at_us):
             branch = BRANCH_HIT
         else:
-            branch = BRANCH_MISS_FULL if len(table.entries) >= table.capacity \
-                else BRANCH_MISS_NOTFULL
             if owner is None:
                 owner = self.owner_of(key)
-            self._install(key, at_us, owner)
+            branch = self._miss(key, at_us, owner)
         rtt = self._draw_rtt(branch)
         self.now_us = at_us
         self.events_processed += 1
@@ -326,6 +331,47 @@ class SwitchSimulator:
         if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
             self._process_arrivals(at_us, None)
         return self._handle_packet(key, at_us, None, EVENT_PROBE)
+
+    def send_burst(self, keys: Iterable[FlowKey], start_us: int, gap_us: int,
+                   stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
+        """Send `keys` in order at `start_us`, `start_us + gap_us`, ...
+
+        Stops after the first probe whose RTT is at least `stop_rtt_us`.
+        Returns the number of probes sent and the stopping probe's sample,
+        or None if every key was sent. Each probe is handled exactly as a
+        `send_probe` call at its time would handle it: background arrivals
+        first, one table lookup, one RTT draw, one event counted and traced.
+        """
+        if start_us < self.now_us:
+            raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
+        lookup = self.table.lookup
+        draw = self._draw_rtt
+        trace = self.trace
+        at_us = start_us
+        sent = 0
+        try:
+            for key in keys:
+                if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
+                    self._process_arrivals(at_us, None)
+                if lookup(key, at_us):
+                    branch = BRANCH_HIT
+                    owner = None
+                else:
+                    owner = self.owner_of(key)
+                    branch = self._miss(key, at_us, owner)
+                rtt = draw(branch)
+                sent += 1
+                if trace is not None:
+                    trace.append(SimEvent(at_us, EVENT_PROBE, key,
+                                          owner or self.owner_of(key), branch, rtt))
+                if rtt >= stop_rtt_us:
+                    return sent, RttSample(at_us, key, rtt, branch)
+                at_us += gap_us
+            return sent, None
+        finally:
+            if sent:
+                self.now_us = start_us + (sent - 1) * gap_us
+                self.events_processed += sent
 
     def run_until(self, t_us: int) -> list[SimEvent]:
         """Apply all background arrivals due at or before `t_us`; advance clock."""

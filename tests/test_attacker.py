@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowprobe.attacker import (
     STATE_EXIST,
@@ -25,7 +27,9 @@ from flowprobe.attacker import (
 from flowprobe.netsim import (
     BRANCH_MISS_FULL,
     EVENT_PROBE,
+    NOISE_MODES,
     BackgroundWorkload,
+    KeySequence,
     LatencyModel,
     SwitchSimulator,
 )
@@ -292,6 +296,8 @@ class TestInferLru:
         assert report.n1 == 60 and report.n2 == 90
         # one insert per round plus the quadratic rolling traffic
         assert report.probes_sent > 90 * 91 // 2
+        assert session.probes_sent == 4186
+        assert session.now_us == 418600
 
     def test_exact_with_empty_table(self):
         session = ProbeSession(make_sim(capacity=33, policy="LRU"))
@@ -359,3 +365,89 @@ class TestUsageConsistency:
             infer = infer_fifo if policy == "FIFO" else infer_lru
             report = infer(session, MIDPOINT_THRESHOLDS, key_budget=2000)
             assert report.n2 - report.n1 == usage
+
+
+def probe_loop(session, keys, stop_rtt_us):
+    """The per-probe loop that `ProbeSession.probe_burst` stands for."""
+    for key in keys:
+        sample = session.probe(key)
+        if sample.rtt_us >= stop_rtt_us:
+            return sample
+    return None
+
+
+def session_state(session):
+    sim = session.sim
+    return (
+        session.now_us, session.last_send_us, session.probes_sent,
+        sim.now_us, sim.events_processed, sim.background_arrivals,
+        list(sim.table.entries.items()), sim.table.removal_log, sim.trace,
+    )
+
+
+class TestProbeBurst:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        noise=st.sampled_from(NOISE_MODES),
+        capacity=st.integers(1, 8),
+        usage=st.integers(0, 8),
+        rate=st.sampled_from((0.0, 0.0, 500.0, 50_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.5, 3.0)),
+        idle_ms=st.sampled_from((0.0, 0.3, 2.0)),
+        send_rate_pps=st.sampled_from((2000.0, 10_000.0, 1e6)),
+        seed=st.integers(0, 2**16),
+        record_trace=st.booleans(),
+        rounds=st.lists(
+            st.tuples(
+                st.sampled_from((0, 0, 150, 400, 2500)),      # wait before, us
+                st.lists(st.integers(0, 11), max_size=14),    # key indexes
+                st.sampled_from((250, 1000, 4000, 6500, float("inf"))),  # stop, us
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_matches_per_probe_loop(self, policy, noise, capacity, usage, rate,
+                                    hard_ms, idle_ms, send_rate_pps, seed,
+                                    record_trace, rounds):
+        def build():
+            sim = make_sim(capacity, policy, usage=min(usage, capacity),
+                           rate=rate, hard_ms=hard_ms, idle_ms=idle_ms,
+                           latency=LatencyModel(noise=noise), seed=seed,
+                           record_trace=record_trace)
+            return ProbeSession(sim, send_rate_pps)
+
+        burst, loop = build(), build()
+        # Two keys from the background range: a hit on one is traced with
+        # the background owner.
+        pool = ([KeySequence("10.1").key_at(i) for i in range(10)]
+                + [KeySequence("10.2").key_at(60_000 + i) for i in range(2)])
+        for wait_us, indexes, stop in rounds:
+            burst.wait_us(wait_us)
+            loop.wait_us(wait_us)
+            keys = [pool[i] for i in indexes]
+            assert burst.probe_burst(keys, stop) == probe_loop(loop, keys, stop)
+            assert session_state(burst) == session_state(loop)
+
+    def test_empty_burst_changes_nothing(self):
+        session = ProbeSession(make_sim(capacity=4, rate=1000.0, record_trace=True))
+        session.probe(session.fresh_key())
+        session.wait_us(5000)
+        before = session_state(session)
+        assert session.probe_burst([], 0) is None
+        assert session_state(session) == before
+
+    def test_stop_on_first_key(self):
+        session = ProbeSession(make_sim(capacity=4))
+        keys = [session.fresh_key() for _ in range(3)]
+        stop = session.probe_burst(keys, 1000)
+        assert stop.key == keys[0] and stop.time_us == 0
+        assert (session.probes_sent, session.last_send_us, session.now_us) == (1, 0, 100)
+        assert len(session.sim.table) == 1
+
+    def test_burst_that_never_stops(self):
+        session = ProbeSession(make_sim(capacity=4))
+        keys = [session.fresh_key() for _ in range(3)]
+        assert session.probe_burst(keys, float("inf")) is None
+        assert (session.probes_sent, session.last_send_us, session.now_us) == (3, 200, 300)
+        assert session.sim.events_processed == 3

@@ -65,6 +65,16 @@ class TestUsageErrors:
         ("infer", "fifo400.json", "timeouts.idel_ms=5"),
         ("infer", "fifo400.json", "latency.nosie=none"),
         ("characterize-rtt", "characterize.json", "n_per_stat=5"),
+        ("characterize-rtt", "characterize.json", "n_per_state=x"),
+        ("bootstrap", "fifo400.json", "capacity=x"),
+        ("bootstrap", "fifo400.json", "latency.hit_ms=5"),
+        ("sweep", "fifo400.json", "repeats=1.5"),
+        ("infer", "fifo400.json", "seed=true"),
+        ("infer", "fifo400.json", "latency.miss_full_ms=[8, \"x\"]"),
+        ("infer", "fifo400.json", "timeouts.idle_ms=x"),
+        ("check", "paper-suite.json", "scenarios.0.bounds.max_usage_rel_error=x"),
+        ("infer", "fifo400.json", "attack.bootstrap.repeat=2.5"),
+        ("infer", "fifo400.json", "attack.bootstrap=3"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),

@@ -170,6 +170,42 @@ class TestBackgroundWorkload:
         assert sim.ground_truth().occupancy.total == 5
 
 
+class TestSendBurst:
+    def test_empty_burst_changes_nothing(self):
+        sim = SwitchSimulator(capacity=4, record_trace=True)
+        sim.send_probe(attacker_keys().next_key(), 50)
+        assert sim.send_burst([], 70, 10, 0) == (0, None)
+        assert (sim.now_us, sim.events_processed, len(sim.trace)) == (50, 1, 1)
+
+    def test_stops_after_first_probe_at_the_cut(self):
+        sim = SwitchSimulator(capacity=4, latency=LatencyModel(noise="none"))
+        keys = attacker_keys()
+        pinned = keys.next_key()
+        sim.send_probe(pinned, 0)
+        fresh = keys.next_key()
+        sent, stop = sim.send_burst([pinned, fresh, pinned], 10, 5, 1000)
+        assert sent == 2
+        assert stop == (15, fresh, 4000, BRANCH_MISS_NOTFULL)
+        assert (sim.now_us, sim.events_processed) == (15, 3)
+
+    def test_never_stops(self):
+        sim = SwitchSimulator(capacity=2)
+        keys = [attacker_keys().key_at(i) for i in range(3)]
+        assert sim.send_burst(keys, 0, 7, math.inf) == (3, None)
+        assert (sim.now_us, sim.events_processed) == (14, 3)
+        assert [e.time for e in sim.table.removal_log] == [14]
+
+    def test_start_before_simulator_time_rejected(self):
+        sim = SwitchSimulator(capacity=4)
+        key = attacker_keys().next_key()
+        sim.send_probe(key, 100)
+        with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
+            sim.send_probe(key, 99)
+        with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
+            sim.send_burst([key], 99, 1, 0)
+        assert (sim.now_us, sim.events_processed) == (100, 1)
+
+
 class TestGroundTruth:
     def test_echoes_configuration(self):
         sim = SwitchSimulator(capacity=400, policy="LRU")
