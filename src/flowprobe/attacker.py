@@ -126,19 +126,6 @@ class BootstrapParams:
         if self.jump_factor <= 1.0:
             raise ValueError("jump_factor must exceed 1.0")
 
-    def filler_span_ms(self, n_fillers: int) -> float:
-        return (n_fillers - 1) * self.ts2_ms
-
-    def fits_timeouts(self, n_fillers: int, hard_timeout_ms: float,
-                      idle_timeout_ms: float) -> bool:
-        """Check the pinned entry survives: ts1 and the filler span must not
-        exceed the smallest enabled timeout."""
-        finite = [t for t in (hard_timeout_ms, idle_timeout_ms) if t > 0]
-        if not finite:
-            return True
-        limit = min(finite)
-        return self.ts1_ms <= limit and self.filler_span_ms(n_fillers) <= limit
-
 
 @dataclass
 class InferenceReport:
@@ -153,19 +140,6 @@ class InferenceReport:
     distinct_keys: int
     reinstalls: int = 0
     timeout_budget_exceeded: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "policy_assumed": self.policy_assumed,
-            "f_capacity": self.f_capacity,
-            "f_other": self.f_other,
-            "n1": self.n1,
-            "n2": self.n2,
-            "probes_sent": self.probes_sent,
-            "distinct_keys": self.distinct_keys,
-            "reinstalls": self.reinstalls,
-            "timeout_budget_exceeded": self.timeout_budget_exceeded,
-        }
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,11 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import experiments
-from .attacker import (
-    AttackError,
-    ProbeSession,
-    TimeoutDisabled,
-    bootstrap_thresholds,
-    measure_hard_timeout,
-    measure_idle_timeout,
-)
+from .attacker import AttackError
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -87,63 +81,25 @@ def _dump_json(args: argparse.Namespace, payload) -> None:
     _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _thresholds_dict(thresholds) -> dict:
-    return {
-        "t1_ms": thresholds.t1_ms,
-        "t2_ms": thresholds.t2_ms,
-        "t3_ms": thresholds.t3_ms,
-        "hit_cut_ms": thresholds.hit_cut_ms,
-        "full_cut_ms": thresholds.full_cut_ms,
-    }
+_LAST_PHASE = {"bootstrap": "bootstrap", "measure-timeouts": "hard_timeout"}
 
 
-def _cmd_bootstrap(args: argparse.Namespace) -> int:
+def _cmd_first_phases(args: argparse.Namespace) -> int:
+    """Run repeat 0 of the first scenario up to the command's last phase."""
     scenario = experiments.scenarios_from_config(_load_config(args))[0]
-    sim = experiments._build_sim(scenario, scenario.seed, experiments._PHASE_BOOTSTRAP)
-    session = ProbeSession(sim, scenario.attack.send_rate_pps)
-    thresholds = bootstrap_thresholds(session, scenario.attack.bootstrap)
-    _dump_json(args, _thresholds_dict(thresholds))
-    return EXIT_OK
-
-
-def _cmd_measure_timeouts(args: argparse.Namespace) -> int:
-    scenario = experiments.scenarios_from_config(_load_config(args))[0]
-    attack = scenario.attack
-    sim = experiments._build_sim(scenario, scenario.seed, experiments._PHASE_BOOTSTRAP)
-    thresholds = bootstrap_thresholds(
-        ProbeSession(sim, attack.send_rate_pps), attack.bootstrap
-    )
-
-    sim = experiments._build_sim(scenario, scenario.seed, experiments._PHASE_IDLE)
-    try:
-        idle_ms: Optional[float] = measure_idle_timeout(
-            ProbeSession(sim, attack.send_rate_pps), thresholds,
-            initial_ms=attack.timeout_initial_ms,
-            ceiling_ms=attack.timeout_ceiling_ms,
-            resolution_ms=attack.timeout_resolution_ms,
-        )
-    except TimeoutDisabled:
-        idle_ms = None
-
-    gap_ms = attack.hard_gap_ms
-    if idle_ms is not None:
-        gap_ms = min(gap_ms, idle_ms / 10)
-    sim = experiments._build_sim(scenario, scenario.seed, experiments._PHASE_HARD)
-    try:
-        hard_ms: Optional[float] = measure_hard_timeout(
-            ProbeSession(sim, attack.send_rate_pps), thresholds,
-            probe_gap_ms=gap_ms,
-            ceiling_ms=attack.timeout_ceiling_ms,
-            idle_timeout_ms=idle_ms,
-        )
-    except TimeoutDisabled:
-        hard_ms = None
-
-    _dump_json(args, {
-        "thresholds": _thresholds_dict(thresholds),
-        "idle_timeout_ms": idle_ms,
-        "hard_timeout_ms": hard_ms,
-    })
+    record = experiments.run_repeat(scenario, last_phase=_LAST_PHASE[args.command])
+    if record.error is not None:
+        print(f"error: {record.error}", file=sys.stderr)
+        return EXIT_DOMAIN_ERROR
+    thresholds = asdict(record.thresholds)
+    if args.command == "bootstrap":
+        _dump_json(args, thresholds)
+    else:
+        _dump_json(args, {
+            "thresholds": thresholds,
+            "idle_timeout_ms": record.idle_timeout_measured_ms,
+            "hard_timeout_ms": record.hard_timeout_measured_ms,
+        })
     return EXIT_OK
 
 
@@ -178,10 +134,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     config = experiments.checked_block(
         _load_config(args), ("latency", "n_per_state", "seed"), "config")
     latency = experiments.latency_from_dict(config.get("latency", {}))
+    n_per_state = experiments.checked_number(
+        config.get("n_per_state", 100), "n_per_state", integer=True)
+    if n_per_state < 0:
+        raise ValueError("n_per_state must be >= 0")
     summary = experiments.rtt_characterization(
         latency,
-        n_per_state=experiments.checked_number(
-            config.get("n_per_state", 100), "n_per_state", integer=True),
+        n_per_state=n_per_state,
         seed=experiments.checked_number(config.get("seed", 0), "seed", integer=True),
     )
     _dump_json(args, summary)
@@ -212,8 +171,8 @@ def _fmt(value: Optional[float]) -> str:
 
 
 _COMMANDS = {
-    "bootstrap": _cmd_bootstrap,
-    "measure-timeouts": _cmd_measure_timeouts,
+    "bootstrap": _cmd_first_phases,
+    "measure-timeouts": _cmd_first_phases,
     "infer": _cmd_infer,
     "sweep": _cmd_sweep,
     "characterize-rtt": _cmd_characterize,

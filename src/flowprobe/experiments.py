@@ -5,15 +5,16 @@ Each repeat derives fresh seeds, builds phase-specific simulators
 (bootstrap, timeout probing and inference each get a pristine switch so an
 earlier phase's flood cannot pollute a later phase's ground truth), runs
 bootstrap -> timeout measurement -> feasibility -> inference, and records
-the result. Sweep output is a CSV with one row per run plus an aggregate
-summary; identical seeds reproduce identical bytes.
+the result; `run_repeat` can stop after an earlier phase. Sweep output is
+a CSV with one row per run plus an aggregate summary; identical seeds
+reproduce identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from statistics import fmean
 from typing import Optional, TextIO
 
@@ -48,10 +49,8 @@ SWEEP_CSV_COLUMNS = (
     "truth_usage", "inferred_usage", "n1", "n2", "probes_sent", "wall_events",
 )
 
-_PHASE_BOOTSTRAP = 0
-_PHASE_IDLE = 1
-_PHASE_HARD = 2
-_PHASE_INFER = 3
+# The attack's phases in run order; a phase's index is its seed salt.
+PHASES = ("bootstrap", "idle_timeout", "hard_timeout", "infer")
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -104,6 +103,9 @@ class Scenario:
             raise ValueError("capacity must be positive")
         if not 0 <= self.initial_usage <= self.capacity:
             raise ValueError("initial_usage must be within [0, capacity]")
+        for name in ("background_rate", "hard_timeout_ms", "idle_timeout_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -125,25 +127,6 @@ class RunRecord:
     @property
     def ok(self) -> bool:
         return self.report is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "repeat": self.repeat,
-            "report": self.report.to_dict() if self.report else None,
-            "thresholds": None if self.thresholds is None else {
-                "t1_ms": self.thresholds.t1_ms,
-                "t2_ms": self.thresholds.t2_ms,
-                "t3_ms": self.thresholds.t3_ms,
-                "hit_cut_ms": self.thresholds.hit_cut_ms,
-                "full_cut_ms": self.thresholds.full_cut_ms,
-            },
-            "idle_timeout_measured_ms": self.idle_timeout_measured_ms,
-            "hard_timeout_measured_ms": self.hard_timeout_measured_ms,
-            "feasibility_required_pps": self.feasibility_required_pps,
-            "feasible": self.feasible,
-            "wall_events": self.wall_events,
-            "error": self.error,
-        }
 
 
 @dataclass
@@ -174,7 +157,7 @@ class SweepResult:
             "capacity_rel_error": self.capacity_rel_error,
             "usage_rel_error": self.usage_rel_error,
             "failed_runs": len(self.failures),
-            "runs": [r.to_dict() for r in self.runs],
+            "runs": [asdict(r) for r in self.runs],
         }
 
 
@@ -201,51 +184,64 @@ def _build_sim(scenario: Scenario, run_seed: int, phase: int) -> SwitchSimulator
     )
 
 
-def _run_once(scenario: Scenario, repeat: int) -> RunRecord:
+def run_repeat(scenario: Scenario, repeat: int = 0,
+               last_phase: str = "infer") -> RunRecord:
+    """Run one repeat's phases in the order of PHASES, up to `last_phase`.
+
+    Each phase probes its own pristine switch, seeded from the repeat's
+    seed and the phase's index in PHASES. A failed bootstrap or inference
+    ends the repeat with `record.error` set; an infeasible probe rate ends
+    it before inference.
+    """
+    if last_phase not in PHASES:
+        raise ValueError(f"unknown phase {last_phase!r}")
     attack = scenario.attack
     run_seed = scenario.seed + repeat
     record = RunRecord(repeat=repeat)
 
-    sim = _build_sim(scenario, run_seed, _PHASE_BOOTSTRAP)
-    session = ProbeSession(sim, attack.send_rate_pps)
+    def run_phase(phase: str, measure, *args, **kwargs):
+        sim = _build_sim(scenario, run_seed, PHASES.index(phase))
+        try:
+            return measure(ProbeSession(sim, attack.send_rate_pps), *args, **kwargs)
+        finally:
+            record.wall_events += sim.events_processed
+
     try:
-        thresholds = bootstrap_thresholds(session, attack.bootstrap)
+        thresholds = run_phase("bootstrap", bootstrap_thresholds, attack.bootstrap)
     except (AttackError, ValueError) as exc:
-        record.wall_events += sim.events_processed
         record.error = f"bootstrap: {exc}"
         return record
     record.thresholds = thresholds
-    record.wall_events += sim.events_processed
+    if last_phase == "bootstrap":
+        return record
 
-    sim = _build_sim(scenario, run_seed, _PHASE_IDLE)
-    session = ProbeSession(sim, attack.send_rate_pps)
     try:
-        record.idle_timeout_measured_ms = measure_idle_timeout(
-            session, thresholds,
+        record.idle_timeout_measured_ms = run_phase(
+            "idle_timeout", measure_idle_timeout, thresholds,
             initial_ms=attack.timeout_initial_ms,
             ceiling_ms=attack.timeout_ceiling_ms,
             resolution_ms=attack.timeout_resolution_ms,
         )
     except TimeoutDisabled:
-        record.idle_timeout_measured_ms = None
-    record.wall_events += sim.events_processed
+        pass
+    if last_phase == "idle_timeout":
+        return record
 
-    gap_ms = attack.hard_gap_ms
     idle_measured = record.idle_timeout_measured_ms
+    gap_ms = attack.hard_gap_ms
     if idle_measured is not None:
         gap_ms = min(gap_ms, idle_measured / 10)
-    sim = _build_sim(scenario, run_seed, _PHASE_HARD)
-    session = ProbeSession(sim, attack.send_rate_pps)
     try:
-        record.hard_timeout_measured_ms = measure_hard_timeout(
-            session, thresholds,
+        record.hard_timeout_measured_ms = run_phase(
+            "hard_timeout", measure_hard_timeout, thresholds,
             probe_gap_ms=gap_ms,
             ceiling_ms=attack.timeout_ceiling_ms,
             idle_timeout_ms=idle_measured,
         )
     except TimeoutDisabled:
-        record.hard_timeout_measured_ms = None
-    record.wall_events += sim.events_processed
+        pass
+    if last_phase == "hard_timeout":
+        return record
 
     verdict = check_feasibility(
         attack.capacity_guess,
@@ -266,24 +262,20 @@ def _run_once(scenario: Scenario, repeat: int) -> RunRecord:
         t for t in (record.hard_timeout_measured_ms, record.idle_timeout_measured_ms)
         if t is not None
     ]
-    time_budget_ms = min(finite) if finite else None
-
-    sim = _build_sim(scenario, run_seed, _PHASE_INFER)
-    session = ProbeSession(sim, attack.send_rate_pps)
     infer = infer_fifo if scenario.policy == "FIFO" else infer_lru
     try:
-        record.report = infer(
-            session, thresholds, attack.key_budget, time_budget_ms=time_budget_ms
+        record.report = run_phase(
+            "infer", infer, thresholds, attack.key_budget,
+            time_budget_ms=min(finite) if finite else None,
         )
     except AttackError as exc:
         record.error = f"inference: {exc}"
-    record.wall_events += sim.events_processed
     return record
 
 
 def run_scenario(scenario: Scenario) -> SweepResult:
     """Run every repeat of `scenario` and aggregate the reports."""
-    runs = [_run_once(scenario, r) for r in range(scenario.repeats)]
+    runs = [run_repeat(scenario, r) for r in range(scenario.repeats)]
     reports = [r.report for r in runs if r.report is not None]
     if reports:
         mean_capacity = fmean(r.f_capacity for r in reports)

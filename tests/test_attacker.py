@@ -71,18 +71,6 @@ class TestRttThresholds:
 
 
 class TestBootstrapParams:
-    def test_filler_span_is_gaps_times_ts2(self):
-        params = BootstrapParams(ts2_ms=2.0)
-        assert params.filler_span_ms(51) == 100.0
-
-    def test_fits_timeouts(self):
-        params = BootstrapParams(ts1_ms=100.0, ts2_ms=1.0)
-        assert params.fits_timeouts(500, hard_timeout_ms=0.0, idle_timeout_ms=0.0)
-        assert params.fits_timeouts(500, hard_timeout_ms=5000.0, idle_timeout_ms=0.0)
-        assert not params.fits_timeouts(
-            500, hard_timeout_ms=300.0, idle_timeout_ms=0.0
-        )
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             BootstrapParams(ts2_ms=0.0)

@@ -75,6 +75,10 @@ class TestUsageErrors:
         ("check", "paper-suite.json", "scenarios.0.bounds.max_usage_rel_error=x"),
         ("infer", "fifo400.json", "attack.bootstrap.repeat=2.5"),
         ("infer", "fifo400.json", "attack.bootstrap=3"),
+        ("infer", "fifo400.json", "timeouts.idle_ms=-5"),
+        ("bootstrap", "fifo400.json", "timeouts.hard_ms=-1"),
+        ("sweep", "paper-suite.json", "scenarios.4.background_rate=-1"),
+        ("characterize-rtt", "characterize.json", "n_per_state=-5"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),
@@ -170,6 +174,34 @@ class TestBootstrapAndTimeouts:
                      "--set", "timeouts.idle_ms=5000.0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["idle_timeout_ms"] - 5000.0) <= 500.0
+
+
+    @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
+    def test_invalid_thresholds_are_a_domain_failure(self, command, capsys):
+        # The pinned key expires after 50 ms idle, before its re-probe
+        # ts1 = 100 ms later, so the hit-band sample is a miss and the
+        # calibrated bands come out in the wrong order.
+        code = main([command, "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "timeouts.idle_ms=50",
+                     "--set", "attack.bootstrap.ts2_ms=0.1", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: bootstrap:")
+        assert captured.err.count("\n") == 1
+
+    def test_first_phases_match_infer_repeat_zero(self, capsys):
+        argv = ["--config", str(CONFIGS / "fifo400.json"), "--set", "repeats=1",
+                "--set", "timeouts.idle_ms=5000", "--set", "timeouts.hard_ms=20000"]
+        outputs = {}
+        for command in ("bootstrap", "measure-timeouts", "infer"):
+            assert main([command, *argv]) == 0
+            outputs[command] = json.loads(capsys.readouterr().out)
+        run = outputs["infer"]["runs"][0]
+        timeouts = outputs["measure-timeouts"]
+        assert outputs["bootstrap"] == run["thresholds"] == timeouts["thresholds"]
+        assert timeouts["idle_timeout_ms"] == run["idle_timeout_measured_ms"]
+        assert timeouts["hard_timeout_ms"] == run["hard_timeout_measured_ms"]
+        assert run["hard_timeout_measured_ms"] is not None
 
 
 class TestCharacterize:

@@ -15,12 +15,14 @@ from flowprobe.experiments import (
     derive_seed,
     relative_error,
     rtt_characterization,
+    run_repeat,
     run_scenario,
     run_suite,
     scenario_from_dict,
     scenarios_from_config,
     write_sweep_csv,
 )
+from flowprobe.attacker import BootstrapParams
 from flowprobe.netsim import LatencyModel
 
 
@@ -50,6 +52,13 @@ class TestScenarioValidation:
     def test_attack_ranges(self, field, value):
         with pytest.raises(ValueError, match=field):
             AttackConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "background_rate", "hard_timeout_ms", "idle_timeout_ms",
+    ])
+    def test_negative_rates_and_timeouts_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            scenario(**{field: -5.0})
 
 
 class TestRunScenario:
@@ -116,6 +125,34 @@ class TestRunScenario:
         # distinct seeds give distinct arrival interleavings; a collision of
         # all three would mean the repeat seeding is broken
         assert len(set(probes)) > 1
+
+
+class TestRunRepeat:
+    def test_stops_after_last_phase(self):
+        s = scenario(idle_timeout_ms=5000.0, hard_timeout_ms=20000.0, repeats=1)
+        full = run_repeat(s)
+        idle, hard = full.idle_timeout_measured_ms, full.hard_timeout_measured_ms
+        for last_phase, measured in (("bootstrap", (None, None)),
+                                     ("idle_timeout", (idle, None)),
+                                     ("hard_timeout", (idle, hard))):
+            record = run_repeat(s, last_phase=last_phase)
+            assert record.thresholds == full.thresholds
+            assert (record.idle_timeout_measured_ms,
+                    record.hard_timeout_measured_ms) == measured
+            assert record.report is None and record.error is None
+            assert 0 < record.wall_events < full.wall_events
+        assert full.ok and full.hard_timeout_measured_ms is not None
+
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(ValueError, match="phase"):
+            run_repeat(scenario(), last_phase="feasibility")
+
+    def test_failed_bootstrap_still_counts_its_events(self):
+        s = scenario(attack=AttackConfig(
+            bootstrap=BootstrapParams(filler_budget=5)), repeats=1)
+        record = run_repeat(s)
+        assert record.error.startswith("bootstrap: ")
+        assert record.thresholds is None and record.wall_events > 5
 
 
 class TestAggregation:
