@@ -175,7 +175,6 @@ class TestBootstrapAndTimeouts:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["idle_timeout_ms"] - 5000.0) <= 500.0
 
-
     @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
     def test_invalid_thresholds_are_a_domain_failure(self, command, capsys):
         # The pinned key expires after 50 ms idle, before its re-probe
