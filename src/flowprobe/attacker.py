@@ -3,9 +3,9 @@
 Everything here observes the switch exclusively through probe RTTs: first a
 bootstrap run calibrates the three latency bands (entry present; absent
 with space; absent with the table full), then timeout probes recover the
-entry lifetime limits, and finally the FIFO or LRU inference loop streams
-distinct keys until it has seen the table fill up and then lose one of the
-attacker's own entries.
+entry lifetime limits, and finally one inference loop, for FIFO or LRU,
+streams distinct keys until it has seen the table fill up and then lose one
+of the attacker's own entries.
 
 Counting convention: `n1` is the number of distinct attacker keys inserted
 before the first full-table classification, `n2` the number inserted before
@@ -21,7 +21,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .flowtable import FlowKey
 from .netsim import (
@@ -216,7 +216,9 @@ def bootstrap_thresholds(session: ProbeSession,
     jump factor. The jump is confirmed with an immediately-sent fresh key
     whose RTT becomes the full-band sample, and the miss-band median becomes
     the miss-band sample; a failed confirmation folds both samples back into
-    the miss band and the stream continues.
+    the miss band and the stream continues. A confirmed jump whose pinned
+    re-probe was not faster than the miss-band median by the jump factor
+    raises AttackError: an entry timeout below ts1 expired the pin.
     """
     t1_samples: list[float] = []
     t2_samples: list[float] = []
@@ -249,6 +251,12 @@ def bootstrap_thresholds(session: ProbeSession,
                     confirm = session.probe(session.fresh_key())
                     fillers += 1
                     if confirm.rtt_us > params.jump_factor * median:
+                        if re_probe.rtt_us * params.jump_factor >= median:
+                            raise AttackError(
+                                "the pinned key missed its re-probe "
+                                f"ts1_ms={params.ts1_ms} ms after install: an "
+                                "entry timeout below ts1_ms expired it"
+                            )
                         t2_samples.append(us_to_ms(median))
                         t3_samples.append(us_to_ms(confirm.rtt_us))
                         jumped = True
@@ -372,17 +380,19 @@ def check_feasibility(capacity_guess: int,
     )
 
 
-def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
-               key_budget: int,
-               time_budget_ms: Optional[float] = None) -> InferenceReport:
-    """Capacity/usage inference against a FIFO-replacement table.
+def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
+           time_budget_ms: Optional[float], policy: str,
+           watched: Callable[[list[FlowKey], bool], Sequence[FlowKey]],
+           budget_fatal: bool) -> InferenceReport:
+    """The detection loop behind `infer_fifo` and `infer_lru`.
 
-    Streams distinct keys; the first full-table classification fixes n1.
-    From then on each round re-probes the earliest attacker key — under
-    FIFO it is provably the first attacker victim — and the first miss on
-    it fixes n2 and ends the attack. Detection re-probes reuse an old key,
-    so they count toward traffic but not toward the distinct-key budget;
-    a detection miss also reinstalls that key, which is counted.
+    Each round probes one fresh key; the first full-table RTT fixes n1.
+    Then `watched(keys, seen_full)` names the attacker keys to re-probe,
+    and they go out as one burst that stops at the first miss, which fixes
+    n2 and ends the attack (the miss also reinstalls that key). Re-probes
+    count toward traffic but not toward the distinct-key budget. Once the
+    round ends past `time_budget_ms`, the run raises InfeasibleRate if
+    `budget_fatal`, and is otherwise flagged and keeps going.
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
@@ -392,43 +402,56 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
 
     keys: list[FlowKey] = []
     n1: Optional[int] = None
-    n2: Optional[int] = None
-    reinstalls = 0
     budget_exceeded = False
-    probe = session.probe
-
     while len(keys) < key_budget:
         key = session.fresh_key()
-        sample = probe(key)
+        rtt_us = session.probe(key).rtt_us
+        if n1 is None and rtt_us >= full_cut_us:
+            n1 = len(keys)
         keys.append(key)
-        if n1 is None and sample.rtt_us >= full_cut_us:
-            n1 = len(keys) - 1
-        if n1 is not None:
-            detect = probe(keys[0])
-            if detect.rtt_us >= hit_cut_us:
-                reinstalls += 1  # the miss reinstalled our earliest key
-                n2 = len(keys) - 1
-                break
+        if session.probe_burst(watched(keys, n1 is not None), hit_cut_us) is not None:
+            break
         if budget_us is not None and session.now_us - start_us > budget_us:
+            if budget_fatal:
+                raise InfeasibleRate(
+                    f"rolling maintenance exceeded the {time_budget_ms} ms "
+                    f"timeout budget after {len(keys)} keys"
+                )
             budget_exceeded = True
             budget_us = None  # flag once, keep going
-    if n2 is None:
+    else:
         raise BudgetExhausted(
             f"no eviction of an attacker entry within {key_budget} keys"
         )
-    assert n1 is not None  # detection only runs once the table was seen full
+    n2 = len(keys) - 1
+    if n1 is None:
+        n1 = n2  # eviction observed before any of our probes saw a full table
 
     return InferenceReport(
-        policy_assumed="FIFO",
+        policy_assumed=policy,
         f_capacity=n2,
         f_other=n2 - n1,
         n1=n1,
         n2=n2,
         probes_sent=session.probes_sent - probes_before,
         distinct_keys=len(keys),
-        reinstalls=reinstalls,
+        reinstalls=1,
         timeout_budget_exceeded=budget_exceeded,
     )
+
+
+def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
+               key_budget: int,
+               time_budget_ms: Optional[float] = None) -> InferenceReport:
+    """Capacity/usage inference against a FIFO-replacement table.
+
+    Once the table has been seen full, each round re-probes the earliest
+    attacker key: under FIFO it is provably the first attacker victim. A
+    blown time budget only sets `timeout_budget_exceeded`.
+    """
+    return _infer(session, thresholds, key_budget, time_budget_ms, "FIFO",
+                  lambda keys, seen_full: keys[:1] if seen_full else (),
+                  budget_fatal=False)
 
 
 def infer_lru(session: ProbeSession, thresholds: RttThresholds,
@@ -437,56 +460,9 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     """Capacity/usage inference against an LRU-replacement table.
 
     After inserting each new key the rolling maintainer re-accesses every
-    previously inserted attacker key in insertion order, keeping them the
-    most recently used entries; the first re-access that misses is the
-    eviction signal. Each round's re-accesses go out as one probe burst
-    that stops at that miss. The rolling traffic is quadratic in the number of
-    inserted keys, so a finite time budget turns into InfeasibleRate when
-    the stream cannot complete inside it.
+    earlier attacker key in insertion order, keeping them the most recently
+    used entries. That traffic is quadratic in the number of inserted keys,
+    so a blown time budget raises InfeasibleRate.
     """
-    hit_cut_us = thresholds.hit_cut_ms * 1000.0
-    full_cut_us = thresholds.full_cut_ms * 1000.0
-    budget_us = None if time_budget_ms is None else ms_to_us(time_budget_ms)
-    start_us = session.now_us
-    probes_before = session.probes_sent
-
-    inserted: list[FlowKey] = []
-    n1: Optional[int] = None
-    n2: Optional[int] = None
-    reinstalls = 0
-    probe = session.probe
-
-    while len(inserted) < key_budget:
-        key = session.fresh_key()
-        sample = probe(key)
-        if n1 is None and sample.rtt_us >= full_cut_us:
-            n1 = len(inserted)
-        evicted = session.probe_burst(inserted, hit_cut_us)
-        inserted.append(key)
-        if evicted is not None:
-            reinstalls += 1  # the miss reinstalled that earlier key
-            n2 = len(inserted) - 1
-            break
-        if budget_us is not None and session.now_us - start_us > budget_us:
-            raise InfeasibleRate(
-                f"rolling maintenance exceeded the {time_budget_ms} ms "
-                f"timeout budget after {len(inserted)} keys"
-            )
-    if n2 is None:
-        raise BudgetExhausted(
-            f"no eviction of an attacker entry within {key_budget} keys"
-        )
-    if n1 is None:
-        n1 = n2  # eviction observed before any of our probes saw a full table
-
-    return InferenceReport(
-        policy_assumed="LRU",
-        f_capacity=n2,
-        f_other=n2 - n1,
-        n1=n1,
-        n2=n2,
-        probes_sent=session.probes_sent - probes_before,
-        distinct_keys=len(inserted),
-        reinstalls=reinstalls,
-        timeout_budget_exceeded=False,
-    )
+    return _infer(session, thresholds, key_budget, time_budget_ms, "LRU",
+                  lambda keys, seen_full: keys[:-1], budget_fatal=True)

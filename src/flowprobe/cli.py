@@ -85,9 +85,14 @@ _LAST_PHASE = {"bootstrap": "bootstrap", "measure-timeouts": "hard_timeout"}
 
 
 def _cmd_first_phases(args: argparse.Namespace) -> int:
-    """Run repeat 0 of the first scenario up to the command's last phase."""
-    scenario = experiments.scenarios_from_config(_load_config(args))[0]
-    record = experiments.run_repeat(scenario, last_phase=_LAST_PHASE[args.command])
+    """Run repeat 0 of the config's one scenario up to the command's last
+    phase."""
+    scenarios = experiments.scenarios_from_config(_load_config(args))
+    if len(scenarios) != 1:
+        raise ValueError(f"{args.command} runs one scenario; the config has "
+                         f"{len(scenarios)}")
+    record = experiments.run_repeat(scenarios[0],
+                                    last_phase=_LAST_PHASE[args.command])
     if record.error is not None:
         print(f"error: {record.error}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR

@@ -123,23 +123,17 @@ class KeySequence:
     disjoint by construction.
     """
 
-    def __init__(self, prefix: str, dst_ip: str = "10.0.0.1",
-                 src_mac: str = "02:00:00:00:00:01",
-                 dst_mac: str = "02:00:00:00:00:02"):
+    def __init__(self, prefix: str):
         self.prefix = prefix
-        self.dst_ip = dst_ip
-        self.src_mac = src_mac
-        self.dst_mac = dst_mac
         self._next = 0
 
     def key_at(self, i: int) -> FlowKey:
         block, rest = divmod(i, 1 << 16)
-        dst = self.dst_ip if block == 0 else f"10.{200 + block}.0.1"
         return FlowKey(
             src_ip=f"{self.prefix}.{(rest >> 8) & 255}.{rest & 255}",
-            dst_ip=dst,
-            src_mac=self.src_mac,
-            dst_mac=self.dst_mac,
+            dst_ip="10.0.0.1" if block == 0 else f"10.{200 + block}.0.1",
+            src_mac="02:00:00:00:00:01",
+            dst_mac="02:00:00:00:00:02",
         )
 
     def next_key(self) -> FlowKey:
@@ -187,7 +181,7 @@ TRACE_COLUMNS = ("time_us", "kind", "owner", "branch", "rtt_us")
 class SwitchSimulator:
     """Single switch + controller with a bounded flow table.
 
-    The simulator owns one logical timeline. `send_probe` and `run_until`
+    The simulator owns one logical timeline. `send_probe` and `send_burst`
     must be called with nondecreasing timestamps; background arrivals due
     before a probe are applied first so the probe always sees the table
     state it would have seen live.
@@ -260,41 +254,23 @@ class SwitchSimulator:
         gap_us = -math.log(1.0 - u) * self._rate_us  # type: ignore[operator]
         return after_us + max(1, round(gap_us))
 
-    def _process_arrivals(self, up_to_us: int, collect: Optional[list[SimEvent]]) -> None:
-        # _handle_packet owns trace recording; `collect` only feeds run_until's
-        # return value.
+    def _process_arrivals(self, up_to_us: int) -> None:
         while self._next_arrival_us is not None and self._next_arrival_us <= up_to_us:
             at = self._next_arrival_us
-            key = self._bg_keys.next_key()
             self.background_arrivals += 1
-            sample = self._handle_packet(key, at, OWNER_BACKGROUND, EVENT_BACKGROUND)
-            if collect is not None:
-                collect.append(
-                    SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
-                             sample.branch, sample.rtt_us)
-                )
+            self._handle_packet(self._bg_keys.next_key(), at, OWNER_BACKGROUND,
+                                EVENT_BACKGROUND)
             self._next_arrival_us = self._draw_arrival(at)
 
     # -- core packet path --------------------------------------------------
 
-    def _install(self, key: FlowKey, now_us: int, owner: str) -> None:
-        self.table.insert(
-            FlowEntry(
-                key=key,
-                hard_timeout=self.hard_timeout_us,
-                idle_timeout=self.idle_timeout_us,
-                owner=owner,
-            ),
-            now_us,
-        )
-
-    def _miss(self, key: FlowKey, at_us: int, owner: str) -> str:
-        """Install `key` after a missed lookup; return the miss branch."""
-        table = self.table
-        branch = BRANCH_MISS_FULL if len(table.entries) >= table.capacity \
-            else BRANCH_MISS_NOTFULL
-        self._install(key, at_us, owner)
-        return branch
+    def _install(self, key: FlowKey, now_us: int, owner: str) -> str:
+        """Install `key` for `owner`; return the miss branch it took."""
+        entry = FlowEntry(key=key, hard_timeout=self.hard_timeout_us,
+                          idle_timeout=self.idle_timeout_us, owner=owner)
+        if self.table.insert(entry, now_us).was_full:
+            return BRANCH_MISS_FULL
+        return BRANCH_MISS_NOTFULL
 
     def _handle_packet(self, key: FlowKey, at_us: int, owner: Optional[str],
                        kind: str) -> RttSample:
@@ -305,7 +281,7 @@ class SwitchSimulator:
         else:
             if owner is None:
                 owner = self.owner_of(key)
-            branch = self._miss(key, at_us, owner)
+            branch = self._install(key, at_us, owner)
         rtt = self._draw_rtt(branch)
         self.now_us = at_us
         self.events_processed += 1
@@ -329,7 +305,7 @@ class SwitchSimulator:
         if at_us < self.now_us:
             raise ValueError(f"probe time {at_us} precedes simulator time {self.now_us}")
         if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
-            self._process_arrivals(at_us, None)
+            self._process_arrivals(at_us)
         return self._handle_packet(key, at_us, None, EVENT_PROBE)
 
     def send_burst(self, keys: Iterable[FlowKey], start_us: int, gap_us: int,
@@ -352,13 +328,13 @@ class SwitchSimulator:
         try:
             for key in keys:
                 if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
-                    self._process_arrivals(at_us, None)
+                    self._process_arrivals(at_us)
                 if lookup(key, at_us):
                     branch = BRANCH_HIT
                     owner = None
                 else:
                     owner = self.owner_of(key)
-                    branch = self._miss(key, at_us, owner)
+                    branch = self._install(key, at_us, owner)
                 rtt = draw(branch)
                 sent += 1
                 if trace is not None:
@@ -372,15 +348,6 @@ class SwitchSimulator:
             if sent:
                 self.now_us = start_us + (sent - 1) * gap_us
                 self.events_processed += sent
-
-    def run_until(self, t_us: int) -> list[SimEvent]:
-        """Apply all background arrivals due at or before `t_us`; advance clock."""
-        if t_us < self.now_us:
-            raise ValueError(f"target time {t_us} precedes simulator time {self.now_us}")
-        processed: list[SimEvent] = []
-        self._process_arrivals(t_us, processed)
-        self.now_us = t_us
-        return processed
 
     def ground_truth(self) -> GroundTruth:
         """Hidden state for tests and result auditing; never for inference."""

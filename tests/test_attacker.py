@@ -10,6 +10,7 @@ from flowprobe.attacker import (
     STATE_EXIST,
     STATE_NOT_EXIST_FULL,
     STATE_NOT_EXIST_NOT_FULL,
+    AttackError,
     BootstrapParams,
     BudgetExhausted,
     InfeasibleRate,
@@ -96,6 +97,16 @@ class TestBootstrap:
         assert 0.2 <= th.t1_ms <= 0.3
         assert 3.0 <= th.t2_ms <= 5.0
         assert 8.0 <= th.t3_ms <= 10.0
+
+    @pytest.mark.parametrize("latency, seed", [(NOISELESS, 0), (LatencyModel(), 4)])
+    def test_pin_expired_before_its_re_probe_is_named(self, latency, seed):
+        # Idle 50 ms < ts1 100 ms: the pinned key's re-probe is a miss. At
+        # seed 4 its 3.2 ms RTT sits below the 3.9 ms miss median, so the
+        # bands would pass their ordering check with t1 in the miss band.
+        session = ProbeSession(make_sim(capacity=100, usage=25, idle_ms=50.0,
+                                        latency=latency, seed=seed))
+        with pytest.raises(AttackError, match="ts1_ms=100.0 ms"):
+            bootstrap_thresholds(session, BootstrapParams(ts2_ms=0.1))
 
     def test_filler_budget_exhaustion(self):
         session = ProbeSession(make_sim(capacity=1000))
@@ -230,6 +241,19 @@ class TestInferFifo:
         assert (report.f_capacity, report.f_other) == (40, 40)
         assert report.n1 == 0
 
+    @pytest.mark.parametrize("capacity, usage, expected", [
+        (120, 30, (90, 120, 152, 121, 15200)),
+        (40, 40, (0, 40, 82, 41, 8200)),
+        (1, 1, (0, 1, 4, 2, 400)),
+    ])
+    def test_traffic_is_pinned(self, capacity, usage, expected):
+        # (n1, n2, probes_sent, distinct_keys, now_us); with n1 = 0 the
+        # first round re-probes the key it just inserted.
+        session = ProbeSession(make_sim(capacity=capacity, usage=usage))
+        report = infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=1000)
+        assert (report.n1, report.n2, report.probes_sent,
+                report.distinct_keys, session.now_us) == expected
+
     def test_budget_exhausted(self):
         session = ProbeSession(make_sim(capacity=1000))
         with pytest.raises(BudgetExhausted):
@@ -259,6 +283,7 @@ class TestInferFifo:
                             time_budget_ms=5.0)
         assert report.timeout_budget_exceeded
         assert report.f_capacity == 80
+        assert report.probes_sent == 102
 
     def test_underestimates_with_concurrent_arrivals(self):
         for seed in range(20):
@@ -287,6 +312,11 @@ class TestInferLru:
         assert session.probes_sent == 4186
         assert session.now_us == 418600
 
+    def test_preloaded_full_table_traffic(self):
+        session = ProbeSession(make_sim(capacity=40, policy="LRU", usage=40))
+        report = infer_lru(session, MIDPOINT_THRESHOLDS, key_budget=1000)
+        assert (report.n1, report.n2, report.probes_sent) == (0, 40, 861)
+
     def test_exact_with_empty_table(self):
         session = ProbeSession(make_sim(capacity=33, policy="LRU"))
         report = infer_lru(session, MIDPOINT_THRESHOLDS, key_budget=500)
@@ -300,9 +330,10 @@ class TestInferLru:
     def test_infeasible_rate_on_tight_time_budget(self):
         session = ProbeSession(make_sim(capacity=200, policy="LRU"),
                                send_rate_pps=1000.0)
-        with pytest.raises(InfeasibleRate):
+        with pytest.raises(InfeasibleRate, match="budget after 14 keys$"):
             infer_lru(session, MIDPOINT_THRESHOLDS, key_budget=1000,
                       time_budget_ms=100.0)
+        assert session.probes_sent == 105
 
     def test_rolling_keeps_attacker_keys_most_recent(self):
         # Replicates the maintainer by hand and checks ground truth after

@@ -86,6 +86,14 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
+    def test_first_phases_reject_a_multi_scenario_suite(self, command, capsys):
+        assert main([command, "--config", str(CONFIGS / "paper-suite.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {command} runs one scenario; "
+                                "the config has 5\n")
+
 
 class TestInfer:
     def test_reports_exact_capacity(self, config_path, capsys):
@@ -178,14 +186,15 @@ class TestBootstrapAndTimeouts:
     @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
     def test_invalid_thresholds_are_a_domain_failure(self, command, capsys):
         # The pinned key expires after 50 ms idle, before its re-probe
-        # ts1 = 100 ms later, so the hit-band sample is a miss and the
-        # calibrated bands come out in the wrong order.
+        # ts1 = 100 ms later, so the hit-band sample is a miss; bootstrap
+        # names ts1_ms rather than calibrating bands in the wrong order.
         code = main([command, "--config", str(CONFIGS / "fifo400.json"),
                      "--set", "timeouts.idle_ms=50",
                      "--set", "attack.bootstrap.ts2_ms=0.1", "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: bootstrap:")
+        assert "ts1_ms" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_first_phases_match_infer_repeat_zero(self, capsys):

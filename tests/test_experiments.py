@@ -6,6 +6,7 @@ from statistics import fmean
 
 import pytest
 
+from flowprobe import experiments
 from flowprobe.experiments import (
     SWEEP_CSV_COLUMNS,
     AttackConfig,
@@ -142,6 +143,25 @@ class TestRunRepeat:
             assert record.report is None and record.error is None
             assert 0 < record.wall_events < full.wall_events
         assert full.ok and full.hard_timeout_measured_ms is not None
+
+    def test_phase_functions_and_switch_are_looked_up_at_call_time(self, monkeypatch):
+        # Callers that observe the infer phase or the switches it probes
+        # (the benchmark does) patch these module globals.
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("infer_fifo", "infer_lru", "SwitchSimulator"):
+            monkeypatch.setattr(experiments, name,
+                                spy(name, getattr(experiments, name)))
+        for policy in ("FIFO", "LRU"):
+            assert run_repeat(scenario(policy=policy, repeats=1)).ok
+        assert calls == ["SwitchSimulator"] * 4 + ["infer_fifo"] \
+            + ["SwitchSimulator"] * 4 + ["infer_lru"]
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError, match="phase"):

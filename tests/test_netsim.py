@@ -11,6 +11,8 @@ from flowprobe.netsim import (
     BRANCH_HIT,
     BRANCH_MISS_FULL,
     BRANCH_MISS_NOTFULL,
+    EVENT_BACKGROUND,
+    EVENT_PROBE,
     BackgroundWorkload,
     KeySequence,
     LatencyModel,
@@ -109,16 +111,22 @@ class TestProbeBranches:
 
 class TestBackgroundWorkload:
     def test_rate_zero_produces_no_arrivals(self):
-        sim = SwitchSimulator(capacity=10)
-        assert sim.run_until(10**6) == []
-        assert sim.ground_truth().occupancy.total == 0
+        sim = SwitchSimulator(capacity=10, record_trace=True)
+        sim.send_probe(attacker_keys().next_key(), 10**6)
+        assert [e.kind for e in sim.trace] == [EVENT_PROBE]
+        assert sim.background_arrivals == 0
+        assert sim.ground_truth().occupancy == (1, 0)
 
     def test_preload_is_visible_at_time_zero(self):
         sim = SwitchSimulator(
-            capacity=400, workload=BackgroundWorkload(initial_usage=300)
+            capacity=400, workload=BackgroundWorkload(initial_usage=300),
+            record_trace=True,
         )
-        sim.run_until(0)
-        assert sim.ground_truth().occupancy == (0, 300)
+        sample = sim.send_probe(attacker_keys().next_key(), 0)
+        # The preload is no event; the probe finds 300 of 400 slots taken.
+        assert [e.kind for e in sim.trace] == [EVENT_PROBE]
+        assert sample.branch == BRANCH_MISS_NOTFULL
+        assert sim.ground_truth().occupancy == (1, 300)
 
     def test_poisson_arrivals_reproduce_from_seed(self):
         # Oracle: regenerate the arrival schedule from the same seed with the
@@ -127,8 +135,11 @@ class TestBackgroundWorkload:
         sim = SwitchSimulator(
             capacity=10_000,
             workload=BackgroundWorkload(arrival_rate=rate, seed=seed),
+            record_trace=True,
         )
-        events = sim.run_until(horizon_us)
+        sim.send_probe(attacker_keys().next_key(), horizon_us)
+        events = [e for e in sim.trace if e.kind == EVENT_BACKGROUND]
+        assert sim.trace[-1].kind == EVENT_PROBE
 
         rng = random.Random(seed)
         expected_times = []
@@ -140,6 +151,7 @@ class TestBackgroundWorkload:
                 break
             expected_times.append(t)
         assert [e.time_us for e in events] == expected_times
+        assert sim.background_arrivals == len(events)
         assert len(events) > 50  # 10/s over 10 s: sanity that the draw ran
 
     @pytest.mark.parametrize("noise", ["none", "uniform"])
@@ -280,15 +292,18 @@ class TestEvictionAudit:
             assert occupancy.attacker == inserted - removed
 
     def test_removal_log_reasons(self):
-        sim = SwitchSimulator(capacity=2, hard_timeout_ms=1.0)
+        sim = SwitchSimulator(capacity=2, hard_timeout_ms=1.0, record_trace=True)
         keys = attacker_keys()
         sim.send_probe(keys.next_key(), 0)
         sim.send_probe(keys.next_key(), 10)
         sim.send_probe(keys.next_key(), 20)  # full: one eviction
-        sim.run_until(ms_to_us(5.0))
-        sim.table.purge_expired(ms_to_us(5.0))
+        # By 5 ms both survivors have expired, so this probe finds room.
+        sim.send_probe(keys.next_key(), ms_to_us(5.0))
         reasons = sorted(r.reason for r in sim.table.removal_log)
         assert reasons == ["evicted", "expired", "expired"]
+        assert [e.branch for e in sim.trace] == [
+            BRANCH_MISS_NOTFULL, BRANCH_MISS_NOTFULL, BRANCH_MISS_FULL,
+            BRANCH_MISS_NOTFULL]
 
 
 class TestTraceExport:
