@@ -37,6 +37,11 @@ STATE_EXIST = "exist"
 STATE_NOT_EXIST_NOT_FULL = "not_exist_not_full"
 STATE_NOT_EXIST_FULL = "not_exist_full"
 
+# Timeout probing: a timer that outlasts the ceiling counts as disabled, and
+# measure_hard_timeout refreshes its key every HARD_GAP_MS by default.
+TIMEOUT_CEILING_MS = 120_000.0
+HARD_GAP_MS = 100.0
+
 class AttackError(Exception):
     """Base class for domain-level attack failures."""
 
@@ -277,7 +282,7 @@ def bootstrap_thresholds(session: ProbeSession,
 
 def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
                          initial_ms: float = 100.0,
-                         ceiling_ms: float = 120_000.0,
+                         ceiling_ms: float = TIMEOUT_CEILING_MS,
                          resolution_ms: float = 100.0) -> float:
     """Measure the idle timeout by growing, then bisecting, one key's gaps.
 
@@ -322,8 +327,8 @@ def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
 
 
 def measure_hard_timeout(session: ProbeSession, thresholds: RttThresholds,
-                         probe_gap_ms: float = 100.0,
-                         ceiling_ms: float = 120_000.0,
+                         probe_gap_ms: float = HARD_GAP_MS,
+                         ceiling_ms: float = TIMEOUT_CEILING_MS,
                          idle_timeout_ms: Optional[float] = None) -> float:
     """Measure the hard timeout by keeping one key continuously refreshed.
 

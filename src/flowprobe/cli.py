@@ -108,9 +108,13 @@ def _cmd_first_phases(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_suite(args: argparse.Namespace) -> list[experiments.SweepResult]:
+    return experiments.run_suite(
+        experiments.scenarios_from_config(_load_config(args)))
+
+
 def _cmd_infer(args: argparse.Namespace) -> int:
-    scenarios = experiments.scenarios_from_config(_load_config(args))
-    results = experiments.run_suite(scenarios)
+    results = _run_suite(args)
     payload = [result.to_dict() for result in results]
     _dump_json(args, payload[0] if len(payload) == 1 else payload)
     if any(result.failures for result in results):
@@ -119,20 +123,15 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if args.check:
-        results, violations = experiments.check_suite(config)
-    else:
-        results = experiments.run_suite(experiments.scenarios_from_config(config))
-        violations = []
+    results = _run_suite(args)
+    violations = ([v for result in results for v in result.violations]
+                  if args.check else [])
     buffer = io.StringIO()
     experiments.write_sweep_csv(results, buffer)
     _write_output(args, buffer.getvalue())
-    if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    return EXIT_OK
+    for violation in violations:
+        print(violation, file=sys.stderr)
+    return EXIT_DOMAIN_ERROR if violations else EXIT_OK
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -153,16 +152,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    results, violations = experiments.check_suite(config)
-    lines = []
-    for result in results:
-        status = "PASS"
-        name = result.scenario.name
-        if any(v.startswith(f"{name}:") for v in violations):
-            status = "FAIL"
+    lines, violations = [], []
+    for result in _run_suite(args):
+        found = result.violations
+        violations.extend(found)
+        status = "FAIL" if found else "PASS"
         lines.append(
-            f"{status} {name}: capacity_rel_error="
+            f"{status} {result.scenario.name}: capacity_rel_error="
             f"{_fmt(result.capacity_rel_error)} usage_rel_error="
             f"{_fmt(result.usage_rel_error)}"
         )

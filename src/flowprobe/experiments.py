@@ -1,13 +1,15 @@
 """Scenario runner: wires the full attack pipeline against seeded simulators.
 
-A scenario describes one switch configuration plus the attack settings.
-Each repeat derives fresh seeds, builds phase-specific simulators
-(bootstrap, timeout probing and inference each get a pristine switch so an
-earlier phase's flood cannot pollute a later phase's ground truth), runs
-bootstrap -> timeout measurement -> feasibility -> inference, and records
-the result; `run_repeat` can stop after an earlier phase. Sweep output is
-a CSV with one row per run plus an aggregate summary; identical seeds
-reproduce identical bytes.
+A scenario describes one switch configuration plus the attack settings and,
+optionally, the error bounds its mean inference must meet. Each repeat
+derives fresh seeds, builds phase-specific simulators (bootstrap, timeout
+probing and inference each get a pristine switch so an earlier phase's
+flood cannot pollute a later phase's ground truth), runs bootstrap ->
+timeout measurement -> feasibility -> inference, and records the result;
+`run_repeat` can stop after an earlier phase. `run_suite` runs every
+scenario of a config, and each `SweepResult` lists its own `violations`:
+failed repeats and exceeded bounds. Sweep output is a CSV with one row per
+run; identical seeds reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from statistics import fmean
 from typing import Optional, TextIO
 
 from .attacker import (
+    HARD_GAP_MS,
     AttackError,
     BootstrapParams,
     InferenceReport,
@@ -68,10 +71,6 @@ class AttackConfig:
     key_budget: int = 100_000
     capacity_guess: int = 2_000  # upper bound fed to the feasibility check
     bootstrap: BootstrapParams = field(default_factory=BootstrapParams)
-    timeout_initial_ms: float = 100.0
-    timeout_ceiling_ms: float = 120_000.0
-    timeout_resolution_ms: float = 100.0
-    hard_gap_ms: float = 100.0
 
     def __post_init__(self) -> None:
         if self.send_rate_pps <= 0:
@@ -95,6 +94,9 @@ class Scenario:
     repeats: int = 1
     seed: int = 0
     attack: AttackConfig = field(default_factory=AttackConfig)
+    # Bounds on the mean inference's relative errors; None leaves one unchecked.
+    max_capacity_rel_error: Optional[float] = None
+    max_usage_rel_error: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -145,6 +147,23 @@ class SweepResult:
     @property
     def failures(self) -> list[RunRecord]:
         return [r for r in self.runs if not r.ok]
+
+    @property
+    def violations(self) -> list[str]:
+        """Failed repeats, then `no successful runs` or each exceeded bound."""
+        name = self.scenario.name
+        found = [f"{name}: repeat {run.repeat} failed: {run.error}"
+                 for run in self.failures]
+        if self.capacity_rel_error is None:
+            return found + [f"{name}: no successful runs"]
+        for what, error, bound in (
+            ("capacity", self.capacity_rel_error,
+             self.scenario.max_capacity_rel_error),
+            ("usage", self.usage_rel_error, self.scenario.max_usage_rel_error),
+        ):
+            if bound is not None and error > bound:
+                found.append(f"{name}: {what} relative error {error:.4f} > {bound}")
+        return found
 
     def to_dict(self) -> dict:
         return {
@@ -217,27 +236,19 @@ def run_repeat(scenario: Scenario, repeat: int = 0,
 
     try:
         record.idle_timeout_measured_ms = run_phase(
-            "idle_timeout", measure_idle_timeout, thresholds,
-            initial_ms=attack.timeout_initial_ms,
-            ceiling_ms=attack.timeout_ceiling_ms,
-            resolution_ms=attack.timeout_resolution_ms,
-        )
+            "idle_timeout", measure_idle_timeout, thresholds)
     except TimeoutDisabled:
         pass
     if last_phase == "idle_timeout":
         return record
 
     idle_measured = record.idle_timeout_measured_ms
-    gap_ms = attack.hard_gap_ms
-    if idle_measured is not None:
-        gap_ms = min(gap_ms, idle_measured / 10)
+    gap_ms = (HARD_GAP_MS if idle_measured is None
+              else min(HARD_GAP_MS, idle_measured / 10))
     try:
         record.hard_timeout_measured_ms = run_phase(
             "hard_timeout", measure_hard_timeout, thresholds,
-            probe_gap_ms=gap_ms,
-            ceiling_ms=attack.timeout_ceiling_ms,
-            idle_timeout_ms=idle_measured,
-        )
+            probe_gap_ms=gap_ms, idle_timeout_ms=idle_measured)
     except TimeoutDisabled:
         pass
     if last_phase == "hard_timeout":
@@ -300,12 +311,13 @@ def run_suite(scenarios: list[Scenario]) -> list[SweepResult]:
     return [run_scenario(s) for s in scenarios]
 
 
-def sweep_csv_rows(results: list[SweepResult]) -> list[tuple]:
-    rows = []
+def write_sweep_csv(results: list[SweepResult], out: TextIO) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_COLUMNS)
     for result in results:
         for run in result.runs:
             if run.report is not None:
-                rows.append((
+                writer.writerow((
                     result.scenario.name, run.repeat,
                     result.truth_capacity, run.report.f_capacity,
                     result.truth_usage, run.report.f_other,
@@ -313,18 +325,11 @@ def sweep_csv_rows(results: list[SweepResult]) -> list[tuple]:
                     run.report.probes_sent, run.wall_events,
                 ))
             else:
-                rows.append((
+                writer.writerow((
                     result.scenario.name, run.repeat,
                     result.truth_capacity, "",
                     result.truth_usage, "", "", "", "", run.wall_events,
                 ))
-    return rows
-
-
-def write_sweep_csv(results: list[SweepResult], out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    writer.writerows(sweep_csv_rows(results))
 
 
 def rtt_characterization(latency: LatencyModel, n_per_state: int,
@@ -468,8 +473,9 @@ def attack_from_dict(d: dict) -> AttackConfig:
 def scenario_from_dict(d: dict) -> Scenario:
     checked_block(d, _SCENARIO_KEYS, "scenario")
     _checked_numbers(d, "scenario", Scenario)
-    _checked_numbers(checked_block(d.get("bounds", {}), _BOUND_KEYS, "bounds"),
-                     "bounds", numbers=_BOUND_KEYS)
+    bounds = _checked_numbers(
+        checked_block(d.get("bounds", {}), _BOUND_KEYS, "bounds"),
+        "bounds", numbers=_BOUND_KEYS)
     timeouts = _checked_numbers(
         checked_block(d.get("timeouts", {}), _TIMEOUT_KEYS, "timeouts"),
         "timeouts", numbers=_TIMEOUT_KEYS)
@@ -485,6 +491,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         repeats=d.get("repeats", 1),
         seed=d.get("seed", 0),
         attack=attack_from_dict(d.get("attack", {})),
+        **bounds,
     )
 
 
@@ -495,6 +502,8 @@ def scenario_entries(config: dict) -> list[dict]:
     entries = checked_block(config, ("scenarios",), "suite")["scenarios"]
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise ValueError(f"scenarios must be a list of objects, got {entries!r}")
+    if not entries:
+        raise ValueError("a suite needs at least one scenario")
     return entries
 
 
@@ -536,40 +545,3 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
                 f"override {assignment!r}: {path!r} does not fit the config's structure"
             ) from None
     return config
-
-
-def check_suite(config: dict) -> tuple[list[SweepResult], list[str]]:
-    """Run every scenario in a suite and verify its declared error bounds.
-
-    Each scenario object may carry a "bounds" block with
-    max_capacity_rel_error / max_usage_rel_error; violations (and any
-    failed runs) are returned as human-readable strings. Every scenario is
-    parsed before the first one runs, so a config error costs no run.
-    """
-    results: list[SweepResult] = []
-    violations: list[str] = []
-    entries = scenario_entries(config)
-    scenarios = [scenario_from_dict(entry) for entry in entries]
-    for entry, scenario in zip(entries, scenarios):
-        bounds = entry.get("bounds", {})
-        result = run_scenario(scenario)
-        results.append(result)
-        name = scenario.name
-        for run in result.failures:
-            violations.append(f"{name}: repeat {run.repeat} failed: {run.error}")
-        if result.capacity_rel_error is None:
-            violations.append(f"{name}: no successful runs")
-            continue
-        cap_bound = bounds.get("max_capacity_rel_error")
-        if cap_bound is not None and result.capacity_rel_error > cap_bound:
-            violations.append(
-                f"{name}: capacity relative error "
-                f"{result.capacity_rel_error:.4f} > {cap_bound}"
-            )
-        usage_bound = bounds.get("max_usage_rel_error")
-        if usage_bound is not None and result.usage_rel_error > usage_bound:
-            violations.append(
-                f"{name}: usage relative error "
-                f"{result.usage_rel_error:.4f} > {usage_bound}"
-            )
-    return results, violations

@@ -57,15 +57,8 @@ class FlowEntry:
     owner: str = OWNER_ATTACKER
     seq: int = field(default=0, compare=False)
 
-    def is_expired(self, now: int) -> bool:
-        if self.hard_timeout > 0 and now - self.inserted_at >= self.hard_timeout:
-            return True
-        if self.idle_timeout > 0 and now - self.last_access >= self.idle_timeout:
-            return True
-        return False
-
     def next_deadline(self) -> Optional[int]:
-        """Earliest future time at which this entry could expire, or None."""
+        """Time from which this entry is expired, or None if it never is."""
         deadline = None
         if self.hard_timeout > 0:
             deadline = self.inserted_at + self.hard_timeout
@@ -153,15 +146,14 @@ class FlowTable:
             entry = self.entries.get(key)
             if entry is None or entry.seq != seq:
                 continue  # stale heap record for a replaced/removed entry
-            if entry.is_expired(now):
+            deadline = entry.next_deadline()  # finite: the entry is in the heap
+            if deadline <= now:  # type: ignore[operator]
                 del self.entries[key]
                 self.removal_log.append(RemovalRecord(now, key, entry.owner, EXPIRED))
                 removed.append(key)
             else:
                 # Hits moved the idle deadline forward since the push.
-                heapq.heappush(
-                    heap, (entry.next_deadline(), seq, key),  # type: ignore[arg-type]
-                )
+                heapq.heappush(heap, (deadline, seq, key))
         return removed
 
     def lookup(self, key: FlowKey, now: int) -> bool:

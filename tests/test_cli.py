@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,6 +18,20 @@ FIFO_SCENARIO = {
     "repeats": 2,
     "seed": 5,
 }
+
+
+# The paper-suite outputs are golden: a change that alters them must say so.
+PAPER_SUITE_CHECK = """\
+PASS fifo-capacity-200: capacity_rel_error=0.0000 usage_rel_error=0.0000
+PASS fifo-capacity-400: capacity_rel_error=0.0000 usage_rel_error=0.0000
+PASS lru-capacity-200: capacity_rel_error=0.0000 usage_rel_error=0.0000
+PASS lru-capacity-400: capacity_rel_error=0.0000 usage_rel_error=0.0000
+PASS fifo-stress-background: capacity_rel_error=0.0013 usage_rel_error=0.0010
+"""
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -79,6 +94,8 @@ class TestUsageErrors:
         ("bootstrap", "fifo400.json", "timeouts.hard_ms=-1"),
         ("sweep", "paper-suite.json", "scenarios.4.background_rate=-1"),
         ("characterize-rtt", "characterize.json", "n_per_state=-5"),
+        ("infer", "fifo400.json", "attack.hard_gap_ms=100"),
+        ("infer", "fifo400.json", "attack.timeout_initial_ms=100"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),
@@ -93,6 +110,18 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == (f"config error: {command} runs one scenario; "
                                 "the config has 5\n")
+
+
+    @pytest.mark.parametrize("argv", [["check"], ["sweep", "--check"],
+                                      ["infer"]])
+    def test_empty_suite_exits_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"scenarios": []}))
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: a suite needs at least one "
+                                "scenario\n")
 
 
 class TestInfer:
@@ -140,6 +169,22 @@ class TestSweep:
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
 
+    def test_only_check_reports_violations(self, suite_path, capsys):
+        argv = ["sweep", "--config", suite_path, "--set",
+                "scenarios.0.attack.key_budget=5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main([*argv, "--check"]) == 1
+        checked = capsys.readouterr()
+        assert checked.out == plain.out
+        assert checked.err.splitlines() == [
+            "cli-fifo: repeat 0 failed: inference: no eviction of an attacker "
+            "entry within 5 keys",
+            "cli-fifo: repeat 1 failed: inference: no eviction of an attacker "
+            "entry within 5 keys",
+            "cli-fifo: no successful runs"]
+
     def test_sweep_check_flag_happy_path(self, suite_path, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", suite_path, "--check",
@@ -159,6 +204,20 @@ class TestCheck:
                      "--set", "scenarios.0.bounds.max_capacity_rel_error=0.0"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_status_is_per_scenario_not_per_name(self, tmp_path, capsys):
+        # Two scenarios share a name; only the first breaks its zero bound.
+        breaking = dict(FIFO_SCENARIO, background_rate=300.0,
+                        attack={"send_rate_pps": 20_000.0},
+                        bounds={"max_capacity_rel_error": 0.0})
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"scenarios": [breaking, FIFO_SCENARIO]}))
+        assert main(["check", "--config", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL cli-fifo: ")
+        assert lines[1].startswith("PASS cli-fifo: ")
+        assert lines[2].startswith("cli-fifo: capacity relative error ")
+        assert len(lines) == 3
 
 
 class TestBootstrapAndTimeouts:
@@ -241,3 +300,15 @@ class TestShippedConfigs:
                      str(CONFIGS / "paper-suite.json")]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5 and "FAIL" not in out
+        assert out == PAPER_SUITE_CHECK
+        assert sha256(out) == ("a31b7be9920319efdd0831b89589480f"
+                               "5f84e97803862e911ebec5a64e9925ba")
+
+    def test_paper_suite_sweep_check_is_byte_identical(self, capsys):
+        assert main(["sweep", "--check", "--config",
+                     str(CONFIGS / "paper-suite.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert sha256(captured.out) == ("6dcb95e8b4e1088a869419da5b33f763"
+                                        "07137bc9b4ccae22114afa988d3f3fa3")
+

@@ -12,7 +12,6 @@ from flowprobe.experiments import (
     AttackConfig,
     Scenario,
     apply_overrides,
-    check_suite,
     derive_seed,
     relative_error,
     rtt_characterization,
@@ -277,16 +276,29 @@ class TestConfig:
         ({"latency": {"nosie": "none"}}, "nosie"),
         ({"attack": {"keybudget": 10}}, "keybudget"),
         ({"bounds": {"max_capacity_error": 0.1}}, "max_capacity_error"),
+        ({"attack": {"hard_gap_ms": 100.0}}, "hard_gap_ms"),
+        ({"attack": {"timeout_ceiling_ms": 1e5}}, "timeout_ceiling_ms"),
     ])
     def test_unknown_keys_rejected(self, config, misspelt):
         with pytest.raises(ValueError, match=misspelt):
             scenario_from_dict(dict(config, policy="FIFO", capacity=5))
         with pytest.raises(ValueError, match=misspelt):
-            check_suite({"scenarios": [dict(config, policy="FIFO", capacity=5)]})
+            run_suite(scenarios_from_config(
+                {"scenarios": [dict(config, policy="FIFO", capacity=5)]}))
 
     def test_unknown_suite_key_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             scenarios_from_config({"scenarios": [], "seed": 3})
+
+    def test_empty_suite_rejected(self):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            scenarios_from_config({"scenarios": []})
+
+    def test_bounds_parse_onto_the_scenario(self):
+        s = scenario_from_dict({"policy": "FIFO", "capacity": 5,
+                                "bounds": {"max_usage_rel_error": 0.15}})
+        assert s.max_capacity_rel_error is None
+        assert s.max_usage_rel_error == 0.15
 
     def test_scenarios_from_config_accepts_both_shapes(self):
         single = scenarios_from_config({"policy": "FIFO", "capacity": 5})
@@ -314,7 +326,11 @@ class TestConfig:
         assert derive_seed(5, 1) != derive_seed(6, 1)
 
 
-class TestCheckSuite:
+class TestViolations:
+    def run(self, config):
+        results = run_suite(scenarios_from_config(config))
+        return results, [v for result in results for v in result.violations]
+
     def suite(self, bounds):
         return {
             "scenarios": [{
@@ -329,12 +345,18 @@ class TestCheckSuite:
         }
 
     def test_passing_suite_has_no_violations(self):
-        results, violations = check_suite(
+        results, violations = self.run(
             self.suite({"max_capacity_rel_error": 0.10,
                         "max_usage_rel_error": 0.15})
         )
         assert violations == []
         assert results[0].capacity_rel_error == 0.0
+
+    def test_error_equal_to_its_bound_passes(self):
+        results, violations = self.run(
+            self.suite({"max_capacity_rel_error": 0.0,
+                        "max_usage_rel_error": 0.0}))
+        assert results[0].usage_rel_error == 0.0 and violations == []
 
     def test_violated_bound_is_reported(self):
         # Heavy arrivals make the inference undershoot, tripping a zero bound.
@@ -343,6 +365,14 @@ class TestCheckSuite:
         config = self.suite({"max_usage_rel_error": 0.0})
         config["scenarios"][0]["background_rate"] = 300.0
         config["scenarios"][0]["attack"] = {"send_rate_pps": 20_000.0}
-        results, violations = check_suite(config)
+        results, violations = self.run(config)
         assert violations, json.dumps(results[0].to_dict(), indent=2)
         assert "usage relative error" in violations[0]
+
+    def test_failed_repeats_come_before_no_successful_runs(self):
+        config = self.suite({"max_capacity_rel_error": 0.0})
+        config["scenarios"][0]["attack"] = {"key_budget": 5}
+        results, violations = self.run(config)
+        assert [v.split(" failed:")[0] for v in violations] == [
+            "probe: repeat 0", "probe: repeat 1", "probe: no successful runs"]
+        assert violations == results[0].violations
