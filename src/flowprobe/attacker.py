@@ -42,6 +42,7 @@ STATE_NOT_EXIST_FULL = "not_exist_full"
 TIMEOUT_CEILING_MS = 120_000.0
 HARD_GAP_MS = 100.0
 
+
 class AttackError(Exception):
     """Base class for domain-level attack failures."""
 
