@@ -37,10 +37,11 @@ STATE_EXIST = "exist"
 STATE_NOT_EXIST_NOT_FULL = "not_exist_not_full"
 STATE_NOT_EXIST_FULL = "not_exist_full"
 
-# Timeout probing: a timer that outlasts the ceiling counts as disabled, and
-# measure_hard_timeout refreshes its key every HARD_GAP_MS by default.
+# Timeout probing: a timer that outlasts the ceiling counts as disabled.
+# TIMEOUT_STEP_MS is the idle probe's first gap and bisection resolution, and
+# the hard probe's refresh gap unless a tenth of the idle timeout is shorter.
 TIMEOUT_CEILING_MS = 120_000.0
-HARD_GAP_MS = 100.0
+TIMEOUT_STEP_MS = 100.0
 
 
 class AttackError(Exception):
@@ -131,6 +132,9 @@ class BootstrapParams:
             raise ValueError("repeat must be >= 1")
         if self.jump_factor <= 1.0:
             raise ValueError("jump_factor must exceed 1.0")
+        for name in ("filler_budget", "min_miss_samples", "inter_repeat_wait_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -169,10 +173,8 @@ class ProbeSession:
         if send_rate_pps <= 0:
             raise ValueError("send_rate_pps must be positive")
         self.sim = sim
-        self.send_rate_pps = send_rate_pps
         self.send_gap_us = max(1, round(1e6 / send_rate_pps))
         self.now_us = sim.now_us
-        self.last_send_us = sim.now_us
         self.probes_sent = 0
         self._keys = KeySequence(ATTACKER_PREFIX)
 
@@ -181,7 +183,6 @@ class ProbeSession:
 
     def probe(self, key: FlowKey) -> RttSample:
         sample = self.sim.send_probe(key, self.now_us)
-        self.last_send_us = self.now_us
         self.now_us += self.send_gap_us
         self.probes_sent += 1
         return sample
@@ -195,10 +196,8 @@ class ProbeSession:
         """
         sent, stop = self.sim.send_burst(keys, self.now_us, self.send_gap_us,
                                          stop_rtt_us)
-        if sent:
-            self.last_send_us = self.now_us + (sent - 1) * self.send_gap_us
-            self.now_us = self.last_send_us + self.send_gap_us
-            self.probes_sent += sent
+        self.now_us += sent * self.send_gap_us
+        self.probes_sent += sent
         return stop
 
     def wait_us(self, delta_us: int) -> None:
@@ -207,9 +206,6 @@ class ProbeSession:
     def wait_until_us(self, t_us: int) -> None:
         if t_us > self.now_us:
             self.now_us = t_us
-
-    def wait_ms(self, delta_ms: float) -> None:
-        self.wait_us(ms_to_us(delta_ms))
 
 
 def bootstrap_thresholds(session: ProbeSession,
@@ -231,8 +227,8 @@ def bootstrap_thresholds(session: ProbeSession,
     t3_samples: list[float] = []
 
     for round_no in range(params.repeat):
-        if round_no and params.inter_repeat_wait_ms > 0:
-            session.wait_ms(params.inter_repeat_wait_ms)
+        if round_no:
+            session.wait_us(ms_to_us(params.inter_repeat_wait_ms))
 
         pinned = session.fresh_key()
         first = session.probe(pinned)
@@ -281,35 +277,35 @@ def bootstrap_thresholds(session: ProbeSession,
     )
 
 
-def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
-                         initial_ms: float = 100.0,
-                         ceiling_ms: float = TIMEOUT_CEILING_MS,
-                         resolution_ms: float = 100.0) -> float:
+def measure_idle_timeout(session: ProbeSession,
+                         thresholds: RttThresholds) -> float:
     """Measure the idle timeout by growing, then bisecting, one key's gaps.
 
-    A gap that still hits proves the timeout exceeds it; the first missing
-    gap brackets the timeout from above (the miss also reinstalls the entry,
-    so trials chain on the same key). Returns the bracket midpoint in ms.
-    Meaningful when the idle timer is the binding one; a much shorter hard
-    timeout will dominate what this observes.
+    Gaps start at TIMEOUT_STEP_MS and double. A gap that still hits proves
+    the timeout exceeds it; the first missing gap brackets the timeout from
+    above (the miss also reinstalls the entry, so trials chain on the same
+    key). Returns the bracket midpoint in ms once the bracket is at most one
+    step wide. Meaningful when the idle timer is the binding one; a much
+    shorter hard timeout will dominate what this observes.
     """
-    ceiling_us = ms_to_us(ceiling_ms)
-    resolution_us = max(1, ms_to_us(resolution_ms))
+    ceiling_us = ms_to_us(TIMEOUT_CEILING_MS)
+    step_us = ms_to_us(TIMEOUT_STEP_MS)
 
     key = session.fresh_key()
-    session.probe(key)  # install
+    last = session.probe(key)  # install
 
     def survives(gap_us: int) -> bool:
-        session.wait_until_us(session.last_send_us + gap_us)
-        sample = session.probe(key)
-        return sample.rtt_us < thresholds.hit_cut_ms * 1000.0
+        nonlocal last
+        session.wait_until_us(last.time_us + gap_us)
+        last = session.probe(key)
+        return last.rtt_us < thresholds.hit_cut_ms * 1000.0
 
     lo = 0
-    gap = ms_to_us(initial_ms)
+    gap = step_us
     while True:
         if gap > ceiling_us:
             raise TimeoutDisabled(
-                f"entry survived every gap up to {ceiling_ms} ms"
+                f"entry survived every gap up to {TIMEOUT_CEILING_MS} ms"
             )
         if survives(gap):
             lo = gap
@@ -318,7 +314,7 @@ def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
             hi = gap
             break
 
-    while hi - lo > resolution_us:
+    while hi - lo > step_us:
         mid = (lo + hi) // 2
         if survives(mid):
             lo = mid
@@ -328,24 +324,19 @@ def measure_idle_timeout(session: ProbeSession, thresholds: RttThresholds,
 
 
 def measure_hard_timeout(session: ProbeSession, thresholds: RttThresholds,
-                         probe_gap_ms: float = HARD_GAP_MS,
-                         ceiling_ms: float = TIMEOUT_CEILING_MS,
                          idle_timeout_ms: Optional[float] = None) -> float:
     """Measure the hard timeout by keeping one key continuously refreshed.
 
     Probes at a constant gap keep the idle timer from firing; the elapsed
     time from installation to the first miss is the hard timeout, with the
-    gap as resolution. When a finite idle timeout is known the gap is
-    required to be at most a tenth of it.
+    gap as resolution. The gap is TIMEOUT_STEP_MS, or a tenth of a positive
+    `idle_timeout_ms` if that is shorter.
     """
+    gap_ms = TIMEOUT_STEP_MS
     if idle_timeout_ms is not None and idle_timeout_ms > 0:
-        if probe_gap_ms > idle_timeout_ms / 10:
-            raise ValueError(
-                f"probe gap {probe_gap_ms} ms too coarse for idle timeout "
-                f"{idle_timeout_ms} ms; need gap <= idle/10"
-            )
-    gap_us = ms_to_us(probe_gap_ms)
-    ceiling_us = ms_to_us(ceiling_ms)
+        gap_ms = min(gap_ms, idle_timeout_ms / 10)
+    gap_us = ms_to_us(gap_ms)
+    ceiling_us = ms_to_us(TIMEOUT_CEILING_MS)
 
     key = session.fresh_key()
     installed = session.probe(key)
@@ -354,7 +345,7 @@ def measure_hard_timeout(session: ProbeSession, thresholds: RttThresholds,
     while True:
         if next_send - t0 > ceiling_us:
             raise TimeoutDisabled(
-                f"entry survived continuous refresh for {ceiling_ms} ms"
+                f"entry survived continuous refresh for {TIMEOUT_CEILING_MS} ms"
             )
         session.wait_until_us(next_send)
         sample = session.probe(key)

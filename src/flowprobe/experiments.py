@@ -21,7 +21,6 @@ from statistics import fmean
 from typing import Optional, TextIO
 
 from .attacker import (
-    HARD_GAP_MS,
     AttackError,
     BootstrapParams,
     InferenceReport,
@@ -77,6 +76,8 @@ class AttackConfig:
             raise ValueError("attack.send_rate_pps must be positive")
         if self.key_budget < 1:
             raise ValueError("attack.key_budget must be >= 1")
+        if self.capacity_guess < 1:
+            raise ValueError("attack.capacity_guess must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,9 @@ class Scenario:
             raise ValueError("capacity must be positive")
         if not 0 <= self.initial_usage <= self.capacity:
             raise ValueError("initial_usage must be within [0, capacity]")
-        for name in ("background_rate", "hard_timeout_ms", "idle_timeout_ms"):
-            if getattr(self, name) < 0:
+        for name in ("background_rate", "hard_timeout_ms", "idle_timeout_ms",
+                     "max_capacity_rel_error", "max_usage_rel_error"):
+            if (getattr(self, name) or 0) < 0:  # an unset bound is None
                 raise ValueError(f"{name} must be >= 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -242,13 +244,10 @@ def run_repeat(scenario: Scenario, repeat: int = 0,
     if last_phase == "idle_timeout":
         return record
 
-    idle_measured = record.idle_timeout_measured_ms
-    gap_ms = (HARD_GAP_MS if idle_measured is None
-              else min(HARD_GAP_MS, idle_measured / 10))
     try:
         record.hard_timeout_measured_ms = run_phase(
             "hard_timeout", measure_hard_timeout, thresholds,
-            probe_gap_ms=gap_ms, idle_timeout_ms=idle_measured)
+            idle_timeout_ms=record.idle_timeout_measured_ms)
     except TimeoutDisabled:
         pass
     if last_phase == "hard_timeout":
@@ -407,7 +406,9 @@ _SCENARIO_KEYS = ("name", "policy", "capacity", "initial_usage",
                   "attack", "bounds")
 _TIMEOUT_KEYS = ("hard_ms", "idle_ms")
 _LATENCY_BANDS = ("hit_ms", "miss_notfull_ms", "miss_full_ms")
-_LATENCY_KEYS = tuple(f.name for f in fields(LatencyModel))
+# The latency draws are seeded from the scenario seed (or characterize-rtt's
+# top-level seed), so a config cannot set LatencyModel.seed.
+_LATENCY_KEYS = tuple(f.name for f in fields(LatencyModel) if f.name != "seed")
 _ATTACK_KEYS = tuple(f.name for f in fields(AttackConfig))
 _BOOTSTRAP_KEYS = tuple(f.name for f in fields(BootstrapParams))
 _BOUND_KEYS = ("max_capacity_rel_error", "max_usage_rel_error")

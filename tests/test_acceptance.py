@@ -127,8 +127,7 @@ def test_criterion_2_timeout_measurement():
                 make_sim(capacity=64, hard_ms=timeout_ms, latency=UNIFORM,
                          seed=300 + repeat)
             )
-            measured = measure_hard_timeout(hard_session, thresholds,
-                                            probe_gap_ms=100.0)
+            measured = measure_hard_timeout(hard_session, thresholds)
             error = abs(measured - timeout_ms) / timeout_ms
             worst = max(worst, error)
             if error > 0.10:

@@ -79,6 +79,10 @@ class TestBootstrapParams:
             BootstrapParams(repeat=0)
         with pytest.raises(ValueError):
             BootstrapParams(jump_factor=1.0)
+        for name in ("filler_budget", "min_miss_samples", "inter_repeat_wait_ms"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                BootstrapParams(**{name: -1})
+            BootstrapParams(**{name: 0})
 
 
 class TestBootstrap:
@@ -139,8 +143,7 @@ class TestTimeoutMeasurement:
     def test_idle_disabled_raises(self):
         session = ProbeSession(make_sim(capacity=64))
         with pytest.raises(TimeoutDisabled):
-            measure_idle_timeout(session, MIDPOINT_THRESHOLDS,
-                                 ceiling_ms=120_000.0)
+            measure_idle_timeout(session, MIDPOINT_THRESHOLDS)
 
     def test_hard_measurement_with_idle_refresh(self):
         # hard 30 s with idle 10 s: the 0.1 s refresh train keeps the idle
@@ -149,7 +152,6 @@ class TestTimeoutMeasurement:
             make_sim(capacity=64, hard_ms=30_000.0, idle_ms=10_000.0)
         )
         measured = measure_hard_timeout(session, MIDPOINT_THRESHOLDS,
-                                        probe_gap_ms=100.0,
                                         idle_timeout_ms=10_000.0)
         assert measured == pytest.approx(30_000.0, abs=100.0)
         assert abs(measured - 30_000.0) / 30_000.0 <= 0.10
@@ -158,22 +160,37 @@ class TestTimeoutMeasurement:
         # Event replay: install at t0, probes at t0 + k*100 ms; the entry
         # expires at exactly t0 + 10 s, which is probe k=100.
         session = ProbeSession(make_sim(capacity=64, hard_ms=10_000.0))
-        measured = measure_hard_timeout(session, MIDPOINT_THRESHOLDS,
-                                        probe_gap_ms=100.0)
+        measured = measure_hard_timeout(session, MIDPOINT_THRESHOLDS)
         assert measured == 10_000.0
 
     def test_hard_disabled_raises(self):
         session = ProbeSession(make_sim(capacity=64, idle_ms=60_000.0))
         with pytest.raises(TimeoutDisabled):
             measure_hard_timeout(session, MIDPOINT_THRESHOLDS,
-                                 probe_gap_ms=100.0, ceiling_ms=30_000.0,
                                  idle_timeout_ms=60_000.0)
 
-    def test_hard_gap_too_coarse_rejected(self):
-        session = ProbeSession(make_sim(capacity=64, idle_ms=500.0))
-        with pytest.raises(ValueError):
-            measure_hard_timeout(session, MIDPOINT_THRESHOLDS,
-                                 probe_gap_ms=100.0, idle_timeout_ms=500.0)
+    # (result ms, probes_sent, now_us) on a noiseless C=64 switch at the
+    # default 100 us send gap.
+    @pytest.mark.parametrize("hard_ms, idle_ms, measure, expected", [
+        # idle 500 ms: the refresh gap shrinks to 50 ms, idle/10.
+        (3_000.0, 500.0,
+         lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS,
+                                        idle_timeout_ms=500.0),
+         (3000.0, 61, 3_000_100)),
+        # no idle timeout: the 100 ms step.
+        (10_000.0, 0.0,
+         lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS),
+         (10000.0, 101, 10_000_100)),
+        # gaps 0.1, 0.2, ... 6.4 s, then bisection down to a 100 ms bracket.
+        (0.0, 5_000.0,
+         lambda s: measure_idle_timeout(s, MIDPOINT_THRESHOLDS),
+         (4950.0, 13, 38_200_100)),
+    ], ids=["hard-idle-refresh", "hard-step", "idle"])
+    def test_schedule_is_pinned(self, hard_ms, idle_ms, measure, expected):
+        session = ProbeSession(make_sim(capacity=64, hard_ms=hard_ms,
+                                        idle_ms=idle_ms))
+        result = measure(session)
+        assert (result, session.probes_sent, session.now_us) == expected
 
 
 class TestFeasibility:
@@ -213,7 +230,7 @@ class TestProbeSession:
 
     def test_wait_until_never_rewinds(self):
         session = ProbeSession(make_sim(capacity=16))
-        session.wait_ms(50.0)
+        session.wait_us(50_000)
         before = session.now_us
         session.wait_until_us(before - 10_000)
         assert session.now_us == before
@@ -398,7 +415,7 @@ def probe_loop(session, keys, stop_rtt_us):
 def session_state(session):
     sim = session.sim
     return (
-        session.now_us, session.last_send_us, session.probes_sent,
+        session.now_us, session.probes_sent,
         sim.now_us, sim.events_processed, sim.background_arrivals,
         list(sim.table.entries.items()), sim.table.removal_log, sim.trace,
     )
@@ -461,12 +478,12 @@ class TestProbeBurst:
         keys = [session.fresh_key() for _ in range(3)]
         stop = session.probe_burst(keys, 1000)
         assert stop.key == keys[0] and stop.time_us == 0
-        assert (session.probes_sent, session.last_send_us, session.now_us) == (1, 0, 100)
+        assert (session.probes_sent, session.now_us) == (1, 100)
         assert len(session.sim.table) == 1
 
     def test_burst_that_never_stops(self):
         session = ProbeSession(make_sim(capacity=4))
         keys = [session.fresh_key() for _ in range(3)]
         assert session.probe_burst(keys, float("inf")) is None
-        assert (session.probes_sent, session.last_send_us, session.now_us) == (3, 200, 300)
+        assert (session.probes_sent, session.now_us) == (3, 300)
         assert session.sim.events_processed == 3

@@ -96,6 +96,13 @@ class TestUsageErrors:
         ("characterize-rtt", "characterize.json", "n_per_state=-5"),
         ("infer", "fifo400.json", "attack.hard_gap_ms=100"),
         ("infer", "fifo400.json", "attack.timeout_initial_ms=100"),
+        ("infer", "fifo400.json", "latency.seed=3"),
+        ("characterize-rtt", "characterize.json", "latency.seed=3"),
+        ("check", "fifo400.json", "bounds.max_usage_rel_error=-1"),
+        ("infer", "fifo400.json", "attack.capacity_guess=-3"),
+        ("infer", "fifo400.json", "attack.bootstrap.inter_repeat_wait_ms=-1"),
+        ("infer", "fifo400.json", "attack.bootstrap.filler_budget=-1"),
+        ("infer", "fifo400.json", "attack.bootstrap.min_miss_samples=-1"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),
@@ -311,4 +318,20 @@ class TestShippedConfigs:
         assert captured.err == ""
         assert sha256(captured.out) == ("6dcb95e8b4e1088a869419da5b33f763"
                                         "07137bc9b4ccae22114afa988d3f3fa3")
+
+    # paper-suite has no timeouts, so these two pin the timeout-probing path.
+    @pytest.mark.parametrize("argv, digest", [
+        # Measured idle 450 ms: measure_hard_timeout refreshes every 45 ms.
+        (["measure-timeouts", "--set", "timeouts.idle_ms=500",
+          "--set", "timeouts.hard_ms=3000"],
+         "234a6f93716de48fec8eff85ddb14851b25c00287b5436588fa894e70bb4b8f5"),
+        (["infer", "--set", "repeats=2", "--set", "timeouts.idle_ms=5000",
+          "--set", "timeouts.hard_ms=20000"],
+         "8ed2626251dae25e4a82a7c8b87b10fea476ff5ffd232bda90fc39451cc6447d"),
+    ], ids=["measure-timeouts", "infer"])
+    def test_fifo400_with_timeouts_is_byte_identical(self, argv, digest, capsys):
+        assert main([*argv, "--config", str(CONFIGS / "fifo400.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert sha256(captured.out) == digest
 

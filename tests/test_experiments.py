@@ -48,6 +48,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("key_budget", 0), ("send_rate_pps", 0.0), ("send_rate_pps", -5.0),
+        ("capacity_guess", 0), ("capacity_guess", -3),
     ])
     def test_attack_ranges(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -55,6 +56,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("field", [
         "background_rate", "hard_timeout_ms", "idle_timeout_ms",
+        "max_capacity_rel_error", "max_usage_rel_error",
     ])
     def test_negative_rates_and_timeouts_rejected(self, field):
         with pytest.raises(ValueError, match=field):
