@@ -187,16 +187,20 @@ class ProbeSession:
         self.probes_sent += 1
         return sample
 
-    def probe_burst(self, keys: Sequence[FlowKey],
-                    stop_rtt_us: float) -> Optional[RttSample]:
-        """Probe `keys` back to back, as that many `probe` calls would, up to
-        and including the first whose RTT is at least `stop_rtt_us`.
+    def probe_burst(self, keys: Sequence[FlowKey], stop_rtt_us: float,
+                    gap_us: Optional[int] = None) -> Optional[RttSample]:
+        """Probe `keys` `gap_us` apart (default: back to back), as that many
+        `probe` calls with waits between them would, up to and including the
+        first whose RTT is at least `stop_rtt_us`.
 
         Returns that probe's sample, or None if no probe reached the cut.
+        The cursor ends one send gap after the last probe sent.
         """
-        sent, stop = self.sim.send_burst(keys, self.now_us, self.send_gap_us,
-                                         stop_rtt_us)
-        self.now_us += sent * self.send_gap_us
+        if gap_us is None:
+            gap_us = self.send_gap_us
+        sent, stop = self.sim.send_burst(keys, self.now_us, gap_us, stop_rtt_us)
+        if sent:
+            self.now_us += (sent - 1) * gap_us + self.send_gap_us
         self.probes_sent += sent
         return stop
 
@@ -330,28 +334,30 @@ def measure_hard_timeout(session: ProbeSession, thresholds: RttThresholds,
     Probes at a constant gap keep the idle timer from firing; the elapsed
     time from installation to the first miss is the hard timeout, with the
     gap as resolution. The gap is TIMEOUT_STEP_MS, or a tenth of a positive
-    `idle_timeout_ms` if that is shorter.
+    `idle_timeout_ms` if that is shorter; refreshes never go out faster than
+    the session's send gap. The refreshes are one burst that stops at the
+    first miss.
     """
     gap_ms = TIMEOUT_STEP_MS
     if idle_timeout_ms is not None and idle_timeout_ms > 0:
         gap_ms = min(gap_ms, idle_timeout_ms / 10)
     gap_us = ms_to_us(gap_ms)
     ceiling_us = ms_to_us(TIMEOUT_CEILING_MS)
+    # Refresh k goes out k * step_us after the install, and only while
+    # (k - 1) * step_us + gap_us is within the ceiling.
+    step_us = max(gap_us, session.send_gap_us)
+    refreshes = (ceiling_us - gap_us) // step_us + 1
 
     key = session.fresh_key()
-    installed = session.probe(key)
-    t0 = installed.time_us
-    next_send = t0 + gap_us
-    while True:
-        if next_send - t0 > ceiling_us:
-            raise TimeoutDisabled(
-                f"entry survived continuous refresh for {TIMEOUT_CEILING_MS} ms"
-            )
-        session.wait_until_us(next_send)
-        sample = session.probe(key)
-        if sample.rtt_us >= thresholds.hit_cut_ms * 1000.0:
-            return us_to_ms(sample.time_us - t0)
-        next_send = sample.time_us + gap_us
+    t0 = session.probe(key).time_us
+    session.wait_until_us(t0 + step_us)
+    miss = session.probe_burst([key] * refreshes,
+                               thresholds.hit_cut_ms * 1000.0, step_us)
+    if miss is None:
+        raise TimeoutDisabled(
+            f"entry survived continuous refresh for {TIMEOUT_CEILING_MS} ms"
+        )
+    return us_to_ms(miss.time_us - t0)
 
 
 def check_feasibility(capacity_guess: int,

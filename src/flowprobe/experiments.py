@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from statistics import fmean
 from typing import Optional, TextIO
@@ -426,11 +427,12 @@ def checked_block(d, allowed: tuple[str, ...], where: str) -> dict:
 
 
 def checked_number(value, where: str, integer: bool = False):
-    """Return `value`, or raise ValueError if it is not a number (an int
-    when `integer`); bools are neither."""
+    """Return `value`, or raise ValueError if it is not a finite number (an
+    int when `integer`); bools are neither."""
     kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not math.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{where} must be {kind}, got {value!r}")
     return value
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 FIFO = "FIFO"
 LRU = "LRU"
@@ -180,6 +180,45 @@ class FlowTable:
                     self._order_tail(entry, now)
                 self._touched_at = now
         return True
+
+    def touch_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
+                  until_us: float) -> int:
+        """Answer the leading hits of `keys`, looked up at `start_us`,
+        `start_us + gap_us`, ...; return how many were answered.
+
+        Each answered key is handled exactly as a hitting `lookup` at its
+        time would handle it. The run stops at the first missing key and
+        before the first time at or after `until_us` or the earliest expiry
+        deadline, where a lookup could purge. It answers nothing when
+        `gap_us < 1` or `start_us` is not after the latest LRU touch, where
+        a hit could tie with another touched in the same microsecond, or
+        when `start_us` is before the table's clock, which `lookup` rejects.
+        """
+        if gap_us < 1 or start_us <= self._touched_at or start_us < self._now:
+            return 0
+        heap = self._expiry_heap
+        if heap and heap[0][0] < until_us:
+            until_us = heap[0][0]
+        entries = self.entries
+        get = entries.get
+        lru = self._lru
+        now = start_us
+        for key in keys:
+            if now >= until_us:
+                break
+            entry = get(key)
+            if entry is None:
+                break
+            entry.last_access = now
+            if lru:
+                entries.move_to_end(key)
+            now += gap_us
+        if now == start_us:
+            return 0
+        self._now = now - gap_us
+        if lru:
+            self._touched_at = self._now
+        return (now - start_us) // gap_us
 
     def _order_tail(self, entry: FlowEntry, now: int) -> None:
         """Move entries touched at `now` and inserted after `entry` behind it."""

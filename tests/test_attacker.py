@@ -169,28 +169,58 @@ class TestTimeoutMeasurement:
             measure_hard_timeout(session, MIDPOINT_THRESHOLDS,
                                  idle_timeout_ms=60_000.0)
 
-    # (result ms, probes_sent, now_us) on a noiseless C=64 switch at the
-    # default 100 us send gap.
-    @pytest.mark.parametrize("hard_ms, idle_ms, measure, expected", [
+    def test_send_gap_sets_the_refresh_count(self):
+        # 7,000 pps is a 143 us send gap, longer than the 50 us refresh gap:
+        # refresh k goes out at k * 143 us while (k - 1) * 143 + 50 us is
+        # within 120 s, so the last one is k = 839,161.
+        session = ProbeSession(make_sim(capacity=64), send_rate_pps=7000.0)
+        with pytest.raises(TimeoutDisabled):
+            measure_hard_timeout(session, MIDPOINT_THRESHOLDS,
+                                 idle_timeout_ms=0.5)
+        assert (session.probes_sent, session.now_us) == (839_162, 120_000_166)
+
+    # (result ms or the exception raised, probes_sent, now_us, background
+    # arrivals) on a C=64 switch at the default 100 us send gap.
+    @pytest.mark.parametrize("sim_kwargs, measure, expected", [
         # idle 500 ms: the refresh gap shrinks to 50 ms, idle/10.
-        (3_000.0, 500.0,
+        (dict(hard_ms=3_000.0, idle_ms=500.0),
          lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS,
                                         idle_timeout_ms=500.0),
-         (3000.0, 61, 3_000_100)),
+         (3000.0, 61, 3_000_100, 0)),
         # no idle timeout: the 100 ms step.
-        (10_000.0, 0.0,
+        (dict(hard_ms=10_000.0),
          lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS),
-         (10000.0, 101, 10_000_100)),
+         (10000.0, 101, 10_000_100, 0)),
         # gaps 0.1, 0.2, ... 6.4 s, then bisection down to a 100 ms bracket.
-        (0.0, 5_000.0,
+        (dict(idle_ms=5_000.0),
          lambda s: measure_idle_timeout(s, MIDPOINT_THRESHOLDS),
-         (4950.0, 13, 38_200_100)),
-    ], ids=["hard-idle-refresh", "hard-step", "idle"])
-    def test_schedule_is_pinned(self, hard_ms, idle_ms, measure, expected):
-        session = ProbeSession(make_sim(capacity=64, hard_ms=hard_ms,
-                                        idle_ms=idle_ms))
-        result = measure(session)
-        assert (result, session.probes_sent, session.now_us) == expected
+         (4950.0, 13, 38_200_100, 0)),
+        # no timeouts: refreshes every 100 ms up to the 120 s ceiling.
+        ({},
+         lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS),
+         (TimeoutDisabled, 1201, 120_000_100, 0)),
+        # idle 0.5 ms: a 50 us refresh gap is below the 100 us send gap, so
+        # refreshes go out one send gap apart.
+        (dict(hard_ms=3.0, idle_ms=0.5),
+         lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS,
+                                        idle_timeout_ms=0.5),
+         (3.0, 31, 3_100, 0)),
+        # background arrivals fill the FIFO table and evict the refreshed
+        # key long before its 10 s hard timeout.
+        (dict(hard_ms=10_000.0, rate=10.0, usage=10, latency=LatencyModel(),
+              seed=5),
+         lambda s: measure_hard_timeout(s, MIDPOINT_THRESHOLDS),
+         (6100.0, 62, 6_100_100, 64)),
+    ], ids=["hard-idle-refresh", "hard-step", "idle", "hard-disabled",
+            "hard-gap-below-send-gap", "hard-background-eviction"])
+    def test_schedule_is_pinned(self, sim_kwargs, measure, expected):
+        session = ProbeSession(make_sim(capacity=64, **sim_kwargs))
+        try:
+            result = measure(session)
+        except TimeoutDisabled as exc:
+            result = type(exc)
+        assert (result, session.probes_sent, session.now_us,
+                session.sim.background_arrivals) == expected
 
 
 class TestFeasibility:
@@ -412,13 +442,49 @@ def probe_loop(session, keys, stop_rtt_us):
     return None
 
 
-def session_state(session):
-    sim = session.sim
+def send_loop(sim, keys, start_us, gap_us, stop_rtt_us):
+    """The per-probe loop that `SwitchSimulator.send_burst` stands for."""
+    for sent, key in enumerate(keys, 1):
+        sample = sim.send_probe(key, start_us + (sent - 1) * gap_us)
+        if sample.rtt_us >= stop_rtt_us:
+            return sent, sample
+    return len(keys), None
+
+
+def sim_state(sim):
+    table = sim.table
     return (
-        session.now_us, session.probes_sent,
         sim.now_us, sim.events_processed, sim.background_arrivals,
-        list(sim.table.entries.items()), sim.table.removal_log, sim.trace,
+        list(table.entries.items()), table.removal_log, sim.trace,
+        sim._latency_rng.getstate(), table._touched_at, table._now,
     )
+
+
+def session_state(session):
+    return (session.now_us, session.probes_sent, *sim_state(session.sim))
+
+
+ATTACKER_KEYS = [KeySequence("10.1").key_at(i) for i in range(10)]
+
+
+def installed(keys, gap_us=100):
+    """Set-up that installs `keys` one `gap_us` apart from t = 0."""
+    def setup(sim):
+        for i, key in enumerate(keys):
+            sim.send_probe(key, i * gap_us)
+    return setup
+
+
+def burst_matches_loop(build, setup, keys, start_us, gap_us, stop_rtt_us):
+    """Run `setup` then one burst on one simulator, and `setup` then the
+    per-probe loop on another; assert both end alike and return the first."""
+    burst, loop = build(), build()
+    setup(burst)
+    setup(loop)
+    result = burst.send_burst(keys, start_us, gap_us, stop_rtt_us)
+    assert result == send_loop(loop, keys, start_us, gap_us, stop_rtt_us)
+    assert sim_state(burst) == sim_state(loop)
+    return result, burst
 
 
 class TestProbeBurst:
@@ -426,11 +492,11 @@ class TestProbeBurst:
     @given(
         policy=st.sampled_from(("FIFO", "LRU")),
         noise=st.sampled_from(NOISE_MODES),
-        capacity=st.integers(1, 8),
+        capacity=st.integers(1, 12),
         usage=st.integers(0, 8),
         rate=st.sampled_from((0.0, 0.0, 500.0, 50_000.0)),
-        hard_ms=st.sampled_from((0.0, 0.5, 3.0)),
-        idle_ms=st.sampled_from((0.0, 0.3, 2.0)),
+        hard_ms=st.sampled_from((0.0, 0.0, 0.5, 3.0)),
+        idle_ms=st.sampled_from((0.0, 0.0, 0.3, 2.0)),
         send_rate_pps=st.sampled_from((2000.0, 10_000.0, 1e6)),
         seed=st.integers(0, 2**16),
         record_trace=st.booleans(),
@@ -438,7 +504,8 @@ class TestProbeBurst:
             st.tuples(
                 st.sampled_from((0, 0, 150, 400, 2500)),      # wait before, us
                 st.lists(st.integers(0, 11), max_size=14),    # key indexes
-                st.sampled_from((250, 1000, 4000, 6500, float("inf"))),  # stop, us
+                st.integers(1, 6),                            # times sent
+                st.sampled_from((250, 300, 1000, 4000, 6500, float("inf"))),  # stop, us
             ),
             min_size=1, max_size=8,
         ),
@@ -456,14 +523,76 @@ class TestProbeBurst:
         burst, loop = build(), build()
         # Two keys from the background range: a hit on one is traced with
         # the background owner.
-        pool = ([KeySequence("10.1").key_at(i) for i in range(10)]
-                + [KeySequence("10.2").key_at(60_000 + i) for i in range(2)])
-        for wait_us, indexes, stop in rounds:
+        pool = ATTACKER_KEYS + [KeySequence("10.2").key_at(60_000 + i)
+                                for i in range(2)]
+        for wait_us, indexes, times, stop in rounds:
             burst.wait_us(wait_us)
             loop.wait_us(wait_us)
-            keys = [pool[i] for i in indexes]
+            # Repeating the list makes long runs of hits once its keys fit.
+            keys = [pool[i] for i in indexes] * times
             assert burst.probe_burst(keys, stop) == probe_loop(loop, keys, stop)
             assert session_state(burst) == session_state(loop)
+
+    @pytest.mark.parametrize("noise", NOISE_MODES)
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_run_of_hits_in_each_noise_mode(self, policy, noise):
+        keys = ATTACKER_KEYS[:8]
+        (sent, stop), sim = burst_matches_loop(
+            lambda: make_sim(8, policy, latency=LatencyModel(noise=noise),
+                             seed=3),
+            installed(keys), keys * 5, 800, 100, 1000)
+        assert (sent, stop, sim.now_us) == (40, None, 4700)
+
+    def test_burst_in_the_microsecond_of_the_last_lru_touch(self):
+        # a, b, c installed at 0; b touched at 10. The burst touches a at 10
+        # too, so b, inserted after a, must order behind it.
+        a, b, c = ATTACKER_KEYS[:3]
+
+        def setup(sim):
+            installed([a, b, c], gap_us=0)(sim)
+            sim.send_probe(b, 10)
+
+        _, sim = burst_matches_loop(lambda: make_sim(4, "LRU"), setup,
+                                    [a, c], 10, 5, 1000)
+        assert list(sim.table.entries) == [a, b, c]
+
+    @pytest.mark.parametrize("hard_ms, idle_ms", [(1.0, 0.0), (0.0, 0.45)])
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_expiry_deadline_inside_the_window(self, policy, hard_ms, idle_ms):
+        # Installed at 0-300 us; the burst runs from 400 to 1500 us.
+        keys = ATTACKER_KEYS[:4]
+        burst_matches_loop(
+            lambda: make_sim(4, policy, hard_ms=hard_ms, idle_ms=idle_ms),
+            installed(keys), keys * 3, 400, 100, float("inf"))
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_background_arrival_inside_the_window(self, policy):
+        # At seed 6 the first arrival is due at 783 us, inside the burst's
+        # 400-2300 us window.
+        keys = ATTACKER_KEYS[:4]
+        build = lambda: make_sim(4, policy, rate=500.0, seed=6)
+        probe = build()
+        installed(keys)(probe)
+        assert (probe.background_arrivals, probe._next_arrival_us) == (0, 783)
+        _, sim = burst_matches_loop(build, installed(keys), keys * 5, 400, 100,
+                                    float("inf"))
+        assert sim.background_arrivals >= 1
+
+    def test_tracing_on(self):
+        keys = ATTACKER_KEYS[:4]
+        _, sim = burst_matches_loop(
+            lambda: make_sim(4, "LRU", latency=LatencyModel(), record_trace=True),
+            installed(keys), keys * 3, 400, 100, 1000)
+        assert len(sim.trace) == 16
+
+    @pytest.mark.parametrize("noise, stop_rtt_us", [("none", 250),
+                                                    ("uniform", 300)])
+    def test_stop_cut_at_or_below_the_hit_band_top(self, noise, stop_rtt_us):
+        keys = ATTACKER_KEYS[:8]
+        (sent, stop), _ = burst_matches_loop(
+            lambda: make_sim(8, "LRU", latency=LatencyModel(noise=noise)),
+            installed(keys), keys * 20, 800, 100, stop_rtt_us)
+        assert sent < 160 and stop.rtt_us == stop_rtt_us
 
     def test_empty_burst_changes_nothing(self):
         session = ProbeSession(make_sim(capacity=4, rate=1000.0, record_trace=True))

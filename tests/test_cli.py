@@ -110,6 +110,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("override, message", [
+        ("timeouts.idle_ms=Infinity", "timeouts.idle_ms must be a finite "
+                                      "number, got inf"),
+        ("bounds.max_usage_rel_error=NaN", "bounds.max_usage_rel_error must "
+                                           "be a finite number, got nan"),
+    ])
+    def test_non_finite_number_exits_2(self, override, message, capsys):
+        assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1", "--set", override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
     def test_first_phases_reject_a_multi_scenario_suite(self, command, capsys):
         assert main([command, "--config", str(CONFIGS / "paper-suite.json")]) == 2

@@ -1,5 +1,6 @@
 """Unit and oracle-equivalence tests for the flow table."""
 
+import copy
 import random
 
 import pytest
@@ -283,3 +284,103 @@ class TestOracleEquivalence:
             if not table.lookup(key(i), now):
                 table.insert(entry(i, idle=rng.choice((0, 40))), now)
             assert len(table) <= 6
+
+
+def table_state(table):
+    return (list(table.entries.items()), table.removal_log, table._expiry_heap,
+            table._touched_at, table._now)
+
+
+class TestTouchRun:
+    def filled(self, policy="LRU", idle=0):
+        table = FlowTable(capacity=4, policy=policy)
+        for i in range(3):
+            table.insert(entry(i, idle=idle), i)
+        return table
+
+    def test_answers_hits_as_lookups_would(self):
+        table, twin = self.filled(), self.filled()
+        keys = [key(0), key(1), key(0), key(2)]
+        assert table.touch_run(keys, 10, 5, float("inf")) == 4
+        for i, k in enumerate(keys):
+            assert twin.lookup(k, 10 + 5 * i)
+        assert table_state(table) == table_state(twin)
+        assert list(table.entries) == [key(1), key(0), key(2)]
+
+    def test_stops_at_the_first_missing_key(self):
+        table = self.filled()
+        assert table.touch_run([key(0), key(7), key(1)], 10, 5, float("inf")) == 1
+        assert (table._now, table.entries[key(1)].last_access) == (10, 1)
+
+    def test_stops_before_until(self):
+        table = self.filled()
+        assert table.touch_run([key(0)] * 5, 10, 5, 25) == 3
+        assert table._now == 20
+
+    def test_stops_before_the_earliest_deadline(self):
+        # key(0)'s idle deadline is 100: a lookup at 100 would purge.
+        table = self.filled(idle=100)
+        assert table.touch_run([key(1)] * 50, 10, 10, float("inf")) == 9
+        assert table._now == 90
+
+    @pytest.mark.parametrize("policy, start_us, gap_us, touched", [
+        ("LRU", 2, 5, 0),    # the microsecond of the last touch (an insert)
+        ("FIFO", 2, 5, 0),
+        ("LRU", 10, 0, 0),   # every probe in one microsecond
+        ("LRU", 3, 1, 3),
+    ])
+    def test_guards(self, policy, start_us, gap_us, touched):
+        table = self.filled(policy)
+        before = copy.deepcopy(table_state(table))
+        assert table.touch_run([key(2), key(0), key(1)], start_us, gap_us,
+                               float("inf")) == touched
+        if not touched:
+            assert table_state(table) == before
+
+    def test_fifo_hits_leave_the_order_and_touch_time(self):
+        table = self.filled("FIFO")
+        assert table.touch_run([key(0), key(1)], 10, 5, float("inf")) == 2
+        assert list(table.entries) == [key(0), key(1), key(2)]
+        assert (table._touched_at, table._now) == (2, 15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 6),
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 7),
+                      st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
+            max_size=20,
+        ),
+        start_dt=st.integers(0, 3),
+        gap_us=st.integers(0, 4),
+        until_dt=st.integers(0, 60),
+        run=st.lists(st.integers(0, 7), max_size=20),
+    )
+    def test_matches_a_lookup_loop(self, policy, capacity, steps, start_dt,
+                                   gap_us, until_dt, run):
+        def build():
+            table = FlowTable(capacity=capacity, policy=policy)
+            now = 0
+            for dt, i, hard, idle in steps:
+                now += dt
+                if not table.lookup(key(i), now):
+                    table.insert(entry(i, hard, idle), now)
+            return table, now
+
+        table, now = build()
+        twin, _ = build()
+        start_us = now + start_dt
+        until_us = start_us + until_dt
+        keys = [key(i) for i in run]
+        guarded = gap_us >= 1 and start_us > table._touched_at
+        touched = table.touch_run(keys, start_us, gap_us, until_us)
+        for i in range(touched):
+            assert twin.lookup(keys[i], start_us + i * gap_us)
+        assert table_state(table) == table_state(twin)
+        if guarded and touched < len(keys):
+            # The run is maximal: the next key misses or could interleave.
+            at_us = start_us + touched * gap_us
+            heap = twin._expiry_heap
+            assert (keys[touched] not in twin.entries or at_us >= until_us
+                    or (heap and at_us >= heap[0][0]))
