@@ -616,3 +616,11 @@ class TestProbeBurst:
         assert session.probe_burst(keys, float("inf")) is None
         assert (session.probes_sent, session.now_us) == (3, 300)
         assert session.sim.events_processed == 3
+
+    def test_gap_sets_the_send_times_and_the_cursor_ends_one_send_gap_on(self):
+        sim = make_sim(capacity=4, record_trace=True)
+        session = ProbeSession(sim)
+        keys = [session.fresh_key() for _ in range(3)]
+        assert session.probe_burst(keys, float("inf"), gap_us=1000) is None
+        assert [e.time_us for e in sim.trace] == [0, 1000, 2000]
+        assert (session.probes_sent, session.now_us) == (3, 2100)
