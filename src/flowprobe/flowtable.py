@@ -74,6 +74,9 @@ class InsertResult(NamedTuple):
     was_full: bool
 
 
+_NOT_FULL = InsertResult(None, False)
+
+
 class Occupancy(NamedTuple):
     attacker: int
     background: int
@@ -199,19 +202,22 @@ class FlowTable:
         heap = self._expiry_heap
         if heap and heap[0][0] < until_us:
             until_us = heap[0][0]
+        count = len(keys)
+        if until_us - start_us < count * gap_us:
+            # Only the send times below `until_us` may be answered.
+            count = max(0, -int((start_us - until_us) // gap_us))
         entries = self.entries
         get = entries.get
+        move_to_end = entries.move_to_end
         lru = self._lru
         now = start_us
-        for key in keys:
-            if now >= until_us:
-                break
+        for key in keys[:count]:
             entry = get(key)
             if entry is None:
                 break
             entry.last_access = now
             if lru:
-                entries.move_to_end(key)
+                move_to_end(key)
             now += gap_us
         if now == start_us:
             return 0
@@ -240,26 +246,37 @@ class FlowTable:
         a live key raises DuplicateEntryError (a simulator bug, not a domain
         outcome).
         """
-        self.purge_expired(now)
-        if entry.key in self.entries:
-            raise DuplicateEntryError(f"live entry already installed for {entry.key}")
+        # As in `lookup`: skip the purge unless something can expire now.
+        if now < self._now:
+            raise ClockError(f"clock went backwards: {now} < {self._now}")
+        self._now = now
+        heap = self._expiry_heap
+        if heap and heap[0][0] <= now:
+            self.purge_expired(now)
+        entries = self.entries
+        key = entry.key
+        if key in entries:
+            raise DuplicateEntryError(f"live entry already installed for {key}")
 
-        was_full = len(self.entries) >= self.capacity
-        evicted_key: Optional[FlowKey] = None
-        if was_full:
-            evicted_key, victim = self.entries.popitem(last=False)
+        if len(entries) >= self.capacity:
+            evicted_key, victim = entries.popitem(last=False)
             self.removal_log.append(
                 RemovalRecord(now, evicted_key, victim.owner, EVICTED)
             )
+            result = tuple.__new__(InsertResult, (evicted_key, True))
+        else:
+            result = _NOT_FULL
 
         self._seq += 1
+        seq = entry.seq = self._seq
         entry.inserted_at = entry.last_access = self._touched_at = now
-        entry.seq = self._seq
-        self.entries[entry.key] = entry
-        deadline = entry.next_deadline()
-        if deadline is not None:
-            heapq.heappush(self._expiry_heap, (deadline, entry.seq, entry.key))
-        return InsertResult(evicted_key, was_full)
+        entries[key] = entry
+        hard, idle = entry.hard_timeout, entry.idle_timeout
+        if hard > 0 or idle > 0:
+            # next_deadline() of an entry inserted and last touched at `now`.
+            timeout = min(hard, idle) if hard > 0 and idle > 0 else max(hard, idle)
+            heapq.heappush(heap, (now + timeout, seq, key))
+        return result
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""

@@ -129,12 +129,14 @@ class KeySequence:
 
     def key_at(self, i: int) -> FlowKey:
         block, rest = divmod(i, 1 << 16)
-        return FlowKey(
-            src_ip=f"{self.prefix}.{(rest >> 8) & 255}.{rest & 255}",
-            dst_ip="10.0.0.1" if block == 0 else f"10.{200 + block}.0.1",
-            src_mac="02:00:00:00:00:01",
-            dst_mac="02:00:00:00:00:02",
-        )
+        # FlowKey(src_ip, dst_ip, src_mac, dst_mac), built without the
+        # NamedTuple's Python-level __new__.
+        return tuple.__new__(FlowKey, (
+            f"{self.prefix}.{(rest >> 8) & 255}.{rest & 255}",
+            "10.0.0.1" if block == 0 else f"10.{200 + block}.0.1",
+            "02:00:00:00:00:01",
+            "02:00:00:00:00:02",
+        ))
 
     def next_key(self) -> FlowKey:
         key = self.key_at(self._next)
@@ -255,41 +257,32 @@ class SwitchSimulator:
         return after_us + max(1, round(gap_us))
 
     def _process_arrivals(self, up_to_us: int) -> None:
+        # Each arrival is a fresh key from the background prefix, so a lookup
+        # could only miss: install it straight away (insert still rejects a
+        # live key), then answer it as `send_probe` answers a miss.
         while self._next_arrival_us is not None and self._next_arrival_us <= up_to_us:
             at = self._next_arrival_us
             self.background_arrivals += 1
-            self._handle_packet(self._bg_keys.next_key(), at, OWNER_BACKGROUND,
-                                EVENT_BACKGROUND)
+            key = self._bg_keys.next_key()
+            branch = self._install(key, at, OWNER_BACKGROUND)
+            rtt = self._draw_rtt(branch)
+            self.now_us = at
+            self.events_processed += 1
+            if self.trace is not None:
+                self.trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
+                                           branch, rtt))
             self._next_arrival_us = self._draw_arrival(at)
 
     # -- core packet path --------------------------------------------------
 
     def _install(self, key: FlowKey, now_us: int, owner: str) -> str:
         """Install `key` for `owner`; return the miss branch it took."""
-        entry = FlowEntry(key=key, hard_timeout=self.hard_timeout_us,
-                          idle_timeout=self.idle_timeout_us, owner=owner)
+        # FlowEntry(key, inserted_at, last_access, hard_timeout, idle_timeout,
+        # owner): positional, which the generated __init__ binds fastest.
+        entry = FlowEntry(key, 0, 0, self.hard_timeout_us, self.idle_timeout_us, owner)
         if self.table.insert(entry, now_us).was_full:
             return BRANCH_MISS_FULL
         return BRANCH_MISS_NOTFULL
-
-    def _handle_packet(self, key: FlowKey, at_us: int, owner: Optional[str],
-                       kind: str) -> RttSample:
-        # `owner` may be None for probes; it is only resolved when an entry
-        # is installed or an event is traced (hits dominate the hot path).
-        if self.table.lookup(key, at_us):
-            branch = BRANCH_HIT
-        else:
-            if owner is None:
-                owner = self.owner_of(key)
-            branch = self._install(key, at_us, owner)
-        rtt = self._draw_rtt(branch)
-        self.now_us = at_us
-        self.events_processed += 1
-        if self.trace is not None:
-            if owner is None:
-                owner = self.owner_of(key)
-            self.trace.append(SimEvent(at_us, kind, key, owner, branch, rtt))
-        return RttSample(at_us, key, rtt, branch)
 
     # -- public surface ----------------------------------------------------
 
@@ -306,7 +299,21 @@ class SwitchSimulator:
             raise ValueError(f"probe time {at_us} precedes simulator time {self.now_us}")
         if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
             self._process_arrivals(at_us)
-        return self._handle_packet(key, at_us, None, EVENT_PROBE)
+        # The owner is only resolved when an entry is installed or an event
+        # is traced; hits dominate the hot path.
+        owner = None
+        if self.table.lookup(key, at_us):
+            branch = BRANCH_HIT
+        else:
+            owner = self.owner_of(key)
+            branch = self._install(key, at_us, owner)
+        rtt = self._draw_rtt(branch)
+        self.now_us = at_us
+        self.events_processed += 1
+        if self.trace is not None:
+            self.trace.append(SimEvent(at_us, EVENT_PROBE, key,
+                                       owner or self.owner_of(key), branch, rtt))
+        return RttSample(at_us, key, rtt, branch)
 
     def send_burst(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
                    stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
@@ -335,9 +342,11 @@ class SwitchSimulator:
                 sent = self.table.touch_run(
                     keys, start_us, gap_us, math.inf if until_us is None else until_us)
                 if self._noise == NOISE_UNIFORM:
-                    rand = self._rand
-                    for _ in range(sent):
-                        rand()
+                    # One random() takes two 32-bit words of the Mersenne
+                    # Twister, getrandbits(k) takes ceil(k / 32): advance the
+                    # generator past `sent` hit draws in one call.
+                    if sent:
+                        self._latency_rng.getrandbits(64 * sent)
                 elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
                     for _ in range(sent):
                         draw(BRANCH_HIT)

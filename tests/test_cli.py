@@ -68,6 +68,21 @@ class TestUsageErrors:
         assert main(["infer", "--config", "/no/such/file.json"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_naming_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["check", "--config", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: [Errno 21] Is a directory: "
+                                f"'{tmp_path}'\n")
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: [Errno 21] Is a directory: "
+                                f"'{tmp_path}'\n")
+
     @pytest.mark.parametrize("command, config, override", [
         ("bootstrap", "fifo400.json", "scenarios.9.seed=1"),
         ("bootstrap", "fifo400.json", "capacity.x=1"),

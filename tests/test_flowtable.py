@@ -1,6 +1,7 @@
 """Unit and oracle-equivalence tests for the flow table."""
 
 import copy
+import heapq
 import random
 
 import pytest
@@ -131,6 +132,20 @@ class TestInsert:
         table.insert(entry(1), 0)
         with pytest.raises(DuplicateEntryError):
             table.insert(entry(1), 1)
+
+    @pytest.mark.parametrize("due", [False, True])
+    def test_clock_must_not_go_backwards(self, due):
+        # Without a due expiry record insert checks the clock itself; with
+        # one it purges first. No public call leaves a record due behind
+        # the clock, so plant a stale one (seq 0 matches no entry).
+        table = FlowTable(capacity=2)
+        table.insert(entry(1, idle=100 * MS), 50)
+        if due:
+            heapq.heappush(table._expiry_heap, (10, 0, key(9)))
+        before = copy.deepcopy(table_state(table))
+        with pytest.raises(ClockError):
+            table.insert(entry(2), 40)
+        assert table_state(table) == before
 
     def test_reinstall_after_expiry_gets_fresh_position(self):
         # k1 expires, is reinstalled, and must then be newest, not oldest.
@@ -322,6 +337,31 @@ class TestTouchRun:
         table = self.filled(idle=100)
         assert table.touch_run([key(1)] * 50, 10, 10, float("inf")) == 9
         assert table._now == 90
+
+    @pytest.mark.parametrize("extra_us, answered", [(0, 3), (1, 4)])
+    def test_answers_the_send_times_below_until(self, extra_us, answered):
+        # Sends at 10, 15, 20, 25, ...: until = 10 + 3*5 leaves three below
+        # it, one microsecond more admits the fourth.
+        table = self.filled()
+        assert table.touch_run([key(0)] * 9, 10, 5, 10 + 3 * 5 + extra_us) == answered
+        assert table._now == 10 + (answered - 1) * 5
+
+    @pytest.mark.parametrize("until_us", [10, 9, 0, -7])
+    def test_until_at_or_before_start_answers_nothing(self, until_us):
+        table = self.filled()
+        before = copy.deepcopy(table_state(table))
+        assert table.touch_run([key(0), key(1)] * 5, 10, 5, until_us) == 0
+        assert table_state(table) == before
+
+    def test_stops_before_a_deadline_on_a_send_time(self):
+        # key(0)'s idle deadline, 100, is the fourth send time, 40 + 3*20,
+        # and comes before `until`.
+        table = self.filled(idle=100)
+        assert table.touch_run([key(1)] * 50, 40, 20, 200) == 3
+        assert key(0) in table.entries and table._now == 80
+        before = copy.deepcopy(table_state(table))
+        assert table.touch_run([key(1)] * 50, 100, 20, 200) == 0
+        assert table_state(table) == before
 
     @pytest.mark.parametrize("policy, start_us, gap_us, touched", [
         ("LRU", 2, 5, 0),    # the microsecond of the last touch (an insert)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from flowprobe.flowtable import OWNER_ATTACKER
+from flowprobe.flowtable import OWNER_ATTACKER, FlowKey
 from flowprobe.netsim import (
     BRANCH_HIT,
     BRANCH_MISS_FULL,
@@ -207,6 +207,29 @@ class TestSendBurst:
         assert (sim.now_us, sim.events_processed) == (14, 3)
         assert [e.time for e in sim.table.removal_log] == [14]
 
+    @pytest.mark.parametrize("n", [1, 2, 33, 1_000])
+    def test_getrandbits_advances_as_random_calls(self, n):
+        # The identity the burst's uniform-noise RNG advance rests on.
+        bits, calls = random.Random(n), random.Random(n)
+        bits.getrandbits(64 * n)
+        for _ in range(n):
+            calls.random()
+        assert bits.getstate() == calls.getstate()
+
+    def test_long_uniform_hit_burst_leaves_the_rng_as_a_probe_loop(self):
+        keys = [attacker_keys().key_at(i) for i in range(10)]
+        burst, loop = (SwitchSimulator(capacity=16, latency=LatencyModel(seed=3))
+                       for _ in range(2))
+        for sim in (burst, loop):
+            sim.send_burst(keys, 0, 1, math.inf)
+        hits = keys * 50
+        assert burst.send_burst(hits, 100, 1, math.inf) == (500, None)
+        for i, key in enumerate(hits):
+            assert loop.send_probe(key, 100 + i).branch == BRANCH_HIT
+        assert burst._latency_rng.getstate() == loop._latency_rng.getstate()
+        assert (burst.now_us, burst.events_processed) == (loop.now_us,
+                                                          loop.events_processed)
+
     def test_start_before_simulator_time_rejected(self):
         sim = SwitchSimulator(capacity=4)
         key = attacker_keys().next_key()
@@ -331,6 +354,20 @@ class TestKeySpaces:
         attacker = [KeySequence("10.1").key_at(i) for i in range(500)]
         background = [KeySequence("10.2").key_at(i) for i in range(500)]
         assert not set(attacker) & set(background)
+
+    @pytest.mark.parametrize("i, src_ip, dst_ip", [
+        (0, "10.1.0.0", "10.0.0.1"),
+        (255, "10.1.0.255", "10.0.0.1"),
+        (256, "10.1.1.0", "10.0.0.1"),
+        (65_535, "10.1.255.255", "10.0.0.1"),
+        (65_536, "10.1.0.0", "10.201.0.1"),
+        (70_000, "10.1.17.112", "10.201.0.1"),
+    ])
+    def test_key_at_is_pinned(self, i, src_ip, dst_ip):
+        key = KeySequence("10.1").key_at(i)
+        assert type(key) is FlowKey
+        assert key == FlowKey(src_ip, dst_ip, "02:00:00:00:00:01",
+                              "02:00:00:00:00:02")
 
     def test_keys_distinct_past_a_full_slash16(self):
         seq = KeySequence("10.1")
