@@ -327,8 +327,9 @@ class SwitchSimulator:
 
         With tracing off and every hit RTT below the cut, the leading run of
         hits that no arrival or expiry can interleave is answered in one
-        `FlowTable.touch_run` pass plus one RTT draw per hit; the remaining
-        keys take the per-probe loop.
+        `FlowTable.touch_run` pass, and the latency RNG is advanced as one
+        RTT draw per hit would advance it; the remaining keys take the
+        per-probe loop.
         """
         if start_us < self.now_us:
             raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
