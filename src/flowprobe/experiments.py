@@ -41,9 +41,9 @@ from .netsim import (
     BRANCH_MISS_FULL,
     BRANCH_MISS_NOTFULL,
     BackgroundWorkload,
-    KeySequence,
     LatencyModel,
     SwitchSimulator,
+    ms_to_us,
     us_to_ms,
 )
 
@@ -101,6 +101,8 @@ class Scenario:
     max_usage_rel_error: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.capacity < 1:
@@ -111,6 +113,11 @@ class Scenario:
                      "max_capacity_rel_error", "max_usage_rel_error"):
             if (getattr(self, name) or 0) < 0:  # an unset bound is None
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("hard_timeout_ms", "idle_timeout_ms"):
+            value = getattr(self, name)
+            if value > 0 and ms_to_us(value) == 0:
+                raise ValueError(f"{name}={value} rounds to 0 us, which "
+                                 "would disable the timer")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -344,17 +351,11 @@ def rtt_characterization(latency: LatencyModel, n_per_state: int,
     branches = (BRANCH_HIT, BRANCH_MISS_NOTFULL, BRANCH_MISS_FULL)
     samples: dict[str, list[int]] = {b: [] for b in branches}
     if n_per_state > 0:
-        sim = SwitchSimulator(
-            capacity=n_per_state + 2,
-            latency=latency.with_seed(seed),
-        )
-        keys = KeySequence("10.3")
-        t = 0
+        sim = SwitchSimulator(capacity=n_per_state + 2, latency=latency.with_seed(seed))
+        session = ProbeSession(sim, send_rate_pps=1000.0)  # one probe per ms
 
         def probe(key, expected_branch):
-            nonlocal t
-            t += 1000
-            sample = sim.send_probe(key, t)
+            sample = session.probe(key)
             if sample.branch != expected_branch:
                 raise RuntimeError(
                     f"characterization drove branch {sample.branch}, "
@@ -362,18 +363,18 @@ def rtt_characterization(latency: LatencyModel, n_per_state: int,
                 )
             return sample.rtt_us
 
-        pinned = keys.next_key()
+        pinned = session.fresh_key()
         probe(pinned, BRANCH_MISS_NOTFULL)  # install; not a sample
         for _ in range(n_per_state):
             samples[BRANCH_HIT].append(probe(pinned, BRANCH_HIT))
         for _ in range(n_per_state):
             samples[BRANCH_MISS_NOTFULL].append(
-                probe(keys.next_key(), BRANCH_MISS_NOTFULL)
+                probe(session.fresh_key(), BRANCH_MISS_NOTFULL)
             )
-        probe(keys.next_key(), BRANCH_MISS_NOTFULL)  # fills the table
+        probe(session.fresh_key(), BRANCH_MISS_NOTFULL)  # fills the table
         for _ in range(n_per_state):
             samples[BRANCH_MISS_FULL].append(
-                probe(keys.next_key(), BRANCH_MISS_FULL)
+                probe(session.fresh_key(), BRANCH_MISS_FULL)
             )
 
     summary: dict = {}

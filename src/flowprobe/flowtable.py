@@ -203,7 +203,8 @@ class FlowTable:
         if heap and heap[0][0] < until_us:
             until_us = heap[0][0]
         count = len(keys)
-        if until_us - start_us < count * gap_us:
+        # Compared on the integer side: `start_us` may lie past float range.
+        if start_us + count * gap_us > until_us:
             # Only the send times below `until_us` may be answered.
             count = max(0, -int((start_us - until_us) // gap_us))
         entries = self.entries

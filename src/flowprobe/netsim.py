@@ -215,7 +215,7 @@ class SwitchSimulator:
         self._rate_us = (
             1e6 / self.workload.arrival_rate if self.workload.arrival_rate > 0 else None
         )
-        self._next_arrival_us = self._draw_arrival(0) if self._rate_us else None
+        self._next_arrival_us = self._draw_arrival(0) if self._rate_us else math.inf
         # Cache per-branch draw parameters and a bound RNG method; the probe
         # path is hot.
         self._ranges = {
@@ -260,7 +260,7 @@ class SwitchSimulator:
         # Each arrival is a fresh key from the background prefix, so a lookup
         # could only miss: install it straight away (insert still rejects a
         # live key), then answer it as `send_probe` answers a miss.
-        while self._next_arrival_us is not None and self._next_arrival_us <= up_to_us:
+        while self._next_arrival_us <= up_to_us:
             at = self._next_arrival_us
             self.background_arrivals += 1
             key = self._bg_keys.next_key()
@@ -297,7 +297,7 @@ class SwitchSimulator:
         """Deliver one packet at `at_us` and return its observed RTT."""
         if at_us < self.now_us:
             raise ValueError(f"probe time {at_us} precedes simulator time {self.now_us}")
-        if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
+        if self._next_arrival_us <= at_us:
             self._process_arrivals(at_us)
         # The owner is only resolved when an entry is installed or an event
         # is traced; hits dominate the hot path.
@@ -321,59 +321,39 @@ class SwitchSimulator:
 
         Stops after the first probe whose RTT is at least `stop_rtt_us`.
         Returns the number of probes sent and the stopping probe's sample,
-        or None if every key was sent. Each probe is handled exactly as a
-        `send_probe` call at its time would handle it: background arrivals
-        first, one table lookup, one RTT draw, one event counted and traced.
+        or None if every key was sent. The result and the simulator's state
+        are those of one `send_probe` call per key at its time.
 
         With tracing off and every hit RTT below the cut, the leading run of
         hits that no arrival or expiry can interleave is answered in one
         `FlowTable.touch_run` pass, and the latency RNG is advanced as one
-        RTT draw per hit would advance it; the remaining keys take the
-        per-probe loop.
+        RTT draw per hit would advance it; each remaining key is a plain
+        `send_probe` call.
         """
         if start_us < self.now_us:
             raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
-        lookup = self.table.lookup
-        draw = self._draw_rtt
-        trace = self.trace
         sent = 0
-        try:
-            if trace is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us:
-                until_us = self._next_arrival_us
-                sent = self.table.touch_run(
-                    keys, start_us, gap_us, math.inf if until_us is None else until_us)
+        if self.trace is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us:
+            sent = self.table.touch_run(keys, start_us, gap_us, self._next_arrival_us)
+            if sent:
                 if self._noise == NOISE_UNIFORM:
                     # One random() takes two 32-bit words of the Mersenne
                     # Twister, getrandbits(k) takes ceil(k / 32): advance the
                     # generator past `sent` hit draws in one call.
-                    if sent:
-                        self._latency_rng.getrandbits(64 * sent)
+                    self._latency_rng.getrandbits(64 * sent)
                 elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
                     for _ in range(sent):
-                        draw(BRANCH_HIT)
-            at_us = start_us + sent * gap_us
-            for key in keys[sent:]:
-                if self._next_arrival_us is not None and self._next_arrival_us <= at_us:
-                    self._process_arrivals(at_us)
-                if lookup(key, at_us):
-                    branch = BRANCH_HIT
-                    owner = None
-                else:
-                    owner = self.owner_of(key)
-                    branch = self._install(key, at_us, owner)
-                rtt = draw(branch)
-                sent += 1
-                if trace is not None:
-                    trace.append(SimEvent(at_us, EVENT_PROBE, key,
-                                          owner or self.owner_of(key), branch, rtt))
-                if rtt >= stop_rtt_us:
-                    return sent, RttSample(at_us, key, rtt, branch)
-                at_us += gap_us
-            return sent, None
-        finally:
-            if sent:
+                        self._draw_rtt(BRANCH_HIT)
                 self.now_us = start_us + (sent - 1) * gap_us
                 self.events_processed += sent
+        at_us = start_us + sent * gap_us
+        for key in keys[sent:]:
+            sent += 1
+            sample = self.send_probe(key, at_us)
+            if sample.rtt_us >= stop_rtt_us:
+                return sent, sample
+            at_us += gap_us
+        return sent, None
 
     def ground_truth(self) -> GroundTruth:
         """Hidden state for tests and result auditing; never for inference."""

@@ -117,6 +117,14 @@ class TestBootstrap:
         with pytest.raises(JumpNeverObserved):
             bootstrap_thresholds(session, BootstrapParams(filler_budget=10))
 
+    def test_one_free_slot_never_jumps(self):
+        # Known limit: the pin fills the table, so every filler misses on a
+        # full table and the miss band holds only full-table RTTs.
+        session = ProbeSession(make_sim(capacity=64, usage=63,
+                                        latency=LatencyModel(), seed=2))
+        with pytest.raises(JumpNeverObserved):
+            bootstrap_thresholds(session, BootstrapParams(filler_budget=500))
+
     def test_repeats_average_with_drain_between_rounds(self):
         # Fillers idle out between rounds, so every round starts not-full.
         sim = make_sim(capacity=50, idle_ms=200.0, latency=LatencyModel(), seed=8)
@@ -577,6 +585,31 @@ class TestProbeBurst:
         _, sim = burst_matches_loop(build, installed(keys), keys * 5, 400, 100,
                                     float("inf"))
         assert sim.background_arrivals >= 1
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_probes_after_the_pass_go_through_send_probe(self, policy):
+        # As above: the pass answers the hits at 400-700 us, before the
+        # arrival due at 783 us; the other 16 probes are send_probe calls.
+        keys = ATTACKER_KEYS[:4]
+        sim = make_sim(4, policy, rate=500.0, seed=6)
+        installed(keys)(sim)
+        passes, calls = [], []
+        touch_run, send_probe = sim.table.touch_run, sim.send_probe
+
+        def counted_touch_run(*args):
+            passes.append(touch_run(*args))
+            return passes[-1]
+
+        def counted_send_probe(key, at_us):
+            calls.append(at_us)
+            return send_probe(key, at_us)
+
+        sim.table.touch_run = counted_touch_run
+        sim.send_probe = counted_send_probe
+        assert sim.send_burst(keys * 5, 400, 100, float("inf")) == (20, None)
+        assert passes == [4]
+        assert calls == list(range(800, 2400, 100))
+        assert sim.events_processed == 4 + 20 + sim.background_arrivals
 
     def test_tracing_on(self):
         keys = ATTACKER_KEYS[:4]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from flowprobe import experiments
 from flowprobe.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -75,7 +76,13 @@ class TestUsageErrors:
         assert captured.err == (f"config error: [Errno 21] Is a directory: "
                                 f"'{tmp_path}'\n")
 
-    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # --out is checked before the run starts.
+        def run_repeat(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, "run_repeat", run_repeat)
         assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
                      "--set", "repeats=1", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
@@ -118,6 +125,10 @@ class TestUsageErrors:
         ("infer", "fifo400.json", "attack.bootstrap.inter_repeat_wait_ms=-1"),
         ("infer", "fifo400.json", "attack.bootstrap.filler_budget=-1"),
         ("infer", "fifo400.json", "attack.bootstrap.min_miss_samples=-1"),
+        ("check", "fifo400.json", "name=5"),
+        ("check", "fifo400.json", "name=[]"),
+        ("check", "fifo400.json", "timeouts.idle_ms=1e-9"),
+        ("check", "fifo400.json", "timeouts.hard_ms=1e-9"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),
@@ -329,6 +340,21 @@ class TestShippedConfigs:
                      str(CONFIGS / "characterize.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["hit"]["count"] == 100
+
+    def test_characterize_config_is_byte_identical(self, capsys):
+        assert main(["characterize-rtt", "--config",
+                     str(CONFIGS / "characterize.json")]) == 0
+        assert sha256(capsys.readouterr().out) == (
+            "e90a549ab106979b44625ea1fdc8f5f9fae03e0ffce02b48b264eb8ec8213f69")
+
+    def test_fifo400_at_a_send_rate_whose_gap_is_past_float_range(self, capsys):
+        # A send gap of round(1e306) us: the burst's hit-run bound is
+        # math.inf, and the cursor cannot be converted to a float.
+        assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1",
+                     "--set", "attack.send_rate_pps=1e-300"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS fifo-400: capacity_rel_error=0.0000 usage_rel_error=0.0000\n")
 
     def test_paper_suite_check_passes(self, capsys):
         assert main(["check", "--config",

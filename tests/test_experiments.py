@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 from statistics import fmean
 
 import pytest
@@ -24,6 +25,8 @@ from flowprobe.experiments import (
 )
 from flowprobe.attacker import BootstrapParams
 from flowprobe.netsim import LatencyModel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scenario(**overrides) -> Scenario:
@@ -61,6 +64,12 @@ class TestScenarioValidation:
     def test_negative_rates_and_timeouts_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             scenario(**{field: -5.0})
+
+    @pytest.mark.parametrize("field", ["hard_timeout_ms", "idle_timeout_ms"])
+    def test_positive_timeout_that_rounds_to_zero_us_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field}=1e-09 rounds to 0 us"):
+            scenario(**{field: 1e-9})
+        assert getattr(scenario(**{field: 0.001}), field) == 0.001
 
 
 class TestRunScenario:
@@ -378,3 +387,32 @@ class TestViolations:
         assert [v.split(" failed:")[0] for v in violations] == [
             "probe: repeat 0", "probe: repeat 1", "probe: no successful runs"]
         assert violations == results[0].violations
+
+
+class TestUnderestimation:
+    """The attack's spec: background flows can only push the estimates
+    down, so f_capacity <= C and f_other <= U + the arrivals on the
+    inference switch."""
+
+    @pytest.mark.parametrize("seed", [5, 1005, 20005, 39005])
+    def test_stress_background_never_overestimates(self, seed, monkeypatch):
+        # At seed 1005, repeat 4 a two-sample miss band once let bootstrap
+        # confirm a jump inside the 3-5 ms band: (399, 399, n1 = 0) for U = 100.
+        config = experiments.load_config(str(CONFIGS / "paper-suite.json"))
+        entry = next(d for d in config["scenarios"]
+                     if d["name"] == "fifo-stress-background")
+        s = scenario_from_dict(dict(entry, seed=seed))
+        assert s.latency.noise == "uniform" and s.background_rate > 0
+        sims, real = [], experiments.SwitchSimulator
+
+        def build(*args, **kwargs):
+            sims.append(real(*args, **kwargs))
+            return sims[-1]
+
+        monkeypatch.setattr(experiments, "SwitchSimulator", build)
+        for repeat in range(s.repeats):
+            sims.clear()
+            report = run_repeat(s, repeat).report
+            arrivals = sims[-1].background_arrivals
+            assert report.f_capacity <= s.capacity, repeat
+            assert report.f_other <= s.initial_usage + arrivals, repeat

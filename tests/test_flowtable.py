@@ -346,6 +346,13 @@ class TestTouchRun:
         assert table.touch_run([key(0)] * 9, 10, 5, 10 + 3 * 5 + extra_us) == answered
         assert table._now == 10 + (answered - 1) * 5
 
+    def test_send_times_past_float_range(self):
+        # Integer send times too large for a float, against an infinite bound.
+        table = self.filled()
+        start_us = 10 ** 400
+        assert table.touch_run([key(0)] * 3, start_us, start_us, float("inf")) == 3
+        assert table._now == 3 * start_us
+
     @pytest.mark.parametrize("until_us", [10, 9, 0, -7])
     def test_until_at_or_before_start_answers_nothing(self, until_us):
         table = self.filled()
