@@ -166,6 +166,18 @@ class FeasibilityVerdict:
     feasible: bool
 
 
+def send_gap_us(send_rate_pps: float, where: str = "send_rate_pps") -> int:
+    """Whole microseconds between back-to-back probes, at least 1; a rate
+    that is not positive, or whose gap is past float range, is a ValueError."""
+    if send_rate_pps <= 0:
+        raise ValueError(f"{where} must be positive")
+    gap_us = 1e6 / send_rate_pps
+    if not math.isfinite(gap_us):
+        raise ValueError(f"{where}={send_rate_pps!r} gives a send gap past "
+                         "float range")
+    return max(1, round(gap_us))
+
+
 class ProbeSession:
     """Single-threaded probe stream bound to one simulator.
 
@@ -175,10 +187,8 @@ class ProbeSession:
     """
 
     def __init__(self, sim: SwitchSimulator, send_rate_pps: float = 10_000.0):
-        if send_rate_pps <= 0:
-            raise ValueError("send_rate_pps must be positive")
         self.sim = sim
-        self.send_gap_us = max(1, round(1e6 / send_rate_pps))
+        self.send_gap_us = send_gap_us(send_rate_pps)
         self.now_us = sim.now_us
         self.probes_sent = 0
         self._keys = KeySequence(ATTACKER_PREFIX)

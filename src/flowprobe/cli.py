@@ -24,6 +24,7 @@ from typing import Optional
 
 from . import experiments
 from .attacker import AttackError
+from .netsim import LatencyModel
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -137,7 +138,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_characterize(args: argparse.Namespace) -> int:
     config = experiments.checked_block(
         _load_config(args), ("latency", "n_per_state", "seed"), "config")
-    latency = experiments.latency_from_dict(config.get("latency", {}))
+    latency = experiments.from_config(LatencyModel, config.get("latency", {}),
+                                      "latency")
     n_per_state = experiments.checked_number(
         config.get("n_per_state", 100), "n_per_state", integer=True)
     if n_per_state < 0:

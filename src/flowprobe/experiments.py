@@ -17,9 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from statistics import fmean
-from typing import Optional, TextIO
+from typing import Collection, Optional, TextIO, get_type_hints
 
 from .attacker import (
     AttackError,
@@ -34,6 +34,7 @@ from .attacker import (
     infer_lru,
     measure_hard_timeout,
     measure_idle_timeout,
+    send_gap_us,
 )
 from .flowtable import POLICIES
 from .netsim import (
@@ -73,8 +74,7 @@ class AttackConfig:
     bootstrap: BootstrapParams = field(default_factory=BootstrapParams)
 
     def __post_init__(self) -> None:
-        if self.send_rate_pps <= 0:
-            raise ValueError("attack.send_rate_pps must be positive")
+        send_gap_us(self.send_rate_pps, "attack.send_rate_pps")
         if self.key_budget < 1:
             raise ValueError("attack.key_budget must be >= 1")
         if self.capacity_guess < 1:
@@ -403,20 +403,15 @@ def rtt_characterization(latency: LatencyModel, n_per_state: int,
 # -- configuration files ---------------------------------------------------
 
 
-_SCENARIO_KEYS = ("name", "policy", "capacity", "initial_usage",
-                  "background_rate", "timeouts", "latency", "repeats", "seed",
-                  "attack", "bounds")
-_TIMEOUT_KEYS = ("hard_ms", "idle_ms")
-_LATENCY_BANDS = ("hit_ms", "miss_notfull_ms", "miss_full_ms")
-# The latency draws are seeded from the scenario seed (or characterize-rtt's
-# top-level seed), so a config cannot set LatencyModel.seed.
-_LATENCY_KEYS = tuple(f.name for f in fields(LatencyModel) if f.name != "seed")
-_ATTACK_KEYS = tuple(f.name for f in fields(AttackConfig))
-_BOOTSTRAP_KEYS = tuple(f.name for f in fields(BootstrapParams))
-_BOUND_KEYS = ("max_capacity_rel_error", "max_usage_rel_error")
+# The config groups some Scenario fields into blocks: block -> {key: field}.
+_SCENARIO_BLOCKS = {
+    "timeouts": {"hard_ms": "hard_timeout_ms", "idle_ms": "idle_timeout_ms"},
+    "bounds": {"max_capacity_rel_error": "max_capacity_rel_error",
+               "max_usage_rel_error": "max_usage_rel_error"},
+}
 
 
-def checked_block(d, allowed: tuple[str, ...], where: str) -> dict:
+def checked_block(d, allowed: Collection[str], where: str) -> dict:
     """Return config block `d`, or raise ValueError if it is not an object
     or holds a key outside `allowed`."""
     if not isinstance(d, dict):
@@ -438,69 +433,58 @@ def checked_number(value, where: str, integer: bool = False):
     return value
 
 
-def _checked_numbers(d: dict, where: str, cls=None, numbers=()) -> dict:
-    """Type-check the numeric values of config block `d`: each key in
-    `numbers`, and each key that names an int or float field of `cls`."""
-    types = {f.name: f.type for f in fields(cls)} if cls else {}
-    for key, value in d.items():
-        kind = "float" if key in numbers else types.get(key)
-        if kind in ("int", "float"):
-            checked_number(value, f"{where}.{key}", integer=kind == "int")
-    return d
+def _checked(value, hint, where: str):
+    """Check one config value against its field's type hint. A nested
+    dataclass is a block, named by its path below the scenario."""
+    if is_dataclass(hint):
+        return from_config(hint, value, where.removeprefix("scenario."))
+    if hint == tuple[float, float]:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ValueError(f"{where} must be a [low, high] list, got {value!r}")
+        return tuple(checked_number(bound, where) for bound in value)
+    if hint in (int, float, Optional[float]):  # null is no bound: leave it out
+        return checked_number(value, where, integer=hint is int)
+    return value
 
 
-def latency_from_dict(d: dict) -> LatencyModel:
-    kwargs = _checked_numbers(dict(checked_block(d, _LATENCY_KEYS, "latency")),
-                              "latency", LatencyModel)
-    for band in _LATENCY_BANDS:
-        if band in kwargs:
-            value = kwargs[band]
-            if not isinstance(value, list) or len(value) != 2:
-                raise ValueError(
-                    f"latency.{band} must be a [low, high] list, got {value!r}")
-            kwargs[band] = tuple(
-                checked_number(bound, f"latency.{band}") for bound in value)
-    return LatencyModel(**kwargs)
+def from_config(cls, block, where: str):
+    """Build dataclass `cls` from config object `block`, named `where` in
+    errors.
 
-
-def attack_from_dict(d: dict) -> AttackConfig:
-    kwargs = _checked_numbers(dict(checked_block(d, _ATTACK_KEYS, "attack")),
-                              "attack", AttackConfig)
-    if "bootstrap" in kwargs:
-        bootstrap = checked_block(kwargs["bootstrap"], _BOOTSTRAP_KEYS,
-                                  "attack.bootstrap")
-        kwargs["bootstrap"] = BootstrapParams(
-            **_checked_numbers(bootstrap, "attack.bootstrap", BootstrapParams))
-    return AttackConfig(**kwargs)
+    The keys are the fields of `cls` and each value is checked against its
+    field's type; range checks are left to `cls.__post_init__`. A scenario
+    sets the fields of `_SCENARIO_BLOCKS` inside those blocks and is named
+    "scenario" unless it says otherwise. A config never sets
+    `LatencyModel.seed`: the latency draws are seeded from the scenario seed
+    (or characterize-rtt's top-level seed).
+    """
+    hints = get_type_hints(cls)
+    groups = _SCENARIO_BLOCKS if cls is Scenario else {}
+    hidden = {"seed"} if cls is LatencyModel else {
+        name for group in groups.values() for name in group.values()}
+    keys = [f.name for f in fields(cls) if f.name not in hidden] + list(groups)
+    kwargs = {"name": "scenario"} if cls is Scenario else {}
+    for key, value in checked_block(block, keys, where).items():
+        if key in groups:
+            for inner, item in checked_block(value, groups[key], key).items():
+                name = groups[key][inner]
+                kwargs[name] = _checked(item, hints[name], f"{key}.{inner}")
+        else:
+            kwargs[key] = _checked(value, hints[key], f"{where}.{key}")
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    checked_block(d, _SCENARIO_KEYS, "scenario")
-    _checked_numbers(d, "scenario", Scenario)
-    bounds = _checked_numbers(
-        checked_block(d.get("bounds", {}), _BOUND_KEYS, "bounds"),
-        "bounds", numbers=_BOUND_KEYS)
-    timeouts = _checked_numbers(
-        checked_block(d.get("timeouts", {}), _TIMEOUT_KEYS, "timeouts"),
-        "timeouts", numbers=_TIMEOUT_KEYS)
-    return Scenario(
-        name=d.get("name", "scenario"),
-        policy=d["policy"],
-        capacity=d["capacity"],
-        initial_usage=d.get("initial_usage", 0),
-        background_rate=d.get("background_rate", 0.0),
-        hard_timeout_ms=timeouts.get("hard_ms", 0.0),
-        idle_timeout_ms=timeouts.get("idle_ms", 0.0),
-        latency=latency_from_dict(d.get("latency", {})),
-        repeats=d.get("repeats", 1),
-        seed=d.get("seed", 0),
-        attack=attack_from_dict(d.get("attack", {})),
-        **bounds,
-    )
+    return from_config(Scenario, d, "scenario")
 
 
 def scenario_entries(config: dict) -> list[dict]:
     """Accept either a single scenario object or {"scenarios": [...]}."""
+    if not isinstance(config, dict):
+        raise ValueError(f"scenario must be an object, got {config!r}")
     if "scenarios" not in config:
         return [config]
     entries = checked_block(config, ("scenarios",), "suite")["scenarios"]

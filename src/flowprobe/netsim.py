@@ -212,10 +212,9 @@ class SwitchSimulator:
         self._latency_rng = Random(self.latency.seed)
         self._arrival_rng = Random(self.workload.seed)
         self._bg_keys = KeySequence(BACKGROUND_PREFIX)
-        self._rate_us = (
-            1e6 / self.workload.arrival_rate if self.workload.arrival_rate > 0 else None
-        )
-        self._next_arrival_us = self._draw_arrival(0) if self._rate_us else math.inf
+        rate = self.workload.arrival_rate
+        self._rate_us = 1e6 / rate if rate > 0 else math.inf
+        self._next_arrival_us = self._draw_arrival(0)
         # Cache per-branch draw parameters and a bound RNG method; the probe
         # path is hot.
         self._ranges = {
@@ -250,11 +249,13 @@ class SwitchSimulator:
 
     # -- background workload ---------------------------------------------
 
-    def _draw_arrival(self, after_us: int) -> int:
+    def _draw_arrival(self, after_us: int) -> float:
         # Inversion method; gap floored at 1 us to keep time strictly advancing.
+        # A gap that is not finite (no background traffic, or a rate near or
+        # below 1e-302 per s) means no further arrival.
         u = self._arrival_rng.random()
-        gap_us = -math.log(1.0 - u) * self._rate_us  # type: ignore[operator]
-        return after_us + max(1, round(gap_us))
+        gap_us = -math.log(1.0 - u) * self._rate_us
+        return after_us + max(1, round(gap_us)) if gap_us < math.inf else math.inf
 
     def _process_arrivals(self, up_to_us: int) -> None:
         # Each arrival is a fresh key from the background prefix, so a lookup

@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowprobe import experiments
 from flowprobe.cli import main
@@ -129,6 +133,8 @@ class TestUsageErrors:
         ("check", "fifo400.json", "name=[]"),
         ("check", "fifo400.json", "timeouts.idle_ms=1e-9"),
         ("check", "fifo400.json", "timeouts.hard_ms=1e-9"),
+        ("check", "fifo400.json", "attack.send_rate_pps=1e-320"),
+        ("check", "fifo400.json", "attack.send_rate_pps=5e-324"),
     ])
     def test_bad_override_path_exits_2(self, command, config, override, capsys):
         assert main([command, "--config", str(CONFIGS / config),
@@ -157,6 +163,21 @@ class TestUsageErrors:
         assert captured.err == (f"config error: {command} runs one scenario; "
                                 "the config has 5\n")
 
+    @pytest.mark.parametrize("text, argv", [
+        ("5", ["check"]),
+        ('"abc"', ["check", "--seed", "1"]),
+        ("[1]", ["infer", "--seed", "1"]),
+    ])
+    def test_config_that_is_not_an_object_exits_2(self, text, argv, tmp_path,
+                                                   capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: scenario must be an object, "
+                                f"got {json.loads(text)!r}\n")
+
 
     @pytest.mark.parametrize("argv", [["check"], ["sweep", "--check"],
                                       ["infer"]])
@@ -168,6 +189,67 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == ("config error: a suite needs at least one "
                                 "scenario\n")
+
+
+# Values for the exit-contract test, drawn per config path: negative, zero,
+# tiny, subnormal, non-finite, wrong JSON types, lists and null, plus a few
+# valid ones. None makes a C=64, repeats=1 `check` run long: there is no
+# budget, capacity or count past 2 and no timeout or bootstrap wait above
+# 1e-9 ms.
+VALUES = ("-1", "0", "1e-9", "1e-300", "1e-320", "5e-324", "Infinity", "NaN",
+          "null", "true", "x", "[]", "[1, 2]", "{}")
+CONFIG_PATHS = (
+    "name", "policy", "capacity", "initial_usage", "background_rate",
+    "repeats", "seed", "timeouts", "timeouts.hard_ms", "timeouts.idle_ms",
+    "latency", "latency.hit_ms", "latency.miss_notfull_ms",
+    "latency.miss_full_ms", "latency.noise", "attack", "attack.send_rate_pps",
+    "attack.key_budget", "attack.capacity_guess", "attack.bootstrap",
+    "attack.bootstrap.ts1_ms", "attack.bootstrap.ts2_ms",
+    "attack.bootstrap.repeat", "attack.bootstrap.filler_budget",
+    "attack.bootstrap.jump_factor", "attack.bootstrap.min_miss_samples",
+    "attack.bootstrap.inter_repeat_wait_ms", "bounds",
+    "bounds.max_capacity_rel_error", "bounds.max_usage_rel_error",
+)
+POOLS = {path: VALUES for path in CONFIG_PATHS} | {
+    # Small valid counts. Not bootstrap.repeat=2: without timeouts its second
+    # round finds the table still full and sends all 100,000 fillers.
+    path: VALUES + ("1", "2") for path in (
+        "capacity", "initial_usage", "repeats", "seed", "attack.key_budget",
+        "attack.capacity_guess", "attack.bootstrap.filler_budget",
+        "attack.bootstrap.min_miss_samples")
+} | {
+    # A background rate of 1e-9 per s with a send rate of 1e-300 pps would
+    # simulate about 1e291 arrivals per probe; at 1e-300 per s it is one.
+    "background_rate": tuple(v for v in VALUES if v != "1e-9"),
+    "policy": VALUES + ('"LRU"',),
+    "latency.noise": VALUES + ('"none"', '"truncated-gaussian"'),
+}
+ASSIGNMENTS = st.sampled_from(CONFIG_PATHS).flatmap(
+    lambda path: st.sampled_from(POOLS[path]).map(lambda v: f"{path}={v}"))
+
+
+class TestExitContract:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(ASSIGNMENTS, min_size=1, max_size=3))
+    @example(["attack.send_rate_pps=1e-320"])
+    @example(["attack.send_rate_pps=5e-324"])
+    @example(["background_rate=1e-320"])
+    @example(["background_rate=5e-324"])
+    def test_check_exits_0_or_1_quietly_or_2_with_one_line(self, assignments):
+        argv = ["check", "--config", str(CONFIGS / "fifo400.json"),
+                "--set", "repeats=1", "--set", "capacity=64",
+                "--set", "initial_usage=16"]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        if code == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert err.endswith("\n") and out.getvalue() == ""
+        else:
+            assert code in (0, 1) and err == ""
 
 
 class TestInfer:
@@ -353,6 +435,15 @@ class TestShippedConfigs:
         assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
                      "--set", "repeats=1",
                      "--set", "attack.send_rate_pps=1e-300"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS fifo-400: capacity_rel_error=0.0000 usage_rel_error=0.0000\n")
+
+    def test_fifo400_at_a_background_rate_whose_gap_is_past_float_range(
+            self, capsys):
+        # 1e6 / 1e-320 us is past float range: no background flow arrives.
+        assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1",
+                     "--set", "background_rate=1e-320"]) == 0
         assert capsys.readouterr().out == (
             "PASS fifo-400: capacity_rel_error=0.0000 usage_rel_error=0.0000\n")
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from statistics import fmean
 
@@ -26,7 +28,8 @@ from flowprobe.experiments import (
 from flowprobe.attacker import BootstrapParams
 from flowprobe.netsim import LatencyModel
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def scenario(**overrides) -> Scenario:
@@ -296,6 +299,60 @@ class TestConfig:
         with pytest.raises(ValueError, match=misspelt):
             run_suite(scenarios_from_config(
                 {"scenarios": [dict(config, policy="FIFO", capacity=5)]}))
+
+    @pytest.mark.parametrize("name", [
+        "hard_timeout_ms", "idle_timeout_ms", "max_capacity_rel_error",
+        "max_usage_rel_error"])
+    def test_block_fields_rejected_at_the_top_level(self, name):
+        with pytest.raises(ValueError, match=f"scenario: unknown key '{name}'"):
+            scenario_from_dict({"policy": "FIFO", "capacity": 5, name: 1.0})
+
+    def test_every_field_round_trips(self):
+        bootstrap = {"ts1_ms": 50.0, "ts2_ms": 2.0, "repeat": 2,
+                     "filler_budget": 900, "jump_factor": 2.0,
+                     "min_miss_samples": 3, "inter_repeat_wait_ms": 10.0}
+        s = scenario_from_dict({
+            "name": "every-field", "policy": "LRU", "capacity": 90,
+            "initial_usage": 30, "background_rate": 2.5,
+            "timeouts": {"hard_ms": 9000.0, "idle_ms": 3000.0},
+            "latency": {"hit_ms": [0.1, 0.2], "miss_notfull_ms": [2.0, 4.0],
+                        "miss_full_ms": [6.0, 7.0], "noise": "none"},
+            "repeats": 3, "seed": 11,
+            "attack": {"send_rate_pps": 2500.0, "key_budget": 500,
+                       "capacity_guess": 300, "bootstrap": bootstrap},
+            "bounds": {"max_capacity_rel_error": 0.1,
+                       "max_usage_rel_error": 0.2},
+        })
+        assert s == Scenario(
+            name="every-field", policy="LRU", capacity=90, initial_usage=30,
+            background_rate=2.5, hard_timeout_ms=9000.0, idle_timeout_ms=3000.0,
+            latency=LatencyModel(hit_ms=(0.1, 0.2), miss_notfull_ms=(2.0, 4.0),
+                                 miss_full_ms=(6.0, 7.0), noise="none"),
+            repeats=3, seed=11,
+            attack=AttackConfig(send_rate_pps=2500.0, key_budget=500,
+                                capacity_guess=300,
+                                bootstrap=BootstrapParams(**bootstrap)),
+            max_capacity_rel_error=0.1, max_usage_rel_error=0.2,
+        )
+
+        # Every field a config can set is off its default, so a dropped key
+        # shows; only LatencyModel.seed is not a config key.
+        def assert_off_default(got, default):
+            for f in fields(got):
+                value, base = getattr(got, f.name), getattr(default, f.name)
+                if is_dataclass(value):
+                    assert_off_default(value, base)
+                elif not (isinstance(got, LatencyModel) and f.name == "seed"):
+                    assert value != base, f.name
+
+        assert_off_default(s, scenario_from_dict({"policy": "FIFO",
+                                                  "capacity": 1}))
+
+    def test_readme_scenario_config_parses(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("### Scenario config", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert scenario_from_dict(json.loads(block)).name == "fifo-400"
 
     def test_unknown_suite_key_rejected(self):
         with pytest.raises(ValueError, match="seed"):

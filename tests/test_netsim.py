@@ -172,6 +172,16 @@ class TestBackgroundWorkload:
             assert sa == sb
         assert a.trace == b.trace
 
+    @pytest.mark.parametrize("seed", [0, 2, 15])
+    def test_an_arrival_gap_past_float_range_means_no_arrival(self, seed):
+        # At 1e-302 flows/s the mean gap is 1e308 us; these seeds draw a
+        # first gap past float range, so no background flow ever arrives.
+        sim = SwitchSimulator(
+            64, workload=BackgroundWorkload(arrival_rate=1e-302, seed=seed))
+        sim.send_probe(attacker_keys().next_key(), 10**400)
+        assert sim.background_arrivals == 0
+        assert sim.ground_truth().occupancy == (1, 0)
+
     def test_arrivals_due_before_probe_apply_first(self):
         sim = SwitchSimulator(
             capacity=5, workload=BackgroundWorkload(arrival_rate=1000.0, seed=1)
