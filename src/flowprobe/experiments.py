@@ -15,8 +15,10 @@ run; identical seeds reproduce identical bytes.
 from __future__ import annotations
 
 import csv
+import gc
 import json
-import math
+import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from statistics import fmean
 from typing import Collection, Optional, TextIO, get_type_hints
@@ -213,6 +215,24 @@ def _build_sim(scenario: Scenario, run_seed: int, phase: int) -> SwitchSimulator
     )
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector, then restore its prior state.
+
+    A run allocates entries, keys and samples by the hundred thousand but
+    leaves no reference cycles, so reference counting frees all of it; the
+    collector would only rescan the growing heap and find nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def run_repeat(scenario: Scenario, repeat: int = 0,
                last_phase: str = "infer") -> RunRecord:
     """Run one repeat's phases in the order of PHASES, up to `last_phase`.
@@ -220,7 +240,7 @@ def run_repeat(scenario: Scenario, repeat: int = 0,
     Each phase probes its own pristine switch, seeded from the repeat's
     seed and the phase's index in PHASES. A failed bootstrap or inference
     ends the repeat with `record.error` set; an infeasible probe rate ends
-    it before inference.
+    it before inference. The cyclic collector is paused for the repeat.
     """
     if last_phase not in PHASES:
         raise ValueError(f"unknown phase {last_phase!r}")
@@ -423,14 +443,16 @@ def checked_block(d, allowed: Collection[str], where: str) -> dict:
 
 
 def checked_number(value, where: str, integer: bool = False):
-    """Return `value`, or raise ValueError if it is not a finite number (an
-    int when `integer`); bools are neither."""
+    """Return `value`, or raise ValueError if it is not a number (an int when
+    `integer`; bools are neither) or not finite as a float."""
     kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not math.isfinite(value)):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a finite number"
-        raise ValueError(f"{where} must be {kind}, got {value!r}")
-    return value
+    elif not abs(value) <= sys.float_info.max:  # inf, NaN or an int past float range
+        kind = "a finite number"
+    else:
+        return value
+    raise ValueError(f"{where} must be {kind}, got {value!r}")
 
 
 def _checked(value, hint, where: str):

@@ -134,14 +134,11 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _advance(self, now: int) -> None:
+    def purge_expired(self, now: int) -> list[FlowKey]:
+        """Remove every entry expired at `now`. Idempotent for a fixed `now`."""
         if now < self._now:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
-
-    def purge_expired(self, now: int) -> list[FlowKey]:
-        """Remove every entry expired at `now`. Idempotent for a fixed `now`."""
-        self._advance(now)
         removed: list[FlowKey] = []
         heap = self._expiry_heap
         while heap and heap[0][0] <= now:
@@ -152,7 +149,8 @@ class FlowTable:
             deadline = entry.next_deadline()  # finite: the entry is in the heap
             if deadline <= now:  # type: ignore[operator]
                 del self.entries[key]
-                self.removal_log.append(RemovalRecord(now, key, entry.owner, EXPIRED))
+                self.removal_log.append(
+                    tuple.__new__(RemovalRecord, (now, key, entry.owner, EXPIRED)))
                 removed.append(key)
             else:
                 # Hits moved the idle deadline forward since the push.
@@ -261,9 +259,9 @@ class FlowTable:
 
         if len(entries) >= self.capacity:
             evicted_key, victim = entries.popitem(last=False)
+            # RemovalRecord(time, key, owner, reason), built as InsertResult is.
             self.removal_log.append(
-                RemovalRecord(now, evicted_key, victim.owner, EVICTED)
-            )
+                tuple.__new__(RemovalRecord, (now, evicted_key, victim.owner, EVICTED)))
             result = tuple.__new__(InsertResult, (evicted_key, True))
         else:
             result = _NOT_FULL
@@ -278,6 +276,28 @@ class FlowTable:
             timeout = min(hard, idle) if hard > 0 and idle > 0 else max(hard, idle)
             heapq.heappush(heap, (now + timeout, seq, key))
         return result
+
+    def preload(self, keys: Sequence[FlowKey], hard_timeout: int, idle_timeout: int,
+                owner: str) -> None:
+        """Install one entry per key of `keys`, distinct and in order, into a
+        table whose clock is at 0 and that has never held an entry, at t = 0.
+
+        The table ends as a loop of `insert` calls at t = 0 would leave it. No
+        purge, duplicate or eviction is possible there, and the expiry records
+        share one deadline and rise in seq, so their list is already a heap.
+        """
+        if self._seq or self._now or len(keys) > self.capacity:
+            raise ValueError("preload needs a fresh table and at most capacity keys")
+        entries = [FlowEntry(key, 0, 0, hard_timeout, idle_timeout, owner, seq)
+                   for seq, key in enumerate(keys, 1)]
+        if not entries:
+            return
+        self.entries.update(zip(keys, entries))
+        deadline = entries[0].next_deadline()
+        if deadline is not None:
+            self._expiry_heap = [(deadline, e.seq, e.key) for e in entries]
+        self._seq = len(entries)
+        self._touched_at = 0
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""

@@ -114,6 +114,9 @@ class BackgroundWorkload:
             raise ValueError("initial_usage must be >= 0")
 
 
+_OCTETS = tuple(map(str, range(256)))
+
+
 class KeySequence:
     """Deterministic generator of distinct FlowKeys under one /16 prefix.
 
@@ -126,13 +129,16 @@ class KeySequence:
     def __init__(self, prefix: str):
         self.prefix = prefix
         self._next = 0
+        # "{prefix}.{j}." per third octet j: a source address is two joined
+        # strings, not two integers formatted.
+        self._heads = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
 
     def key_at(self, i: int) -> FlowKey:
         block, rest = divmod(i, 1 << 16)
         # FlowKey(src_ip, dst_ip, src_mac, dst_mac), built without the
         # NamedTuple's Python-level __new__.
         return tuple.__new__(FlowKey, (
-            f"{self.prefix}.{(rest >> 8) & 255}.{rest & 255}",
+            self._heads[rest >> 8] + _OCTETS[rest & 255],
             "10.0.0.1" if block == 0 else f"10.{200 + block}.0.1",
             "02:00:00:00:00:01",
             "02:00:00:00:00:02",
@@ -223,11 +229,20 @@ class SwitchSimulator:
         }
         self._uniform = {b: (lo, hi - lo + 1) for b, (lo, hi) in self._ranges.items()}
         self._midpoints = {b: (lo + hi) // 2 for b, (lo, hi) in self._ranges.items()}
+        self._gauss = {b: (lo, hi, (lo + hi) / 2, (hi - lo) / 6)
+                       for b, (lo, hi) in self._ranges.items()}
         self._rand = self._latency_rng.random
         self._noise = self.latency.noise
 
-        for _ in range(self.workload.initial_usage):
-            self._install(self._bg_keys.next_key(), 0, OWNER_BACKGROUND)
+        # Background keys are indexes 0, 1, ... of the background prefix: the
+        # preloaded entries first, then one per arrival. The preload fills the
+        # table in bulk; a usage past capacity evicts at t = 0, as inserts do.
+        usage = self.workload.initial_usage
+        preloaded = list(map(self._bg_keys.key_at, range(usage)))
+        self.table.preload(preloaded[:capacity], self.hard_timeout_us,
+                           self.idle_timeout_us, OWNER_BACKGROUND)
+        for key in preloaded[capacity:]:
+            self._install(key, 0, OWNER_BACKGROUND)
 
     # -- latency ---------------------------------------------------------
 
@@ -238,9 +253,7 @@ class SwitchSimulator:
             return lo + int(self._rand() * span)
         if noise == NOISE_NONE:
             return self._midpoints[branch]
-        lo, hi = self._ranges[branch]
-        mu = (lo + hi) / 2
-        sigma = (hi - lo) / 6
+        lo, hi, mu, sigma = self._gauss[branch]
         for _ in range(16):
             value = self._latency_rng.gauss(mu, sigma)
             if lo <= value <= hi:
@@ -258,21 +271,43 @@ class SwitchSimulator:
         return after_us + max(1, round(gap_us)) if gap_us < math.inf else math.inf
 
     def _process_arrivals(self, up_to_us: int) -> None:
-        # Each arrival is a fresh key from the background prefix, so a lookup
-        # could only miss: install it straight away (insert still rejects a
-        # live key), then answer it as `send_probe` answers a miss.
-        while self._next_arrival_us <= up_to_us:
-            at = self._next_arrival_us
-            self.background_arrivals += 1
-            key = self._bg_keys.next_key()
-            branch = self._install(key, at, OWNER_BACKGROUND)
-            rtt = self._draw_rtt(branch)
-            self.now_us = at
-            self.events_processed += 1
-            if self.trace is not None:
-                self.trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
-                                           branch, rtt))
-            self._next_arrival_us = self._draw_arrival(at)
+        """Apply every background arrival due by `up_to_us`, as one batch.
+
+        The two RNGs are independent, so the batch draws all arrival times
+        first, installs every arrival in time order, then draws the RTTs in
+        the same order: the state is that of handling the arrivals one by
+        one. Each arrival is a fresh key of the background prefix, so a
+        lookup could only miss; it is installed straight away (insert still
+        rejects a live key) and answered as `send_probe` answers a miss.
+        """
+        times = []
+        at = self._next_arrival_us
+        next_arrival = self._draw_arrival
+        while at <= up_to_us:
+            times.append(at)
+            at = next_arrival(at)
+        self._next_arrival_us = at
+        count = len(times)
+        first = self.workload.initial_usage + self.background_arrivals
+        keys = list(map(self._bg_keys.key_at, range(first, first + count)))
+        insert = self.table.insert
+        hard, idle = self.hard_timeout_us, self.idle_timeout_us
+        full = [insert(FlowEntry(key, 0, 0, hard, idle, OWNER_BACKGROUND), at).was_full
+                for key, at in zip(keys, times)]
+        self.background_arrivals += count
+        self.events_processed += count
+        trace = self.trace
+        if trace is None and self._noise == NOISE_UNIFORM:
+            # As in `send_burst`: `count` uniform draws in one call.
+            self._latency_rng.getrandbits(64 * count)
+        elif trace is not None or self._noise != NOISE_NONE:
+            draw_rtt = self._draw_rtt
+            for key, at, was_full in zip(keys, times, full):
+                branch = BRANCH_MISS_FULL if was_full else BRANCH_MISS_NOTFULL
+                rtt = draw_rtt(branch)
+                if trace is not None:
+                    trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
+                                          branch, rtt))
 
     # -- core packet path --------------------------------------------------
 
@@ -314,7 +349,8 @@ class SwitchSimulator:
         if self.trace is not None:
             self.trace.append(SimEvent(at_us, EVENT_PROBE, key,
                                        owner or self.owner_of(key), branch, rtt))
-        return RttSample(at_us, key, rtt, branch)
+        # RttSample(time_us, key, rtt_us, branch), built as `key_at` builds keys.
+        return tuple.__new__(RttSample, (at_us, key, rtt, branch))
 
     def send_burst(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
                    stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:

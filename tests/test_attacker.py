@@ -465,6 +465,8 @@ def sim_state(sim):
         sim.now_us, sim.events_processed, sim.background_arrivals,
         list(table.entries.items()), table.removal_log, sim.trace,
         sim._latency_rng.getstate(), table._touched_at, table._now,
+        table._expiry_heap, table._seq, sim._next_arrival_us,
+        sim._arrival_rng.getstate(),
     )
 
 

@@ -142,6 +142,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("path, where", [
+        ("capacity", "scenario.capacity"),
+        ("background_rate", "scenario.background_rate"),
+        ("attack.send_rate_pps", "attack.send_rate_pps"),
+        ("timeouts.idle_ms", "timeouts.idle_ms"),
+    ])
+    def test_integer_past_float_range_exits_2(self, path, where, capsys):
+        huge = "1" + "0" * 400
+        assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1", "--set", f"{path}={huge}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {where} must be a finite number, "
+                                f"got {huge}\n")
+
     @pytest.mark.parametrize("override, message", [
         ("timeouts.idle_ms=Infinity", "timeouts.idle_ms must be a finite "
                                       "number, got inf"),
@@ -235,6 +250,10 @@ class TestExitContract:
     @example(["attack.send_rate_pps=5e-324"])
     @example(["background_rate=1e-320"])
     @example(["background_rate=5e-324"])
+    @example(["capacity=1" + "0" * 400])
+    @example(["background_rate=1" + "0" * 400])
+    @example(["attack.send_rate_pps=1" + "0" * 400])
+    @example(["timeouts.idle_ms=1" + "0" * 400])
     def test_check_exits_0_or_1_quietly_or_2_with_one_line(self, assignments):
         argv = ["check", "--config", str(CONFIGS / "fifo400.json"),
                 "--set", "repeats=1", "--set", "capacity=64",

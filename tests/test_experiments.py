@@ -1,5 +1,6 @@
 """Tests for the scenario pipeline, sweep output and config handling."""
 
+import gc
 import io
 import json
 import re
@@ -186,6 +187,62 @@ class TestRunRepeat:
         record = run_repeat(s)
         assert record.error.startswith("bootstrap: ")
         assert record.thresholds is None and record.wall_events > 5
+
+
+class TestCyclicGcPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_is_restored(self, enabled):
+        try:
+            gc.enable() if enabled else gc.disable()
+            record = run_repeat(scenario(repeats=1), last_phase="bootstrap")
+            assert record.thresholds is not None
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_is_restored_when_a_phase_raises(self, enabled,
+                                                         monkeypatch):
+        seen = []
+
+        def broken_bootstrap(session, params):
+            seen.append(gc.isenabled())
+            raise RuntimeError("broken phase")
+
+        monkeypatch.setattr(experiments, "bootstrap_thresholds", broken_bootstrap)
+        try:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(RuntimeError, match="broken phase"):
+                run_repeat(scenario(repeats=1))
+            assert seen == [False] and gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("overrides, last_phase, error", [
+        (dict(attack=AttackConfig(bootstrap=BootstrapParams(filler_budget=5))),
+         "infer", "bootstrap: no RTT jump within 5 fillers"),
+        ({}, "hard_timeout", None),  # both timeout phases raise TimeoutDisabled
+        (dict(policy="LRU", capacity=200, initial_usage=0, idle_timeout_ms=300.0,
+              attack=AttackConfig(send_rate_pps=1000.0, capacity_guess=1)),
+         "infer", "inference: rolling maintenance exceeded the 250.0 ms timeout"),
+        (dict(attack=AttackConfig(key_budget=5)), "infer",
+         "inference: no eviction of an attacker entry within 5 keys"),
+    ])
+    def test_a_repeat_leaves_no_cyclic_garbage(self, overrides, last_phase, error):
+        # With DEBUG_SAVEALL, a collection keeps whatever it would have freed
+        # in gc.garbage: a repeat that made no reference cycle leaves it empty.
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = run_repeat(scenario(repeats=1, **overrides),
+                               last_phase=last_phase).error
+            gc.collect()  # the record is gone too: a cycle through it shows
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert (found or "").startswith(error or "")
+        assert garbage == []
 
 
 class TestAggregation:

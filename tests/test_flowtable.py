@@ -302,8 +302,42 @@ class TestOracleEquivalence:
 
 
 def table_state(table):
-    return (list(table.entries.items()), table.removal_log, table._expiry_heap,
-            table._touched_at, table._now)
+    return (list(table.entries.items()), [e.seq for e in table.entries.values()],
+            table.removal_log, table._expiry_heap, table._seq, table._touched_at,
+            table._now)
+
+
+class TestPreload:
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("usage", [0, 1, 5])
+    @pytest.mark.parametrize("hard, idle", [(0, 0), (300, 0), (0, 200),
+                                            (300, 200), (200, 300)])
+    def test_matches_an_insert_loop(self, policy, usage, hard, idle):
+        keys = [key(i) for i in range(usage)]
+        table, twin = FlowTable(5, policy), FlowTable(5, policy)
+        table.preload(keys, hard, idle, "background")
+        for k in keys:
+            twin.insert(FlowEntry(k, 0, 0, hard, idle, "background"), 0)
+        assert table_state(table) == table_state(twin)
+        # Both go on alike: a hit at t = 0, then inserts that evict and expire.
+        for each in (table, twin):
+            each.lookup(key(0), 0)
+            for i, t in enumerate((0, 150, 250, 400, 700), start=10):
+                each.insert(entry(i, hard, idle), t)
+        assert table_state(table) == table_state(twin)
+
+    def test_rejects_a_used_table_or_more_keys_than_capacity(self):
+        table = FlowTable(2)
+        with pytest.raises(ValueError, match="at most capacity"):
+            table.preload([key(0), key(1), key(2)], 0, 0, "background")
+        table.lookup(key(0), 5)
+        with pytest.raises(ValueError, match="fresh table"):
+            table.preload([key(0)], 0, 0, "background")
+        table = FlowTable(2)
+        table.insert(entry(0), 0)
+        with pytest.raises(ValueError, match="fresh table"):
+            table.preload([key(1)], 0, 0, "background")
+        assert list(table.entries) == [key(0)]
 
 
 class TestTouchRun:

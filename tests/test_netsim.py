@@ -3,24 +3,41 @@
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowprobe.flowtable import OWNER_ATTACKER, FlowKey
+from flowprobe.flowtable import (
+    EVICTED,
+    EXPIRED,
+    OWNER_ATTACKER,
+    OWNER_BACKGROUND,
+    FlowEntry,
+    FlowKey,
+    FlowTable,
+    RemovalRecord,
+)
 from flowprobe.netsim import (
+    BACKGROUND_PREFIX,
     BRANCH_HIT,
     BRANCH_MISS_FULL,
     BRANCH_MISS_NOTFULL,
     EVENT_BACKGROUND,
     EVENT_PROBE,
+    NOISE_MODES,
     BackgroundWorkload,
     KeySequence,
     LatencyModel,
+    SimEvent,
     SwitchSimulator,
     ms_to_us,
 )
 
 from oracles import ReplayOracle
+from test_attacker import sim_state
+from test_flowtable import table_state
 
 
 def attacker_keys():
@@ -190,6 +207,107 @@ class TestBackgroundWorkload:
         # ~100 arrivals due in the first 100 ms; the table must reflect them.
         assert sim.background_arrivals > 50
         assert sim.ground_truth().occupancy.total == 5
+
+
+def step_arrivals(sim, up_to_us):
+    """Apply the background arrivals due by `up_to_us` one at a time, each
+    answered as `send_probe` answers a miss: the reference for the batch."""
+    keys = KeySequence(BACKGROUND_PREFIX)
+    while sim._next_arrival_us <= up_to_us:
+        at = sim._next_arrival_us
+        key = keys.key_at(sim.workload.initial_usage + sim.background_arrivals)
+        branch = sim._install(key, at, OWNER_BACKGROUND)
+        rtt = sim._draw_rtt(branch)
+        sim.background_arrivals += 1
+        sim.events_processed += 1
+        if sim.trace is not None:
+            sim.trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
+                                      branch, rtt))
+        sim._next_arrival_us = sim._draw_arrival(at)
+
+
+class TestArrivalBatch:
+    """A probe applies every arrival due before it as one batch; the batch
+    must leave the switch as handling the arrivals one by one would."""
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("noise", NOISE_MODES)
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_one_long_gap_matches_one_arrival_at_a_time(self, policy, noise,
+                                                        record_trace):
+        def build():
+            return SwitchSimulator(
+                capacity=8, policy=policy, hard_timeout_ms=1.5,
+                idle_timeout_ms=0.6, latency=LatencyModel(noise=noise, seed=4),
+                workload=BackgroundWorkload(arrival_rate=20_000.0,
+                                            initial_usage=3, seed=5),
+                record_trace=record_trace)
+
+        batch, stepped = build(), build()
+        keys = attacker_keys()
+        pinned, fresh = keys.next_key(), keys.next_key()
+        for key, at in ((pinned, 0), (pinned, 300), (fresh, 20_000),
+                        (pinned, 20_050)):
+            step_arrivals(stepped, at)
+            assert batch.send_probe(key, at) == stepped.send_probe(key, at)
+            assert sim_state(batch) == sim_state(stepped)
+        # The 19.7 ms gap is one batch of hundreds of arrivals, inside which
+        # entries both expired and were evicted.
+        assert batch.background_arrivals > 300
+        inside = Counter(r.reason for r in batch.table.removal_log
+                         if 300 < r.time < 20_000)
+        assert inside[EXPIRED] > 10 and inside[EVICTED] > 10
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        noise=st.sampled_from(NOISE_MODES),
+        capacity=st.integers(1, 10),
+        usage=st.integers(0, 12),
+        rate=st.sampled_from((500.0, 5_000.0, 50_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.5, 3.0)),
+        idle_ms=st.sampled_from((0.0, 0.3, 2.0)),
+        seed=st.integers(0, 2**16),
+        record_trace=st.booleans(),
+        probes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5000)),
+                        min_size=1, max_size=10),
+    )
+    def test_random_schedules(self, policy, noise, capacity, usage, rate,
+                              hard_ms, idle_ms, seed, record_trace, probes):
+        def build():
+            return SwitchSimulator(
+                capacity, policy, hard_ms, idle_ms,
+                LatencyModel(noise=noise, seed=seed),
+                BackgroundWorkload(rate, usage, seed + 1), record_trace)
+
+        batch, stepped = build(), build()
+        keys = attacker_keys()
+        at = 0
+        for index, wait_us in probes:
+            at += wait_us
+            step_arrivals(stepped, at)
+            key = keys.key_at(index)
+            assert batch.send_probe(key, at) == stepped.send_probe(key, at)
+        assert sim_state(batch) == sim_state(stepped)
+
+
+class TestPreload:
+    @pytest.mark.parametrize("usage", [0, 1, 6, 9])
+    @pytest.mark.parametrize("hard_ms, idle_ms", [(0.0, 0.0), (2.0, 0.0),
+                                                  (0.0, 1.0), (2.0, 1.0)])
+    def test_matches_an_insert_loop(self, usage, hard_ms, idle_ms):
+        # A usage past capacity evicts at t = 0, as one insert per key does.
+        sim = SwitchSimulator(6, hard_timeout_ms=hard_ms, idle_timeout_ms=idle_ms,
+                              workload=BackgroundWorkload(initial_usage=usage))
+        twin = FlowTable(6)
+        keys = [KeySequence(BACKGROUND_PREFIX).key_at(i) for i in range(usage)]
+        for key in keys:
+            twin.insert(FlowEntry(key, 0, 0, ms_to_us(hard_ms), ms_to_us(idle_ms),
+                                  OWNER_BACKGROUND), 0)
+        assert table_state(sim.table) == table_state(twin)
+        assert list(sim.table.entries) == keys[-6:]
+        assert sim.table.removal_log == [
+            RemovalRecord(0, key, OWNER_BACKGROUND, EVICTED) for key in keys[:-6]]
 
 
 class TestSendBurst:
