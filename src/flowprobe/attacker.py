@@ -414,12 +414,12 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
     """The detection loop behind `infer_fifo` and `infer_lru`.
 
     Each round probes one fresh key; the first full-table RTT fixes n1.
-    Then `watched(keys, seen_full)` names the attacker keys to re-probe,
-    and they go out as one burst that stops at the first miss, which fixes
-    n2 and ends the attack (the miss also reinstalls that key). Re-probes
-    count toward traffic but not toward the distinct-key budget. Once the
-    round ends past `time_budget_ms`, the run raises InfeasibleRate if
-    `budget_fatal`, and is otherwise flagged and keeps going.
+    Then `watched(keys, seen_full)` names the attacker keys to re-probe;
+    if there are any, they go out as one burst that stops at the first miss,
+    which fixes n2 and ends the attack (the miss also reinstalls that key).
+    Re-probes count toward traffic but not toward the distinct-key budget.
+    Once the round ends past `time_budget_ms`, the run raises InfeasibleRate
+    if `budget_fatal`, and is otherwise flagged and keeps going.
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
@@ -436,7 +436,8 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
         if n1 is None and rtt_us >= full_cut_us:
             n1 = len(keys)
         keys.append(key)
-        if session.probe_burst(watched(keys, n1 is not None), hit_cut_us) is not None:
+        reprobe = watched(keys, n1 is not None)
+        if reprobe and session.probe_burst(reprobe, hit_cut_us) is not None:
             break
         if budget_us is not None and session.now_us - start_us > budget_us:
             if budget_fatal:

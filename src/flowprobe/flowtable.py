@@ -146,7 +146,10 @@ class FlowTable:
             entry = self.entries.get(key)
             if entry is None or entry.seq != seq:
                 continue  # stale heap record for a replaced/removed entry
-            deadline = entry.next_deadline()  # finite: the entry is in the heap
+            # An entry never hit since its insert is due at this record's
+            # deadline, which has passed; only a hit entry's is recomputed.
+            deadline = (now if entry.last_access == entry.inserted_at
+                        else entry.next_deadline())  # finite: it is in the heap
             if deadline <= now:  # type: ignore[operator]
                 del self.entries[key]
                 self.removal_log.append(

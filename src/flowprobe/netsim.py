@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from math import cos, log, sin, sqrt, tau
 from random import Random
 from typing import NamedTuple, Optional, Sequence, TextIO
 
@@ -49,6 +50,36 @@ def ms_to_us(ms: float) -> int:
 
 def us_to_ms(us: int) -> float:
     return us / US_PER_MS
+
+
+def truncated_gauss(rng: Random, bands: Sequence[tuple[int, int, float, float]]) -> int:
+    """Draw one RTT per `(lo, hi, mu, sigma)` of the non-empty `bands` and
+    return the last.
+
+    Each draw takes `rng.gauss(mu, sigma)` until a value lies in [lo, hi],
+    at most 16 times, then clamps the value into the band and rounds it.
+    The loop is `Random.gauss` unrolled (Box-Muller, the spare deviate kept
+    in `rng.gauss_next`), so values and generator state match one `gauss`
+    call per try.
+    """
+    random = rng.random
+    spare = rng.gauss_next
+    for lo, hi, mu, sigma in bands:
+        for _ in range(16):
+            if spare is None:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                z = cos(x2pi) * g2rad
+                spare = sin(x2pi) * g2rad
+            else:
+                z, spare = spare, None
+            value = mu + z * sigma
+            if lo <= value <= hi:
+                break
+        else:
+            value = min(max(value, lo), hi)
+    rng.gauss_next = spare
+    return round(value)
 
 
 @dataclass(frozen=True)
@@ -144,6 +175,16 @@ class KeySequence:
             "02:00:00:00:00:02",
         ))
 
+    def keys(self, start: int, stop: int) -> list[FlowKey]:
+        """`[key_at(i) for i in range(start, stop)]`, built in one pass."""
+        heads, new = self._heads, tuple.__new__
+        return [new(FlowKey, (
+            heads[i >> 8 & 255] + _OCTETS[i & 255],
+            "10.0.0.1" if i < 1 << 16 else f"10.{200 + (i >> 16)}.0.1",
+            "02:00:00:00:00:01",
+            "02:00:00:00:00:02",
+        )) for i in range(start, stop)]
+
     def next_key(self) -> FlowKey:
         key = self.key_at(self._next)
         self._next += 1
@@ -238,7 +279,7 @@ class SwitchSimulator:
         # preloaded entries first, then one per arrival. The preload fills the
         # table in bulk; a usage past capacity evicts at t = 0, as inserts do.
         usage = self.workload.initial_usage
-        preloaded = list(map(self._bg_keys.key_at, range(usage)))
+        preloaded = self._bg_keys.keys(0, usage)
         self.table.preload(preloaded[:capacity], self.hard_timeout_us,
                            self.idle_timeout_us, OWNER_BACKGROUND)
         for key in preloaded[capacity:]:
@@ -253,12 +294,7 @@ class SwitchSimulator:
             return lo + int(self._rand() * span)
         if noise == NOISE_NONE:
             return self._midpoints[branch]
-        lo, hi, mu, sigma = self._gauss[branch]
-        for _ in range(16):
-            value = self._latency_rng.gauss(mu, sigma)
-            if lo <= value <= hi:
-                return round(value)
-        return min(max(round(value), lo), hi)
+        return truncated_gauss(self._latency_rng, (self._gauss[branch],))
 
     # -- background workload ---------------------------------------------
 
@@ -275,10 +311,11 @@ class SwitchSimulator:
 
         The two RNGs are independent, so the batch draws all arrival times
         first, installs every arrival in time order, then draws the RTTs in
-        the same order: the state is that of handling the arrivals one by
-        one. Each arrival is a fresh key of the background prefix, so a
-        lookup could only miss; it is installed straight away (insert still
-        rejects a live key) and answered as `send_probe` answers a miss.
+        the same order, in one `truncated_gauss` call for Gaussian noise:
+        the state is that of handling the arrivals one by one. Each arrival
+        is a fresh key of the background prefix, so a lookup could only
+        miss; it is installed straight away (insert still rejects a live
+        key) and answered as `send_probe` answers a miss.
         """
         times = []
         at = self._next_arrival_us
@@ -289,7 +326,7 @@ class SwitchSimulator:
         self._next_arrival_us = at
         count = len(times)
         first = self.workload.initial_usage + self.background_arrivals
-        keys = list(map(self._bg_keys.key_at, range(first, first + count)))
+        keys = self._bg_keys.keys(first, first + count)
         insert = self.table.insert
         hard, idle = self.hard_timeout_us, self.idle_timeout_us
         full = [insert(FlowEntry(key, 0, 0, hard, idle, OWNER_BACKGROUND), at).was_full
@@ -297,17 +334,19 @@ class SwitchSimulator:
         self.background_arrivals += count
         self.events_processed += count
         trace = self.trace
-        if trace is None and self._noise == NOISE_UNIFORM:
-            # As in `send_burst`: `count` uniform draws in one call.
-            self._latency_rng.getrandbits(64 * count)
-        elif trace is not None or self._noise != NOISE_NONE:
-            draw_rtt = self._draw_rtt
+        if trace is not None:
             for key, at, was_full in zip(keys, times, full):
                 branch = BRANCH_MISS_FULL if was_full else BRANCH_MISS_NOTFULL
-                rtt = draw_rtt(branch)
-                if trace is not None:
-                    trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
-                                          branch, rtt))
+                trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
+                                      branch, self._draw_rtt(branch)))
+        elif self._noise == NOISE_UNIFORM:
+            # As in `send_burst`: `count` uniform draws in one call.
+            self._latency_rng.getrandbits(64 * count)
+        elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
+            on_full = self._gauss[BRANCH_MISS_FULL]
+            on_free = self._gauss[BRANCH_MISS_NOTFULL]
+            truncated_gauss(self._latency_rng,
+                            [on_full if was_full else on_free for was_full in full])
 
     # -- core packet path --------------------------------------------------
 
@@ -379,8 +418,8 @@ class SwitchSimulator:
                     # generator past `sent` hit draws in one call.
                     self._latency_rng.getrandbits(64 * sent)
                 elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
-                    for _ in range(sent):
-                        self._draw_rtt(BRANCH_HIT)
+                    truncated_gauss(self._latency_rng,
+                                    (self._gauss[BRANCH_HIT],) * sent)
                 self.now_us = start_us + (sent - 1) * gap_us
                 self.events_processed += sent
         at_us = start_us + sent * gap_us

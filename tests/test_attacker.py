@@ -314,6 +314,21 @@ class TestInferFifo:
         with pytest.raises(BudgetExhausted):
             infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=50)
 
+    def test_rounds_before_the_table_is_full_send_no_burst(self, monkeypatch):
+        bursts = []
+        probe_burst = ProbeSession.probe_burst
+
+        def record(session, keys, *args):
+            bursts.append(list(keys))
+            return probe_burst(session, keys, *args)
+
+        monkeypatch.setattr(ProbeSession, "probe_burst", record)
+        session = ProbeSession(make_sim(capacity=120, usage=30))
+        report = infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=1000)
+        # Rounds 1-90 watch nothing; rounds 91-121 re-probe the first key.
+        assert report.n1 == 90 and report.distinct_keys == 121
+        assert len(bursts) == 31 and all(len(keys) == 1 for keys in bursts)
+
     def test_n1_matches_first_true_miss_full(self):
         # Noiseless run: n1 must point at the first probe whose true branch
         # was the full-table miss, reconstructed from the event trace.

@@ -207,6 +207,40 @@ class TestPurge:
             assert table.lookup(key(1), t) is True
 
 
+class TestRecordDeadlineExpiry:
+    """purge_expired expires an entry never hit since its insert straight
+    from its heap record, and recomputes the deadline of a hit one."""
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("hard, idle", [(0, 300), (400, 0), (400, 300),
+                                            (300, 400)])
+    def test_matches_the_oracle(self, policy, hard, idle):
+        table = FlowTable(capacity=16, policy=policy)
+        oracle = ReplayOracle(capacity=16, policy=policy)
+        # Entry i is inserted at 10 * i; 0-3 are never looked up, 4-7 only in
+        # their insert microsecond (last_access unchanged), 8-11 hit 150 us
+        # after their insert, and 12-15 hit in their insert microsecond and
+        # again 250 us after it.
+        hits = {i: [10 * i] for i in range(4, 8)}
+        hits.update({i: [10 * i + 150] for i in range(8, 12)})
+        hits.update({i: [10 * i, 10 * i + 250] for i in range(12, 16)})
+        events = sorted([(10 * i, False, i) for i in range(16)]
+                        + [(t, True, i) for i, times in hits.items() for t in times])
+        for now in range(0, 1200, 5):
+            while events and events[0][0] == now:
+                _, is_hit, i = events.pop(0)
+                if is_hit:
+                    assert table.lookup(key(i), now) is True
+                    assert oracle.lookup(key(i), now) is True
+                else:
+                    table.insert(entry(i, hard, idle), now)
+                    oracle.insert(key(i), now, hard, idle)
+            assert sorted(table.purge_expired(now)) == sorted(oracle.purge(now))
+            assert set(table.entries) == set(oracle.entries)
+        assert table.removal_log == oracle.removal_log
+        assert len(table.removal_log) == 16
+
+
 class TestOracleEquivalence:
     """Random traces against the scan-based reference model."""
 

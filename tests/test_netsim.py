@@ -33,6 +33,7 @@ from flowprobe.netsim import (
     SimEvent,
     SwitchSimulator,
     ms_to_us,
+    truncated_gauss,
 )
 
 from oracles import ReplayOracle
@@ -358,6 +359,25 @@ class TestSendBurst:
         assert (burst.now_us, burst.events_processed) == (loop.now_us,
                                                           loop.events_processed)
 
+    @pytest.mark.parametrize("count", [499, 500])
+    def test_long_gaussian_hit_burst_leaves_the_rng_as_a_probe_loop(self, count):
+        keys = [attacker_keys().key_at(i) for i in range(10)]
+        latency = LatencyModel(noise="truncated-gaussian", seed=3)
+        burst, loop = (SwitchSimulator(capacity=16, latency=latency)
+                       for _ in range(2))
+        for sim in (burst, loop):
+            sim.send_burst(keys, 0, 1, math.inf)
+        hits = (keys * 50)[:count]
+        assert burst.send_burst(hits, 100, 1, math.inf) == (count, None)
+        for i, key in enumerate(hits):
+            assert loop.send_probe(key, 100 + i).branch == BRANCH_HIT
+        assert burst._latency_rng.getstate() == loop._latency_rng.getstate()
+        assert (burst.now_us, burst.events_processed) == (loop.now_us,
+                                                          loop.events_processed)
+        # Both go on alike: the next draw uses the same spare deviate, or none.
+        key = keys[0]
+        assert burst.send_probe(key, 1000) == loop.send_probe(key, 1000)
+
     def test_start_before_simulator_time_rejected(self):
         sim = SwitchSimulator(capacity=4)
         key = attacker_keys().next_key()
@@ -367,6 +387,71 @@ class TestSendBurst:
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
             sim.send_burst([key], 99, 1, 0)
         assert (sim.now_us, sim.events_processed) == (100, 1)
+
+
+def gauss_rtt(rng, band):
+    """One truncated-Gaussian RTT drawn through `Random.gauss`: the reference
+    for `truncated_gauss`."""
+    lo, hi, mu, sigma = band
+    for _ in range(16):
+        value = rng.gauss(mu, sigma)
+        if lo <= value <= hi:
+            return round(value)
+    return min(max(round(value), lo), hi)
+
+
+class Forced(random.Random):
+    """A generator whose `random()` cycles through fixed values."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = values
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.values[(self.calls - 1) % len(self.values)]
+
+
+class TestTruncatedGauss:
+    # The default bands in microseconds, and a narrow one that rejects most
+    # draws and often takes all 16 tries.
+    BANDS = [(200, 300, 250.0, 100 / 6), (3000, 5000, 4000.0, 2000 / 6),
+             (8000, 10000, 9000.0, 2000 / 6), (0, 1, 0.5, 5.0)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spare", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 31])
+    def test_matches_random_gauss(self, seed, spare, count):
+        bands = random.Random(seed).choices(self.BANDS, k=count)
+        fast, reference = random.Random(seed), random.Random(seed)
+        if spare:  # enter with a spare deviate held in gauss_next
+            for rng in (fast, reference):
+                rng.gauss()
+        expected = [gauss_rtt(reference, band) for band in bands]
+        assert truncated_gauss(fast, bands) == expected[-1]
+        assert fast.getstate() == reference.getstate()
+
+    def test_every_prefix_value_matches(self):
+        bands = random.Random(9).choices(self.BANDS, k=40)
+        reference = random.Random(9)
+        expected = [gauss_rtt(reference, band) for band in bands]
+        for n in range(1, len(bands) + 1):
+            assert truncated_gauss(random.Random(9), bands[:n]) == expected[n - 1]
+
+    @pytest.mark.parametrize("x, end", [(0.125, 1), (0.625, 0)])
+    def test_clamps_after_16_rejections(self, x, end):
+        # x = 1/8 or 5/8 puts cos and sin of 2 pi x at +-0.71, and
+        # 1 - 1e-9 makes sqrt(-2 log(1 - y)) about 6.4: every deviate,
+        # the spare included, is about +-4.55 sigma outside the band.
+        band = (200, 300, 250.0, 100 / 6)
+        fast, reference = Forced([x, 1 - 1e-9]), Forced([x, 1 - 1e-9])
+        expected = [gauss_rtt(reference, band) for _ in range(2)]
+        assert expected == [band[end]] * 2
+        assert truncated_gauss(fast, [band, band]) == band[end]
+        # Two draws of 16 tries: 32 deviates, 16 Box-Muller pairs.
+        assert fast.calls == reference.calls == 32
+        assert fast.gauss_next is reference.gauss_next is None
 
 
 class TestGroundTruth:
@@ -496,6 +581,15 @@ class TestKeySpaces:
         assert type(key) is FlowKey
         assert key == FlowKey(src_ip, dst_ip, "02:00:00:00:00:01",
                               "02:00:00:00:00:02")
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (9, 3), (0, 600),
+                                             (65_530, 65_542),
+                                             (131_070, 131_074)])
+    def test_keys_match_key_at(self, start, stop):
+        seq = KeySequence(BACKGROUND_PREFIX)
+        keys = seq.keys(start, stop)
+        assert keys == [seq.key_at(i) for i in range(start, stop)]
+        assert all(type(key) is FlowKey for key in keys)
 
     def test_keys_distinct_past_a_full_slash16(self):
         seq = KeySequence("10.1")
