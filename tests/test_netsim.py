@@ -345,24 +345,11 @@ class TestSendBurst:
             calls.random()
         assert bits.getstate() == calls.getstate()
 
-    def test_long_uniform_hit_burst_leaves_the_rng_as_a_probe_loop(self):
+    @staticmethod
+    def hit_burst_and_probe_loop(latency, count):
+        """Twin switches after `count` hits, as one burst and as one
+        `send_probe` per key; both then answer a miss at t = 1000."""
         keys = [attacker_keys().key_at(i) for i in range(10)]
-        burst, loop = (SwitchSimulator(capacity=16, latency=LatencyModel(seed=3))
-                       for _ in range(2))
-        for sim in (burst, loop):
-            sim.send_burst(keys, 0, 1, math.inf)
-        hits = keys * 50
-        assert burst.send_burst(hits, 100, 1, math.inf) == (500, None)
-        for i, key in enumerate(hits):
-            assert loop.send_probe(key, 100 + i).branch == BRANCH_HIT
-        assert burst._latency_rng.getstate() == loop._latency_rng.getstate()
-        assert (burst.now_us, burst.events_processed) == (loop.now_us,
-                                                          loop.events_processed)
-
-    @pytest.mark.parametrize("count", [499, 500])
-    def test_long_gaussian_hit_burst_leaves_the_rng_as_a_probe_loop(self, count):
-        keys = [attacker_keys().key_at(i) for i in range(10)]
-        latency = LatencyModel(noise="truncated-gaussian", seed=3)
         burst, loop = (SwitchSimulator(capacity=16, latency=latency)
                        for _ in range(2))
         for sim in (burst, loop):
@@ -374,9 +361,18 @@ class TestSendBurst:
         assert burst._latency_rng.getstate() == loop._latency_rng.getstate()
         assert (burst.now_us, burst.events_processed) == (loop.now_us,
                                                           loop.events_processed)
-        # Both go on alike: the next draw uses the same spare deviate, or none.
-        key = keys[0]
-        assert burst.send_probe(key, 1000) == loop.send_probe(key, 1000)
+        fresh = attacker_keys().key_at(10)
+        assert burst.send_probe(fresh, 1000) == loop.send_probe(fresh, 1000)
+
+    def test_long_uniform_hit_burst_leaves_the_rng_as_a_probe_loop(self):
+        self.hit_burst_and_probe_loop(LatencyModel(seed=3), 500)
+
+    @pytest.mark.parametrize("count", [499, 500])
+    def test_long_gaussian_hit_burst_leaves_the_rng_as_a_probe_loop(self, count):
+        # At seed 3, 500 hits end with a spare deviate in gauss_next, 499
+        # without one.
+        self.hit_burst_and_probe_loop(
+            LatencyModel(noise="truncated-gaussian", seed=3), count)
 
     def test_start_before_simulator_time_rejected(self):
         sim = SwitchSimulator(capacity=4)
