@@ -1,0 +1,8 @@
+"""`python -m flowprobe`: the `flowprobe` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

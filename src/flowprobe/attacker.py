@@ -202,6 +202,35 @@ class ProbeSession:
         self.probes_sent += 1
         return sample
 
+    def probe_fresh(self, count: int, stop_rtt_us: float,
+                    gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
+                    ) -> tuple[list[FlowKey], Optional[RttSample]]:
+        """Probe up to `count` fresh keys as `probe_burst` would, appending
+        each RTT to `rtts` if it is given; return the keys sent and the
+        stopping sample (or None).
+
+        The keys are built in blocks that double in size, and only the keys
+        sent are consumed: the next `fresh_key()` is the first one unsent.
+        """
+        if gap_us is None:
+            gap_us = self.send_gap_us
+        fresh = self._keys
+        sent_keys: list[FlowKey] = []
+        block, stop = 256, None
+        at_us = self.now_us
+        while stop is None and len(sent_keys) < count:
+            first = fresh.index
+            keys = fresh.keys(first, first + min(block, count - len(sent_keys)))
+            sent, stop = self.sim.send_burst(keys, at_us, gap_us, stop_rtt_us, rtts)
+            fresh.index = first + sent
+            sent_keys += keys[:sent]
+            at_us += sent * gap_us
+            block *= 2
+        if sent_keys:
+            self.now_us = at_us - gap_us + self.send_gap_us
+            self.probes_sent += len(sent_keys)
+        return sent_keys, stop
+
     def probe_burst(self, keys: Sequence[FlowKey], stop_rtt_us: float,
                     gap_us: Optional[int] = None) -> Optional[RttSample]:
         """Probe `keys` `gap_us` apart (default: back to back), as that many
@@ -233,16 +262,17 @@ def bootstrap_thresholds(session: ProbeSession,
 
     Each round pins one fresh key (its first probe seeds the miss band, its
     delayed re-probe samples the hit band), then streams distinct fillers
-    every ts2 until one classifies above the running miss-band median by the
-    jump factor. Immediately-sent fresh keys confirm the jump: while the
-    miss band is small its median may sit at the band's low end, so it
-    takes SMALL_BAND_CONFIRMATIONS of them, then one. The last one's RTT
-    becomes the full-band sample and the miss-band median the miss-band
-    sample; a failed confirmation folds the filler and every confirmation
-    back into the miss band and the stream continues. A confirmed jump
-    whose pinned re-probe was not faster than the miss-band median by the
-    jump factor raises AttackError: an entry timeout below ts1 expired the
-    pin.
+    every ts2 (or send gap, if longer) until one classifies above the
+    running miss-band median by the jump factor; the fillers go out as
+    fresh-key runs, each sent as the per-filler stream would send it.
+    Immediately-sent fresh keys confirm the jump: while the miss band is
+    small its median may sit at the band's low end, so it takes
+    SMALL_BAND_CONFIRMATIONS of them, then one. The last one's RTT becomes
+    the full-band sample and the miss-band median the miss-band sample; a
+    failed confirmation folds the filler and every confirmation back into
+    the miss band and the stream continues. A confirmed jump whose pinned
+    re-probe was not faster than the miss-band median by the jump factor
+    raises AttackError: an entry timeout below ts1 expired the pin.
     """
     t1_samples: list[float] = []
     t2_samples: list[float] = []
@@ -261,40 +291,56 @@ def bootstrap_thresholds(session: ProbeSession,
 
         miss_sorted: list[int] = [first.rtt_us]
         ts2_us = ms_to_us(params.ts2_ms)
+        gap_us = max(ts2_us, session.send_gap_us)
         next_send = session.now_us
         fillers = 0
         jumped = False
         while fillers < params.filler_budget:
+            # A run of m <= n fillers, one send gap or ts2 apart, stops at
+            # the first above `floor_cut`, the smallest running cut it can
+            # meet: before its j-th filler the median is the (n + j) // 2-th
+            # of n + j samples, which is at least the (n - j) // 2-th of the
+            # first n. No filler below it can jump; the stopping filler is
+            # judged against the running cut.
+            n = len(miss_sorted)
+            if n < params.min_miss_samples:
+                m, floor_cut = params.min_miss_samples - n, math.inf
+            else:
+                m = max(1, n // 2)
+                floor_cut = params.jump_factor * miss_sorted[(n - m + 1) // 2]
             session.wait_until_us(next_send)
-            sample = session.probe(session.fresh_key())
-            fillers += 1
-            next_send = sample.time_us + ts2_us
-            if len(miss_sorted) >= params.min_miss_samples:
-                median = miss_sorted[len(miss_sorted) // 2]
-                cut = params.jump_factor * median
-                if sample.rtt_us > cut:
-                    confirms = []
-                    for _ in range(SMALL_BAND_CONFIRMATIONS
-                                   if len(miss_sorted) < SMALL_MISS_BAND else 1):
-                        confirms.append(session.probe(session.fresh_key()).rtt_us)
-                        fillers += 1
-                        if confirms[-1] <= cut:
-                            break
-                    else:  # every confirmation jumped
-                        if re_probe.rtt_us * params.jump_factor >= median:
-                            raise AttackError(
-                                "the pinned key missed its re-probe "
-                                f"ts1_ms={params.ts1_ms} ms after install: an "
-                                "entry timeout below ts1_ms expired it"
-                            )
-                        t2_samples.append(us_to_ms(median))
-                        t3_samples.append(us_to_ms(confirms[-1]))
-                        jumped = True
+            rtts: list[int] = []
+            _, sample = session.probe_fresh(min(m, params.filler_budget - fillers),
+                                            floor_cut, gap_us, rtts)
+            fillers += len(rtts)
+            next_send = session.now_us - session.send_gap_us + ts2_us
+            miss_sorted += rtts if sample is None else rtts[:-1]
+            miss_sorted.sort()
+            if sample is None:
+                continue
+            median = miss_sorted[len(miss_sorted) // 2]
+            cut = params.jump_factor * median
+            confirms = []
+            if sample.rtt_us > cut:
+                for _ in range(SMALL_BAND_CONFIRMATIONS
+                               if len(miss_sorted) < SMALL_MISS_BAND else 1):
+                    confirms.append(session.probe(session.fresh_key()).rtt_us)
+                    fillers += 1
+                    if confirms[-1] <= cut:
                         break
-                    for rtt_us in (sample.rtt_us, *confirms):
-                        insort(miss_sorted, rtt_us)
-                    continue
-            insort(miss_sorted, sample.rtt_us)
+                else:  # every confirmation jumped
+                    if re_probe.rtt_us * params.jump_factor >= median:
+                        raise AttackError(
+                            "the pinned key missed its re-probe "
+                            f"ts1_ms={params.ts1_ms} ms after install: an "
+                            "entry timeout below ts1_ms expired it"
+                        )
+                    t2_samples.append(us_to_ms(median))
+                    t3_samples.append(us_to_ms(confirms[-1]))
+                    jumped = True
+                    break
+            for rtt_us in (sample.rtt_us, *confirms):
+                insort(miss_sorted, rtt_us)
         if not jumped:
             raise JumpNeverObserved(
                 f"no RTT jump within {params.filler_budget} fillers"
@@ -409,17 +455,20 @@ def check_feasibility(capacity_guess: int,
 
 def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
            time_budget_ms: Optional[float], policy: str,
-           watched: Callable[[list[FlowKey], bool], Sequence[FlowKey]],
-           budget_fatal: bool) -> InferenceReport:
+           watched: Callable[[list[FlowKey]], Sequence[FlowKey]],
+           budget_fatal: bool, blind_until_full: bool) -> InferenceReport:
     """The detection loop behind `infer_fifo` and `infer_lru`.
 
     Each round probes one fresh key; the first full-table RTT fixes n1.
-    Then `watched(keys, seen_full)` names the attacker keys to re-probe;
-    if there are any, they go out as one burst that stops at the first miss,
-    which fixes n2 and ends the attack (the miss also reinstalls that key).
-    Re-probes count toward traffic but not toward the distinct-key budget.
-    Once the round ends past `time_budget_ms`, the run raises InfeasibleRate
-    if `budget_fatal`, and is otherwise flagged and keeps going.
+    Then `watched(keys)` names the attacker keys to re-probe; if there are
+    any, they go out as one burst that stops at the first miss, which fixes
+    n2 and ends the attack (the miss also reinstalls that key). Re-probes
+    count toward traffic but not toward the distinct-key budget. Once the
+    round ends past `time_budget_ms`, the run raises InfeasibleRate if
+    `budget_fatal`, and is otherwise flagged and keeps going. With
+    `blind_until_full` the rounds before n1 watch nothing, so they go out
+    as one fresh-key burst that stops at the first full-table RTT; only a
+    flag, which the last of them would set too, can depend on their time.
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
@@ -431,12 +480,19 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
     n1: Optional[int] = None
     budget_exceeded = False
     while len(keys) < key_budget:
-        key = session.fresh_key()
-        rtt_us = session.probe(key).rtt_us
-        if n1 is None and rtt_us >= full_cut_us:
-            n1 = len(keys)
-        keys.append(key)
-        reprobe = watched(keys, n1 is not None)
+        if n1 is None and blind_until_full:
+            sent, full = session.probe_fresh(key_budget - len(keys), full_cut_us)
+            keys += sent
+            if full is None:
+                continue  # the key budget is spent
+            n1 = len(keys) - 1
+        else:
+            key = session.fresh_key()
+            rtt_us = session.probe(key).rtt_us
+            if n1 is None and rtt_us >= full_cut_us:
+                n1 = len(keys)
+            keys.append(key)
+        reprobe = watched(keys)
         if reprobe and session.probe_burst(reprobe, hit_cut_us) is not None:
             break
         if budget_us is not None and session.now_us - start_us > budget_us:
@@ -478,8 +534,8 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
     blown time budget only sets `timeout_budget_exceeded`.
     """
     return _infer(session, thresholds, key_budget, time_budget_ms, "FIFO",
-                  lambda keys, seen_full: keys[:1] if seen_full else (),
-                  budget_fatal=False)
+                  lambda keys: keys[:1], budget_fatal=False,
+                  blind_until_full=True)
 
 
 def infer_lru(session: ProbeSession, thresholds: RttThresholds,
@@ -493,4 +549,5 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     so a blown time budget raises InfeasibleRate.
     """
     return _infer(session, thresholds, key_budget, time_budget_ms, "LRU",
-                  lambda keys, seen_full: keys[:-1], budget_fatal=True)
+                  lambda keys: keys[:-1], budget_fatal=True,
+                  blind_until_full=False)

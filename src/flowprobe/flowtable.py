@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 FIFO = "FIFO"
 LRU = "LRU"
@@ -185,9 +185,22 @@ class FlowTable:
                 self._touched_at = now
         return True
 
+    def _run_length(self, count: int, start_us: int, gap_us: int,
+                    until_us: float) -> int:
+        """How many of the `count` send times `start_us`, `start_us + gap_us`,
+        ... fall before `until_us` and the earliest expiry deadline, where a
+        lookup or insert could purge."""
+        heap = self._expiry_heap
+        if heap and heap[0][0] < until_us:
+            until_us = heap[0][0]
+        # Compared on the integer side: `start_us` may lie past float range.
+        if start_us + count * gap_us > until_us:
+            count = max(0, -int((start_us - until_us) // gap_us))
+        return count
+
     def touch_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                  until_us: float) -> int:
-        """Answer the leading hits of `keys`, looked up at `start_us`,
+                  until_us: float, first: int = 0) -> int:
+        """Answer the leading hits of `keys[first:]`, looked up at `start_us`,
         `start_us + gap_us`, ...; return how many were answered.
 
         Each answered key is handled exactly as a hitting `lookup` at its
@@ -196,24 +209,20 @@ class FlowTable:
         deadline, where a lookup could purge. It answers nothing when
         `gap_us < 1` or `start_us` is not after the latest LRU touch, where
         a hit could tie with another touched in the same microsecond, or
-        when `start_us` is before the table's clock, which `lookup` rejects.
+        when `start_us` is before the table's clock, which `lookup` rejects;
+        a run that cannot answer its first key costs O(1).
         """
         if gap_us < 1 or start_us <= self._touched_at or start_us < self._now:
             return 0
-        heap = self._expiry_heap
-        if heap and heap[0][0] < until_us:
-            until_us = heap[0][0]
-        count = len(keys)
-        # Compared on the integer side: `start_us` may lie past float range.
-        if start_us + count * gap_us > until_us:
-            # Only the send times below `until_us` may be answered.
-            count = max(0, -int((start_us - until_us) // gap_us))
         entries = self.entries
+        count = self._run_length(len(keys) - first, start_us, gap_us, until_us)
+        if count <= 0 or keys[first] not in entries:
+            return 0
         get = entries.get
         move_to_end = entries.move_to_end
         lru = self._lru
         now = start_us
-        for key in keys[:count]:
+        for key in keys[first:first + count]:
             entry = get(key)
             if entry is None:
                 break
@@ -221,12 +230,53 @@ class FlowTable:
             if lru:
                 move_to_end(key)
             now += gap_us
-        if now == start_us:
-            return 0
         self._now = now - gap_us
         if lru:
             self._touched_at = self._now
         return (now - start_us) // gap_us
+
+    def install_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
+                    until_us: float, hard_timeout: int, idle_timeout: int,
+                    owner_of: Callable[[FlowKey], str], first: int = 0) -> int:
+        """Install the leading absent keys of `keys[first:]`, missed at
+        `start_us`, `start_us + gap_us`, ..., for `owner_of(key)` exactly as
+        `insert` would; return how many were installed.
+
+        The run stops at the first live key and once the table is full, so
+        it never evicts, and before `until_us`, the earliest expiry deadline
+        and its own first entry's deadline, so nothing falls due inside it.
+        It installs nothing when `gap_us < 1` or `start_us` is before the
+        table's clock; a run that cannot install its first key costs O(1).
+        """
+        entries = self.entries
+        free = self.capacity - len(entries)
+        if (gap_us < 1 or start_us < self._now or free <= 0
+                or first >= len(keys) or keys[first] in entries):
+            return 0
+        # As in `insert`: the timeout after which a new entry falls due.
+        timeout = (min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
+                   else max(hard_timeout, idle_timeout))
+        if timeout:
+            until_us = min(until_us, start_us + timeout)
+        count = self._run_length(min(len(keys) - first, free), start_us, gap_us,
+                                 until_us)
+        if count <= 0:
+            return 0
+        heap = self._expiry_heap
+        seq = before = self._seq
+        now = start_us
+        for key in keys[first:first + count]:
+            if key in entries:
+                break
+            seq += 1
+            entries[key] = FlowEntry(key, now, now, hard_timeout, idle_timeout,
+                                     owner_of(key), seq)
+            if timeout:
+                heapq.heappush(heap, (now + timeout, seq, key))
+            now += gap_us
+        self._seq = seq
+        self._now = self._touched_at = now - gap_us
+        return seq - before
 
     def _order_tail(self, entry: FlowEntry, now: int) -> None:
         """Move entries touched at `now` and inserted after `entry` behind it."""

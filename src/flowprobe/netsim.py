@@ -159,7 +159,7 @@ class KeySequence:
 
     def __init__(self, prefix: str):
         self.prefix = prefix
-        self._next = 0
+        self.index = 0  # of the key `next_key` returns next
         # "{prefix}.{j}." per third octet j: a source address is two joined
         # strings, not two integers formatted.
         self._heads = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
@@ -186,8 +186,8 @@ class KeySequence:
         )) for i in range(start, stop)]
 
     def next_key(self) -> FlowKey:
-        key = self.key_at(self._next)
-        self._next += 1
+        key = self.key_at(self.index)
+        self.index += 1
         return key
 
 
@@ -270,7 +270,8 @@ class SwitchSimulator:
         }
         self._uniform = {b: (lo, hi - lo + 1) for b, (lo, hi) in self._ranges.items()}
         self._midpoints = {b: (lo + hi) // 2 for b, (lo, hi) in self._ranges.items()}
-        self._gauss = {b: (lo, hi, (lo + hi) / 2, (hi - lo) / 6)
+        # One-band tuples, as `truncated_gauss` takes them.
+        self._gauss = {b: ((lo, hi, (lo + hi) / 2, (hi - lo) / 6),)
                        for b, (lo, hi) in self._ranges.items()}
         self._rand = self._latency_rng.random
         self._noise = self.latency.noise
@@ -294,7 +295,20 @@ class SwitchSimulator:
             return lo + int(self._rand() * span)
         if noise == NOISE_NONE:
             return self._midpoints[branch]
-        return truncated_gauss(self._latency_rng, (self._gauss[branch],))
+        return truncated_gauss(self._latency_rng, self._gauss[branch])
+
+    def _draw_rtts(self, branch: str, count: int, rtts: Optional[list[int]]) -> None:
+        """Make `count` `_draw_rtt(branch)` draws and append them to `rtts`;
+        with no `rtts`, only advance the RNG as they would."""
+        if rtts is not None:
+            rtts += [self._draw_rtt(branch) for _ in range(count)]
+        elif self._noise == NOISE_UNIFORM:
+            # One random() takes two 32-bit words of the Mersenne Twister,
+            # getrandbits(k) takes ceil(k / 32): advance the generator past
+            # `count` draws in one call.
+            self._latency_rng.getrandbits(64 * count)
+        elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
+            truncated_gauss(self._latency_rng, self._gauss[branch] * count)
 
     # -- background workload ---------------------------------------------
 
@@ -343,8 +357,8 @@ class SwitchSimulator:
             # As in `send_burst`: `count` uniform draws in one call.
             self._latency_rng.getrandbits(64 * count)
         elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
-            on_full = self._gauss[BRANCH_MISS_FULL]
-            on_free = self._gauss[BRANCH_MISS_NOTFULL]
+            (on_full,) = self._gauss[BRANCH_MISS_FULL]
+            (on_free,) = self._gauss[BRANCH_MISS_NOTFULL]
             truncated_gauss(self._latency_rng,
                             [on_full if was_full else on_free for was_full in full])
 
@@ -392,40 +406,52 @@ class SwitchSimulator:
         return tuple.__new__(RttSample, (at_us, key, rtt, branch))
 
     def send_burst(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                   stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
+                   stop_rtt_us: float, rtts: Optional[list[int]] = None,
+                   ) -> tuple[int, Optional[RttSample]]:
         """Send `keys` in order at `start_us`, `start_us + gap_us`, ...
 
         Stops after the first probe whose RTT is at least `stop_rtt_us`.
         Returns the number of probes sent and the stopping probe's sample,
-        or None if every key was sent. The result and the simulator's state
-        are those of one `send_probe` call per key at its time.
+        or None if every key was sent; each sent probe's RTT is appended to
+        `rtts` if it is given. The result and the simulator's state are
+        those of one `send_probe` call per key at its time.
 
-        With tracing off and every hit RTT below the cut, the leading run of
-        hits that no arrival or expiry can interleave is answered in one
-        `FlowTable.touch_run` pass, and the latency RNG is advanced as one
-        RTT draw per hit would advance it; each remaining key is a plain
-        `send_probe` call.
+        With tracing off, a run that no arrival or expiry can interleave
+        is answered in one table pass, with the RTT draws of its probes: a
+        run of hits by `FlowTable.touch_run` if the hit band's top is below
+        the cut, and a run of misses into free slots by
+        `FlowTable.install_run` if the miss band's top is. A key neither
+        pass answers is a `send_probe` call; then both passes are retried.
         """
         if start_us < self.now_us:
             raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
+        untraced = self.trace is None
+        hits = untraced and self._ranges[BRANCH_HIT][1] < stop_rtt_us
+        misses = untraced and self._ranges[BRANCH_MISS_NOTFULL][1] < stop_rtt_us
+        table = self.table
         sent = 0
-        if self.trace is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us:
-            sent = self.table.touch_run(keys, start_us, gap_us, self._next_arrival_us)
-            if sent:
-                if self._noise == NOISE_UNIFORM:
-                    # One random() takes two 32-bit words of the Mersenne
-                    # Twister, getrandbits(k) takes ceil(k / 32): advance the
-                    # generator past `sent` hit draws in one call.
-                    self._latency_rng.getrandbits(64 * sent)
-                elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
-                    truncated_gauss(self._latency_rng,
-                                    (self._gauss[BRANCH_HIT],) * sent)
-                self.now_us = start_us + (sent - 1) * gap_us
-                self.events_processed += sent
-        at_us = start_us + sent * gap_us
-        for key in keys[sent:]:
+        at_us = start_us
+        while sent < len(keys):
+            run = 0
+            if hits:
+                run = table.touch_run(keys, at_us, gap_us, self._next_arrival_us, sent)
+                branch = BRANCH_HIT
+            if not run and misses:
+                run = table.install_run(keys, at_us, gap_us, self._next_arrival_us,
+                                        self.hard_timeout_us, self.idle_timeout_us,
+                                        self.owner_of, sent)
+                branch = BRANCH_MISS_NOTFULL
+            if run:
+                self._draw_rtts(branch, run, rtts)
+                sent += run
+                at_us += run * gap_us
+                self.now_us = at_us - gap_us
+                self.events_processed += run
+                continue
+            sample = self.send_probe(keys[sent], at_us)
             sent += 1
-            sample = self.send_probe(key, at_us)
+            if rtts is not None:
+                rtts.append(sample.rtt_us)
             if sample.rtt_us >= stop_rtt_us:
                 return sent, sample
             at_us += gap_us

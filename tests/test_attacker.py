@@ -1,18 +1,24 @@
 """Tests for threshold bootstrap, timeout probing, feasibility and inference."""
 
+import itertools
 import random
+from bisect import insort
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowprobe.attacker import (
+    SMALL_BAND_CONFIRMATIONS,
+    SMALL_MISS_BAND,
     STATE_EXIST,
     STATE_NOT_EXIST_FULL,
     STATE_NOT_EXIST_NOT_FULL,
     AttackError,
     BootstrapParams,
     BudgetExhausted,
+    InferenceReport,
     InfeasibleRate,
     JumpNeverObserved,
     ProbeSession,
@@ -33,6 +39,8 @@ from flowprobe.netsim import (
     KeySequence,
     LatencyModel,
     SwitchSimulator,
+    ms_to_us,
+    us_to_ms,
 )
 
 NOISELESS = LatencyModel(noise="none")
@@ -315,19 +323,37 @@ class TestInferFifo:
             infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=50)
 
     def test_rounds_before_the_table_is_full_send_no_burst(self, monkeypatch):
-        bursts = []
+        fresh, bursts, probes = [], [], []
+        probe_fresh = ProbeSession.probe_fresh
         probe_burst = ProbeSession.probe_burst
+        probe = ProbeSession.probe
 
-        def record(session, keys, *args):
+        def record_fresh(session, count, *args):
+            sent, stop = probe_fresh(session, count, *args)
+            fresh.append((count, len(sent), stop.time_us))
+            return sent, stop
+
+        def record_burst(session, keys, *args):
             bursts.append(list(keys))
             return probe_burst(session, keys, *args)
 
-        monkeypatch.setattr(ProbeSession, "probe_burst", record)
+        def record_probe(session, key):
+            probes.append(key)
+            return probe(session, key)
+
+        monkeypatch.setattr(ProbeSession, "probe_fresh", record_fresh)
+        monkeypatch.setattr(ProbeSession, "probe_burst", record_burst)
+        monkeypatch.setattr(ProbeSession, "probe", record_probe)
         session = ProbeSession(make_sim(capacity=120, usage=30))
         report = infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=1000)
-        # Rounds 1-90 watch nothing; rounds 91-121 re-probe the first key.
+        # Rounds 1-91 watch nothing and go out as one fresh-key burst that
+        # stops at key 91, the first full-table miss (n1 = 90); that round
+        # and rounds 92-121 re-probe the first key, each in a one-key burst,
+        # and rounds 92-121 each probe one fresh key.
         assert report.n1 == 90 and report.distinct_keys == 121
+        assert fresh == [(1000, 91, 9000)]
         assert len(bursts) == 31 and all(len(keys) == 1 for keys in bursts)
+        assert len(probes) == 30
 
     def test_n1_matches_first_true_miss_full(self):
         # Noiseless run: n1 must point at the first probe whose true branch
@@ -465,6 +491,21 @@ def probe_loop(session, keys, stop_rtt_us):
     return None
 
 
+def fresh_loop(session, count, stop_rtt_us, gap_us=None, rtts=None):
+    """The per-probe loop that `ProbeSession.probe_fresh` stands for."""
+    gap_us = session.send_gap_us if gap_us is None else gap_us
+    start_us, keys = session.now_us, []
+    for i in range(count):
+        session.now_us = start_us + i * gap_us
+        keys.append(session.fresh_key())
+        sample = session.probe(keys[-1])
+        if rtts is not None:
+            rtts.append(sample.rtt_us)
+        if sample.rtt_us >= stop_rtt_us:
+            return keys, sample
+    return keys, None
+
+
 def send_loop(sim, keys, start_us, gap_us, stop_rtt_us):
     """The per-probe loop that `SwitchSimulator.send_burst` stands for."""
     for sent, key in enumerate(keys, 1):
@@ -486,7 +527,8 @@ def sim_state(sim):
 
 
 def session_state(session):
-    return (session.now_us, session.probes_sent, *sim_state(session.sim))
+    return (session.now_us, session.probes_sent, session._keys.index,
+            *sim_state(session.sim))
 
 
 ATTACKER_KEYS = [KeySequence("10.1").key_at(i) for i in range(10)]
@@ -517,7 +559,7 @@ class TestProbeBurst:
     @given(
         policy=st.sampled_from(("FIFO", "LRU")),
         noise=st.sampled_from(NOISE_MODES),
-        capacity=st.integers(1, 12),
+        capacity=st.integers(1, 24),
         usage=st.integers(0, 8),
         rate=st.sampled_from((0.0, 0.0, 500.0, 50_000.0)),
         hard_ms=st.sampled_from((0.0, 0.0, 0.5, 3.0)),
@@ -530,7 +572,11 @@ class TestProbeBurst:
                 st.sampled_from((0, 0, 150, 400, 2500)),      # wait before, us
                 st.lists(st.integers(0, 11), max_size=14),    # key indexes
                 st.integers(1, 6),                            # times sent
-                st.sampled_from((250, 300, 1000, 4000, 6500, float("inf"))),  # stop, us
+                st.integers(0, 30),                           # new keys after them
+                st.sampled_from((250, 300, 1000, 4000, 5000, 5001, 6500,
+                                 float("inf"))),              # stop, us
+                st.sampled_from(("burst", "fresh", "fresh+rtts")),
+                st.sampled_from((None, 1, 250)),              # fresh-key gap, us
             ),
             min_size=1, max_size=8,
         ),
@@ -538,6 +584,8 @@ class TestProbeBurst:
     def test_matches_per_probe_loop(self, policy, noise, capacity, usage, rate,
                                     hard_ms, idle_ms, send_rate_pps, seed,
                                     record_trace, rounds):
+        # Misses on fresh keys fill the table inside a burst, and timeouts
+        # of 0.3-3 ms fall due inside bursts of up to 114 probes.
         def build():
             sim = make_sim(capacity, policy, usage=min(usage, capacity),
                            rate=rate, hard_ms=hard_ms, idle_ms=idle_ms,
@@ -550,12 +598,27 @@ class TestProbeBurst:
         # the background owner.
         pool = ATTACKER_KEYS + [KeySequence("10.2").key_at(60_000 + i)
                                 for i in range(2)]
-        for wait_us, indexes, times, stop in rounds:
+        # New keys never sent before, alternating the attacker's and the
+        # background's ranges, so one run of misses installs both owners.
+        new = (key for i in itertools.count()
+               for key in (KeySequence("10.1").key_at(500 + i),
+                           KeySequence("10.2").key_at(60_100 + i)))
+        for wait_us, indexes, times, fresh, stop, kind, gap_us in rounds:
             burst.wait_us(wait_us)
             loop.wait_us(wait_us)
-            # Repeating the list makes long runs of hits once its keys fit.
-            keys = [pool[i] for i in indexes] * times
-            assert burst.probe_burst(keys, stop) == probe_loop(loop, keys, stop)
+            if kind == "burst":
+                # Repeating the list makes long runs of hits once its keys fit.
+                keys = [pool[i] for i in indexes] * times
+                keys += itertools.islice(new, fresh)
+                assert burst.probe_burst(keys, stop) == probe_loop(loop, keys, stop)
+            else:
+                # The session's fresh keys start at ATTACKER_KEYS[0], so some
+                # may be live: a fresh-key burst can hit too.
+                rtts = [] if kind == "fresh+rtts" else None
+                loop_rtts = [] if kind == "fresh+rtts" else None
+                assert (burst.probe_fresh(fresh, stop, gap_us, rtts)
+                        == fresh_loop(loop, fresh, stop, gap_us, loop_rtts))
+                assert rtts == loop_rtts
             assert session_state(burst) == session_state(loop)
 
     @pytest.mark.parametrize("noise", NOISE_MODES)
@@ -606,7 +669,10 @@ class TestProbeBurst:
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_probes_after_the_pass_go_through_send_probe(self, policy):
         # As above: the pass answers the hits at 400-700 us, before the
-        # arrival due at 783 us; the other 16 probes are send_probe calls.
+        # arrival due at 783 us. The arrival evicts a key, so the probes at
+        # 800-1500 us miss, each evicting the key probed next, and go
+        # through send_probe, with the pass retried after each; once every
+        # key is back, the retried pass answers the last 8 hits.
         keys = ATTACKER_KEYS[:4]
         sim = make_sim(4, policy, rate=500.0, seed=6)
         installed(keys)(sim)
@@ -624,8 +690,8 @@ class TestProbeBurst:
         sim.table.touch_run = counted_touch_run
         sim.send_probe = counted_send_probe
         assert sim.send_burst(keys * 5, 400, 100, float("inf")) == (20, None)
-        assert passes == [4]
-        assert calls == list(range(800, 2400, 100))
+        assert passes == [4] + [0] * 8 + [8]
+        assert calls == list(range(800, 1600, 100))
         assert sim.events_processed == 4 + 20 + sim.background_arrivals
 
     def test_tracing_on(self):
@@ -674,3 +740,188 @@ class TestProbeBurst:
         assert session.probe_burst(keys, float("inf"), gap_us=1000) is None
         assert [e.time_us for e in sim.trace] == [0, 1000, 2000]
         assert (session.probes_sent, session.now_us) == (3, 2100)
+
+
+def per_filler_bootstrap(session, params):
+    """`bootstrap_thresholds` as it was before fillers went out in runs:
+    one `session.probe` per filler, each judged against the running cut."""
+    t1_samples, t2_samples, t3_samples = [], [], []
+    for round_no in range(params.repeat):
+        if round_no:
+            session.wait_us(ms_to_us(params.inter_repeat_wait_ms))
+        pinned = session.fresh_key()
+        first = session.probe(pinned)
+        session.wait_until_us(first.time_us + ms_to_us(params.ts1_ms))
+        re_probe = session.probe(pinned)
+        t1_samples.append(us_to_ms(re_probe.rtt_us))
+        miss_sorted = [first.rtt_us]
+        ts2_us = ms_to_us(params.ts2_ms)
+        next_send = session.now_us
+        fillers = 0
+        jumped = False
+        while fillers < params.filler_budget:
+            session.wait_until_us(next_send)
+            sample = session.probe(session.fresh_key())
+            fillers += 1
+            next_send = sample.time_us + ts2_us
+            if len(miss_sorted) >= params.min_miss_samples:
+                median = miss_sorted[len(miss_sorted) // 2]
+                cut = params.jump_factor * median
+                if sample.rtt_us > cut:
+                    confirms = []
+                    for _ in range(SMALL_BAND_CONFIRMATIONS
+                                   if len(miss_sorted) < SMALL_MISS_BAND else 1):
+                        confirms.append(session.probe(session.fresh_key()).rtt_us)
+                        fillers += 1
+                        if confirms[-1] <= cut:
+                            break
+                    else:
+                        if re_probe.rtt_us * params.jump_factor >= median:
+                            raise AttackError(
+                                "the pinned key missed its re-probe "
+                                f"ts1_ms={params.ts1_ms} ms after install: an "
+                                "entry timeout below ts1_ms expired it"
+                            )
+                        t2_samples.append(us_to_ms(median))
+                        t3_samples.append(us_to_ms(confirms[-1]))
+                        jumped = True
+                        break
+                    for rtt_us in (sample.rtt_us, *confirms):
+                        insort(miss_sorted, rtt_us)
+                    continue
+            insort(miss_sorted, sample.rtt_us)
+        if not jumped:
+            raise JumpNeverObserved(
+                f"no RTT jump within {params.filler_budget} fillers")
+    return RttThresholds.from_band_centers(
+        fmean(t1_samples), fmean(t2_samples), fmean(t3_samples))
+
+
+def per_round_infer_fifo(session, thresholds, key_budget, time_budget_ms=None):
+    """`infer_fifo` as it was before its rounds before n1 went out as one
+    fresh-key burst: one fresh key per round, then k1 once n1 is fixed."""
+    hit_cut_us = thresholds.hit_cut_ms * 1000.0
+    full_cut_us = thresholds.full_cut_ms * 1000.0
+    budget_us = None if time_budget_ms is None else ms_to_us(time_budget_ms)
+    start_us, probes_before = session.now_us, session.probes_sent
+    keys, n1, budget_exceeded = [], None, False
+    while len(keys) < key_budget:
+        key = session.fresh_key()
+        rtt_us = session.probe(key).rtt_us
+        if n1 is None and rtt_us >= full_cut_us:
+            n1 = len(keys)
+        keys.append(key)
+        if n1 is not None and session.probe_burst(keys[:1], hit_cut_us) is not None:
+            break
+        if budget_us is not None and session.now_us - start_us > budget_us:
+            budget_exceeded, budget_us = True, None
+    else:
+        raise BudgetExhausted(
+            f"no eviction of an attacker entry within {key_budget} keys")
+    n2 = len(keys) - 1
+    n1 = n2 if n1 is None else n1
+    return InferenceReport("FIFO", n2, n2 - n1, n1, n2,
+                           session.probes_sent - probes_before, len(keys), 1,
+                           budget_exceeded)
+
+
+def outcome(run):
+    """A run's result, or the type and message of the attack error it raised."""
+    try:
+        return run()
+    except AttackError as exc:
+        return type(exc), str(exc)
+
+
+class TestFreshRuns:
+    """Bootstrap fillers and FIFO's rounds before n1 go out as fresh-key
+    runs; both end exactly as the per-probe loops they replace."""
+
+    @pytest.mark.parametrize("noise", NOISE_MODES)
+    @pytest.mark.parametrize("sim_kwargs, params, expected", [
+        (dict(capacity=200, usage=50), {}, RttThresholds),
+        (dict(capacity=200, usage=50), dict(ts2_ms=0.05), RttThresholds),
+        (dict(capacity=200, usage=50), dict(min_miss_samples=0), RttThresholds),
+        (dict(capacity=200, usage=50), dict(min_miss_samples=16), RttThresholds),
+        (dict(capacity=300, usage=20, rate=200.0, idle_ms=400.0),
+         dict(ts2_ms=0.5, repeat=2, inter_repeat_wait_ms=500.0), RttThresholds),
+        (dict(capacity=500, usage=100, rate=2000.0, hard_ms=150.0),
+         dict(ts1_ms=20.0, ts2_ms=0.2), RttThresholds),
+        (dict(capacity=20, idle_ms=200.0),
+         dict(ts1_ms=20.0, repeat=3, inter_repeat_wait_ms=500.0), RttThresholds),
+        (dict(capacity=1000), dict(filler_budget=10), JumpNeverObserved),
+        (dict(capacity=64, usage=63), dict(filler_budget=500), JumpNeverObserved),
+        (dict(capacity=64, usage=16), dict(repeat=2, filler_budget=3000),
+         JumpNeverObserved),
+        (dict(capacity=100, usage=25, idle_ms=50.0), dict(ts2_ms=0.1), AttackError),
+    ], ids=["default", "ts2-below-send-gap", "min-miss-0", "min-miss-16",
+            "arrivals-idle-repeats", "arrivals-hard", "tiny-table",
+            "filler-budget", "one-free-slot", "second-round-full",
+            "pin-expired"])
+    def test_bootstrap_matches_the_per_filler_loop(self, noise, sim_kwargs,
+                                                    params, expected):
+        def build():
+            sim = make_sim(latency=LatencyModel(noise=noise), seed=11, **sim_kwargs)
+            return ProbeSession(sim)
+
+        runs, loop = build(), build()
+        params = BootstrapParams(**params)
+        result = outcome(lambda: bootstrap_thresholds(runs, params))
+        assert result == outcome(lambda: per_filler_bootstrap(loop, params))
+        assert session_state(runs) == session_state(loop)
+        assert (type(result) if expected is RttThresholds else result[0]) is expected
+
+    def test_a_run_stops_at_its_tightest_cut(self):
+        # Scripted uniform draws (RTT = 3000 + int(r * 2001) us on a miss):
+        # the pin 3000, fillers 3000, 4000, 4000 give a sorted band
+        # [3000, 3000, 4000, 4000], so the next run has m = 2 and
+        # L = 1.5 * band[1] = 4500. Its first filler, 3000, moves the
+        # running median to 3000 (cut 4500); its second, 4800, is above that
+        # cut though below 1.5 * band[2] = 6000, so it must stop the run and
+        # start confirmations, the first of which (3000) fails.
+        draws = [0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.9, 0.0]
+
+        def build():
+            sim = make_sim(capacity=12, latency=LatencyModel(), seed=1)
+            script = iter(draws)
+            sim._rand = lambda: next(script, 0.5)
+            return ProbeSession(sim)
+
+        runs, loop = build(), build()
+        params = BootstrapParams()
+        th = bootstrap_thresholds(runs, params)
+        assert th == per_filler_bootstrap(loop, params)
+        assert session_state(runs) == session_state(loop)
+        # The pin's two probes, 5 fillers, the failed confirmation, 5
+        # fillers that fill the 12 slots, the jumping filler and its 3
+        # confirmations.
+        assert th.t1_ms == 0.2 and 8.0 <= th.t3_ms <= 10.0
+        assert runs.probes_sent == 2 + 5 + 1 + 5 + 1 + 3
+
+    @pytest.mark.parametrize("sim_kwargs, key_budget, time_budget_ms", [
+        (dict(capacity=120, usage=30), 1, None),
+        (dict(capacity=120, usage=30), 90, None),
+        (dict(capacity=120, usage=30), 91, None),
+        (dict(capacity=120, usage=30), 121, None),
+        (dict(capacity=120, usage=30), 1000, 5.0),
+        (dict(capacity=40, usage=40), 1, None),     # n1 = 0
+        (dict(capacity=40, usage=40), 1000, 0.1),
+        (dict(capacity=1, usage=1), 1000, None),
+        (dict(capacity=1), 1000, None),
+        (dict(capacity=300, usage=60, rate=400.0, latency=LatencyModel(),
+              seed=4), 5000, 20.0),
+        (dict(capacity=300, usage=60, rate=400.0, idle_ms=15.0,
+              latency=LatencyModel(noise="truncated-gaussian"), seed=9),
+         5000, None),
+        (dict(capacity=2000, usage=10, hard_ms=30.0, latency=LatencyModel()),
+         3000, 30.0),
+    ])
+    def test_fifo_inference_matches_the_per_round_loop(
+            self, sim_kwargs, key_budget, time_budget_ms):
+        runs = ProbeSession(make_sim(**sim_kwargs))
+        loop = ProbeSession(make_sim(**sim_kwargs))
+        result = outcome(lambda: infer_fifo(runs, MIDPOINT_THRESHOLDS, key_budget,
+                                            time_budget_ms))
+        assert result == outcome(lambda: per_round_infer_fifo(
+            loop, MIDPOINT_THRESHOLDS, key_budget, time_budget_ms))
+        assert session_state(runs) == session_state(loop)

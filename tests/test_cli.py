@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,18 @@ def suite_path(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
     return str(path)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_flowprobe_help_exits_0(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        done = subprocess.run([sys.executable, "-m", "flowprobe", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: flowprobe")
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 """Unit and oracle-equivalence tests for the flow table."""
 
 import copy
+import math
 import heapq
 import random
 
@@ -452,6 +453,17 @@ class TestTouchRun:
         if not touched:
             assert table_state(table) == before
 
+    def test_answers_from_the_first_index(self):
+        table, twin = self.filled(), self.filled()
+        keys = [key(7), key(0), key(1), key(8)]
+        assert table.touch_run(keys, 10, 5, float("inf"), first=1) == 2
+        assert twin.lookup(key(0), 10) and twin.lookup(key(1), 15)
+        assert table_state(table) == table_state(twin)
+        # keys[0] is live but keys[first] is not: nothing is answered.
+        before = copy.deepcopy(table_state(table))
+        assert table.touch_run([key(0), key(7)], 30, 5, float("inf"), first=1) == 0
+        assert table_state(table) == before
+
     def test_fifo_hits_leave_the_order_and_touch_time(self):
         table = self.filled("FIFO")
         assert table.touch_run([key(0), key(1)], 10, 5, float("inf")) == 2
@@ -499,3 +511,164 @@ class TestTouchRun:
             heap = twin._expiry_heap
             assert (keys[touched] not in twin.entries or at_us >= until_us
                     or (heap and at_us >= heap[0][0]))
+
+
+def owner_by_index(k: FlowKey) -> str:
+    """Mixed owners: every third key index is a background tenant's."""
+    return "background" if int(k.src_ip.rsplit(".", 1)[1]) % 3 == 0 else "attacker"
+
+
+class TestInstallRun:
+    def filled(self, policy="FIFO", capacity=6, idle=0):
+        table = FlowTable(capacity=capacity, policy=policy)
+        for i in range(3):
+            table.insert(entry(i, idle=idle), i)
+        return table
+
+    def insert_loop(self, table, keys, start_us, gap_us, hard=0, idle=0):
+        for i, k in enumerate(keys):
+            at_us = start_us + i * gap_us
+            assert not table.lookup(k, at_us)
+            table.insert(FlowEntry(k, 0, 0, hard, idle, owner_by_index(k)), at_us)
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("hard, idle", [(0, 0), (500, 0), (0, 400), (500, 400)])
+    def test_installs_as_inserts_would(self, policy, hard, idle):
+        table, twin = self.filled(policy), self.filled(policy)
+        keys = [key(i) for i in (10, 11, 12)]
+        assert table.install_run(keys, 10, 5, float("inf"), hard, idle,
+                                 owner_by_index) == 3
+        self.insert_loop(twin, keys, 10, 5, hard, idle)
+        assert table_state(table) == table_state(twin)
+        assert [table.entries[k].owner for k in keys] == [
+            "attacker", "attacker", "background"]
+
+    def test_installs_from_the_first_index(self):
+        table, twin = self.filled(), self.filled()
+        keys = [key(1), key(10), key(11)]
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index,
+                                 first=1) == 2
+        self.insert_loop(twin, keys[1:], 10, 5)
+        assert table_state(table) == table_state(twin)
+
+    def test_stops_at_the_first_live_key(self):
+        table = self.filled()
+        keys = [key(10), key(11), key(0), key(12)]
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 2
+        assert key(12) not in table.entries and table._now == 15
+
+    def test_a_repeated_key_is_live_by_its_second_send(self):
+        table = self.filled()
+        keys = [key(10), key(10)]
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 1
+
+    def test_stops_once_the_table_is_full(self):
+        table = self.filled(capacity=5)
+        keys = [key(i) for i in range(10, 15)]
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 2
+        assert len(table) == 5 and table.removal_log == []
+        before = copy.deepcopy(table_state(table))
+        assert table.install_run(keys, 20, 5, float("inf"), 0, 0, owner_by_index,
+                                 first=2) == 0
+        assert table_state(table) == before
+
+    @pytest.mark.parametrize("until_us, answered", [(25, 3), (26, 4)])
+    def test_stops_before_until(self, until_us, answered):
+        # Sends at 10, 15, 20, 25, ...
+        table = self.filled(capacity=10)
+        keys = [key(i) for i in range(10, 16)]
+        assert table.install_run(keys, 10, 5, until_us, 0, 0,
+                                 owner_by_index) == answered
+
+    def test_stops_before_the_earliest_deadline(self):
+        # key(0)'s idle deadline is 100: an insert at 100 would purge it.
+        table = self.filled(idle=100)
+        keys = [key(i) for i in range(10, 13)]
+        assert table.install_run(keys, 60, 20, float("inf"), 0, 0,
+                                 owner_by_index) == 2
+        assert table._now == 80
+
+    @pytest.mark.parametrize("hard, idle, answered", [
+        (30, 0, 3), (0, 30, 3), (45, 30, 3), (30, 45, 3), (31, 0, 4)])
+    def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
+        # The first key installed at 10 is due at 10 + min(timeouts).
+        table = self.filled(capacity=10)
+        keys = [key(i) for i in range(10, 16)]
+        assert table.install_run(keys, 10, 10, float("inf"), hard, idle,
+                                 owner_by_index) == answered
+
+    @pytest.mark.parametrize("start_us, gap_us, first", [
+        (10, 0, 0),   # every install in one microsecond
+        (1, 5, 0),    # behind the table clock
+        (10, 5, 1),   # keys[1] is live
+        (10, 5, 3),   # past the end of the keys
+    ])
+    def test_guards(self, start_us, gap_us, first):
+        table = self.filled()
+        before = copy.deepcopy(table_state(table))
+        assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
+                                 float("inf"), 0, 0, owner_by_index, first) == 0
+        assert table_state(table) == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 8),
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 7),
+                      st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
+            max_size=12,
+        ),
+        start_dt=st.integers(0, 3),
+        gap_us=st.integers(0, 4),
+        until_dt=st.integers(0, 60),
+        hard=st.sampled_from((0, 0, 7, 30)),
+        idle=st.sampled_from((0, 0, 5, 20)),
+        first=st.integers(0, 2),
+        run=st.lists(st.integers(0, 15), max_size=12),
+    )
+    def test_matches_an_insert_loop_and_the_oracle(
+            self, policy, capacity, steps, start_dt, gap_us, until_dt, hard,
+            idle, first, run):
+        def build():
+            table = FlowTable(capacity=capacity, policy=policy)
+            oracle = ReplayOracle(capacity=capacity, policy=policy)
+            now = 0
+            for dt, i, h, d in steps:
+                now += dt
+                hit = table.lookup(key(i), now)
+                assert hit == oracle.lookup(key(i), now)
+                if not hit:
+                    table.insert(entry(i, h, d, owner_by_index(key(i))), now)
+                    oracle.insert(key(i), now, h, d, owner_by_index(key(i)))
+            return table, oracle, now
+
+        table, oracle, now = build()
+        twin, _, _ = build()
+        start_us = now + start_dt
+        until_us = start_us + until_dt
+        keys = [key(i) for i in run]
+        installed = table.install_run(keys, start_us, gap_us, until_us, hard,
+                                      idle, owner_by_index, first)
+        sent = keys[first:first + installed]
+        self.insert_loop(twin, sent, start_us, gap_us, hard, idle)
+        for i, k in enumerate(sent):
+            at_us = start_us + i * gap_us
+            assert not oracle.lookup(k, at_us)
+            assert oracle.insert(k, at_us, hard, idle, owner_by_index(k)) == (None, False)
+        assert table_state(table) == table_state(twin)
+        if gap_us >= 1 and start_us >= table._now and first + installed < len(keys):
+            # The run is maximal: the next key is live, the table is full, or
+            # the next send could purge or meet an arrival.
+            at_us = start_us + installed * gap_us
+            heap = twin._expiry_heap
+            timeout = min(t for t in (hard, idle, math.inf) if t > 0)
+            assert (keys[first + installed] in twin.entries
+                    or len(twin) >= capacity or at_us >= until_us
+                    or (heap and at_us >= heap[0][0])
+                    or at_us >= start_us + timeout)
+        # Flush with fresh keys so every surviving entry's victim rank shows.
+        end_us = max(now, start_us + (installed - 1) * gap_us)
+        for j in range(100, 100 + capacity):
+            assert table.insert(entry(j), end_us).evicted == oracle.insert(key(j), end_us)[0]
+        assert sorted(table.removal_log) == sorted(oracle.removal_log)
