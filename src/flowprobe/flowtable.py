@@ -193,9 +193,11 @@ class FlowTable:
         heap = self._expiry_heap
         if heap and heap[0][0] < until_us:
             until_us = heap[0][0]
+        if start_us >= until_us:
+            return 0
         # Compared on the integer side: `start_us` may lie past float range.
         if start_us + count * gap_us > until_us:
-            count = max(0, -int((start_us - until_us) // gap_us))
+            count = -int((start_us - until_us) // gap_us)
         return count
 
     def touch_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
@@ -245,12 +247,13 @@ class FlowTable:
         The run stops at the first live key and once the table is full, so
         it never evicts, and before `until_us`, the earliest expiry deadline
         and its own first entry's deadline, so nothing falls due inside it.
-        It installs nothing when `gap_us < 1` or `start_us` is before the
-        table's clock; a run that cannot install its first key costs O(1).
+        A gap of 0 installs every key at `start_us`. It installs nothing when
+        `gap_us < 0` or `start_us` is before the table's clock; a run that
+        cannot install its first key costs O(1).
         """
         entries = self.entries
         free = self.capacity - len(entries)
-        if (gap_us < 1 or start_us < self._now or free <= 0
+        if (gap_us < 0 or start_us < self._now or free <= 0
                 or first >= len(keys) or keys[first] in entries):
             return 0
         # As in `insert`: the timeout after which a new entry falls due.
@@ -329,28 +332,6 @@ class FlowTable:
             timeout = min(hard, idle) if hard > 0 and idle > 0 else max(hard, idle)
             heapq.heappush(heap, (now + timeout, seq, key))
         return result
-
-    def preload(self, keys: Sequence[FlowKey], hard_timeout: int, idle_timeout: int,
-                owner: str) -> None:
-        """Install one entry per key of `keys`, distinct and in order, into a
-        table whose clock is at 0 and that has never held an entry, at t = 0.
-
-        The table ends as a loop of `insert` calls at t = 0 would leave it. No
-        purge, duplicate or eviction is possible there, and the expiry records
-        share one deadline and rise in seq, so their list is already a heap.
-        """
-        if self._seq or self._now or len(keys) > self.capacity:
-            raise ValueError("preload needs a fresh table and at most capacity keys")
-        entries = [FlowEntry(key, 0, 0, hard_timeout, idle_timeout, owner, seq)
-                   for seq, key in enumerate(keys, 1)]
-        if not entries:
-            return
-        self.entries.update(zip(keys, entries))
-        deadline = entries[0].next_deadline()
-        if deadline is not None:
-            self._expiry_heap = [(deadline, e.seq, e.key) for e in entries]
-        self._seq = len(entries)
-        self._touched_at = 0
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""

@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from math import cos, log, sin, sqrt, tau
 from random import Random
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .flowtable import (
     FIFO,
@@ -52,7 +53,7 @@ def us_to_ms(us: int) -> float:
     return us / US_PER_MS
 
 
-def truncated_gauss(rng: Random, bands: Sequence[tuple[int, int, float, float]]) -> int:
+def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]]) -> int:
     """Draw one RTT per `(lo, hi, mu, sigma)` of the non-empty `bands` and
     return the last.
 
@@ -103,14 +104,14 @@ class LatencyModel:
             raise ValueError(f"unknown noise mode {self.noise!r}")
         bands = [self.hit_ms, self.miss_notfull_ms, self.miss_full_ms]
         for lo, hi in bands:
-            if not (0 <= lo <= hi):
+            if not (0 <= lo <= hi and hi * US_PER_MS < math.inf):
                 raise ValueError(f"invalid latency range ({lo}, {hi})")
+        # In the whole microseconds drawn: 0.3 and 0.3004 ms both draw 300 us.
+        bands = [(ms_to_us(lo), ms_to_us(hi)) for lo, hi in bands]
         for (_, hi), (lo, _) in zip(bands, bands[1:]):
             if hi >= lo:
-                raise ValueError(
-                    "latency bands must be disjoint and ordered "
-                    f"hit < miss_notfull < miss_full, got {bands}"
-                )
+                raise ValueError("latency bands must be disjoint and ordered hit < "
+                                 f"miss_notfull < miss_full in us, got {bands}")
 
     def range_us(self, branch: str) -> tuple[int, int]:
         lo, hi = {
@@ -193,6 +194,7 @@ class KeySequence:
 
 ATTACKER_PREFIX = "10.1"
 BACKGROUND_PREFIX = "10.2"
+_BACKGROUND_HEAD = BACKGROUND_PREFIX + "."  # how every background src_ip starts
 
 
 class RttSample(NamedTuple):
@@ -277,13 +279,13 @@ class SwitchSimulator:
         self._noise = self.latency.noise
 
         # Background keys are indexes 0, 1, ... of the background prefix: the
-        # preloaded entries first, then one per arrival. The preload fills the
-        # table in bulk; a usage past capacity evicts at t = 0, as inserts do.
-        usage = self.workload.initial_usage
-        preloaded = self._bg_keys.keys(0, usage)
-        self.table.preload(preloaded[:capacity], self.hard_timeout_us,
-                           self.idle_timeout_us, OWNER_BACKGROUND)
-        for key in preloaded[capacity:]:
+        # preloaded entries first, then one per arrival. The preload is one
+        # run at t = 0; a usage past capacity evicts at t = 0, as inserts do.
+        preloaded = self._bg_keys.keys(0, self.workload.initial_usage)
+        installed = self.table.install_run(preloaded, 0, 0, math.inf,
+                                           self.hard_timeout_us, self.idle_timeout_us,
+                                           lambda key: OWNER_BACKGROUND)
+        for key in preloaded[installed:]:
             self._install(key, 0, OWNER_BACKGROUND)
 
     # -- latency ---------------------------------------------------------
@@ -297,18 +299,21 @@ class SwitchSimulator:
             return self._midpoints[branch]
         return truncated_gauss(self._latency_rng, self._gauss[branch])
 
-    def _draw_rtts(self, branch: str, count: int, rtts: Optional[list[int]]) -> None:
-        """Make `count` `_draw_rtt(branch)` draws and append them to `rtts`;
-        with no `rtts`, only advance the RNG as they would."""
-        if rtts is not None:
-            rtts += [self._draw_rtt(branch) for _ in range(count)]
-        elif self._noise == NOISE_UNIFORM:
+    def _draw_rtts(self, branches: Sequence[str], keep: bool) -> list[int]:
+        """Make one `_draw_rtt` draw per branch of the non-empty `branches`,
+        in order, and return them if `keep`; otherwise only advance the RNG
+        as they would, and return an empty list."""
+        if keep:
+            return [self._draw_rtt(branch) for branch in branches]
+        if self._noise == NOISE_UNIFORM:
             # One random() takes two 32-bit words of the Mersenne Twister,
             # getrandbits(k) takes ceil(k / 32): advance the generator past
-            # `count` draws in one call.
-            self._latency_rng.getrandbits(64 * count)
+            # every draw in one call.
+            self._latency_rng.getrandbits(64 * len(branches))
         elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
-            truncated_gauss(self._latency_rng, self._gauss[branch] * count)
+            truncated_gauss(self._latency_rng, chain.from_iterable(
+                map(self._gauss.__getitem__, branches)))
+        return []
 
     # -- background workload ---------------------------------------------
 
@@ -325,11 +330,11 @@ class SwitchSimulator:
 
         The two RNGs are independent, so the batch draws all arrival times
         first, installs every arrival in time order, then draws the RTTs in
-        the same order, in one `truncated_gauss` call for Gaussian noise:
-        the state is that of handling the arrivals one by one. Each arrival
-        is a fresh key of the background prefix, so a lookup could only
-        miss; it is installed straight away (insert still rejects a live
-        key) and answered as `send_probe` answers a miss.
+        the same order through `_draw_rtts`: the state is that of handling
+        the arrivals one by one. Each arrival is a fresh key of the
+        background prefix, so a lookup could only miss; it is installed
+        straight away (insert still rejects a live key) and answered as
+        `send_probe` answers a miss.
         """
         times = []
         at = self._next_arrival_us
@@ -343,24 +348,17 @@ class SwitchSimulator:
         keys = self._bg_keys.keys(first, first + count)
         insert = self.table.insert
         hard, idle = self.hard_timeout_us, self.idle_timeout_us
-        full = [insert(FlowEntry(key, 0, 0, hard, idle, OWNER_BACKGROUND), at).was_full
-                for key, at in zip(keys, times)]
+        branches = [BRANCH_MISS_FULL
+                    if insert(FlowEntry(key, 0, 0, hard, idle, OWNER_BACKGROUND),
+                              at).was_full
+                    else BRANCH_MISS_NOTFULL for key, at in zip(keys, times)]
         self.background_arrivals += count
         self.events_processed += count
         trace = self.trace
+        rtts = self._draw_rtts(branches, trace is not None)
         if trace is not None:
-            for key, at, was_full in zip(keys, times, full):
-                branch = BRANCH_MISS_FULL if was_full else BRANCH_MISS_NOTFULL
-                trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
-                                      branch, self._draw_rtt(branch)))
-        elif self._noise == NOISE_UNIFORM:
-            # As in `send_burst`: `count` uniform draws in one call.
-            self._latency_rng.getrandbits(64 * count)
-        elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
-            (on_full,) = self._gauss[BRANCH_MISS_FULL]
-            (on_free,) = self._gauss[BRANCH_MISS_NOTFULL]
-            truncated_gauss(self._latency_rng,
-                            [on_full if was_full else on_free for was_full in full])
+            trace += [SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND, branch, rtt)
+                      for at, key, branch, rtt in zip(times, keys, branches, rtts)]
 
     # -- core packet path --------------------------------------------------
 
@@ -376,11 +374,8 @@ class SwitchSimulator:
     # -- public surface ----------------------------------------------------
 
     def owner_of(self, key: FlowKey) -> str:
-        return (
-            OWNER_BACKGROUND
-            if key.src_ip.startswith(BACKGROUND_PREFIX + ".")
-            else OWNER_ATTACKER
-        )
+        return (OWNER_BACKGROUND if key.src_ip.startswith(_BACKGROUND_HEAD)
+                else OWNER_ATTACKER)
 
     def send_probe(self, key: FlowKey, at_us: int) -> RttSample:
         """Deliver one packet at `at_us` and return its observed RTT."""
@@ -429,6 +424,7 @@ class SwitchSimulator:
         hits = untraced and self._ranges[BRANCH_HIT][1] < stop_rtt_us
         misses = untraced and self._ranges[BRANCH_MISS_NOTFULL][1] < stop_rtt_us
         table = self.table
+        kept = rtts if rtts is not None else []  # unread when the caller gave none
         sent = 0
         at_us = start_us
         while sent < len(keys):
@@ -442,7 +438,7 @@ class SwitchSimulator:
                                         self.owner_of, sent)
                 branch = BRANCH_MISS_NOTFULL
             if run:
-                self._draw_rtts(branch, run, rtts)
+                kept += self._draw_rtts([branch] * run, rtts is not None)
                 sent += run
                 at_us += run * gap_us
                 self.now_us = at_us - gap_us
@@ -450,8 +446,7 @@ class SwitchSimulator:
                 continue
             sample = self.send_probe(keys[sent], at_us)
             sent += 1
-            if rtts is not None:
-                rtts.append(sample.rtt_us)
+            kept.append(sample.rtt_us)
             if sample.rtt_us >= stop_rtt_us:
                 return sent, sample
             at_us += gap_us

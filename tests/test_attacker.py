@@ -576,7 +576,7 @@ class TestProbeBurst:
                 st.sampled_from((250, 300, 1000, 4000, 5000, 5001, 6500,
                                  float("inf"))),              # stop, us
                 st.sampled_from(("burst", "fresh", "fresh+rtts")),
-                st.sampled_from((None, 1, 250)),              # fresh-key gap, us
+                st.sampled_from((None, 0, 1, 250)),           # fresh-key gap, us
             ),
             min_size=1, max_size=8,
         ),

@@ -185,6 +185,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
 
+    def test_bands_sharing_a_drawn_microsecond_exit_2(self, capsys):
+        # Disjoint in ms, but 0.3 ms and 0.3004 ms both draw 300 us.
+        assert main(["sweep", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1", "--set", "latency.hit_ms=[0.2, 0.3]",
+                     "--set", "latency.miss_notfull_ms=[0.3004, 0.5]",
+                     "--set", "latency.miss_full_ms=[0.8, 1.0]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: latency bands must be disjoint and ordered hit < "
+            "miss_notfull < miss_full in us, got [(200, 300), (300, 500), "
+            "(800, 1000)]\n")
+
     @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
     def test_first_phases_reject_a_multi_scenario_suite(self, command, capsys):
         assert main([command, "--config", str(CONFIGS / "paper-suite.json")]) == 2
@@ -269,6 +282,7 @@ class TestExitContract:
     @example(["background_rate=1" + "0" * 400])
     @example(["attack.send_rate_pps=1" + "0" * 400])
     @example(["timeouts.idle_ms=1" + "0" * 400])
+    @example(["latency.miss_full_ms=[8, 1e306]"])
     def test_check_exits_0_or_1_quietly_or_2_with_one_line(self, assignments):
         argv = ["check", "--config", str(CONFIGS / "fifo400.json"),
                 "--set", "repeats=1", "--set", "capacity=64",

@@ -343,16 +343,23 @@ def table_state(table):
 
 
 class TestPreload:
+    """The simulator's preload: one `install_run` at t = 0 with a gap of 0."""
+
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
-    @pytest.mark.parametrize("usage", [0, 1, 5])
+    @pytest.mark.parametrize("usage", [0, 1, 5, 7])
     @pytest.mark.parametrize("hard, idle", [(0, 0), (300, 0), (0, 200),
                                             (300, 200), (200, 300)])
     def test_matches_an_insert_loop(self, policy, usage, hard, idle):
+        # A fresh table of 5; the keys past capacity are inserted after the
+        # run, and evict, at t = 0.
         keys = [key(i) for i in range(usage)]
         table, twin = FlowTable(5, policy), FlowTable(5, policy)
-        table.preload(keys, hard, idle, "background")
+        installed = table.install_run(keys, 0, 0, math.inf, hard, idle, owner_by_index)
+        assert installed == min(usage, 5)
+        for k in keys[installed:]:
+            table.insert(FlowEntry(k, 0, 0, hard, idle, owner_by_index(k)), 0)
         for k in keys:
-            twin.insert(FlowEntry(k, 0, 0, hard, idle, "background"), 0)
+            twin.insert(FlowEntry(k, 0, 0, hard, idle, owner_by_index(k)), 0)
         assert table_state(table) == table_state(twin)
         # Both go on alike: a hit at t = 0, then inserts that evict and expire.
         for each in (table, twin):
@@ -360,19 +367,6 @@ class TestPreload:
             for i, t in enumerate((0, 150, 250, 400, 700), start=10):
                 each.insert(entry(i, hard, idle), t)
         assert table_state(table) == table_state(twin)
-
-    def test_rejects_a_used_table_or_more_keys_than_capacity(self):
-        table = FlowTable(2)
-        with pytest.raises(ValueError, match="at most capacity"):
-            table.preload([key(0), key(1), key(2)], 0, 0, "background")
-        table.lookup(key(0), 5)
-        with pytest.raises(ValueError, match="fresh table"):
-            table.preload([key(0)], 0, 0, "background")
-        table = FlowTable(2)
-        table.insert(entry(0), 0)
-        with pytest.raises(ValueError, match="fresh table"):
-            table.preload([key(1)], 0, 0, "background")
-        assert list(table.entries) == [key(0)]
 
 
 class TestTouchRun:
@@ -580,6 +574,17 @@ class TestInstallRun:
         assert table.install_run(keys, 10, 5, until_us, 0, 0,
                                  owner_by_index) == answered
 
+    @pytest.mark.parametrize("start_us, until_us, answered", [
+        (10, 10, 0), (10, 11, 3),  # until
+        (100, math.inf, 0),        # key(0)'s idle deadline
+    ])
+    def test_a_zero_gap_run_is_all_before_until_or_none(self, start_us, until_us,
+                                                         answered):
+        table = self.filled(idle=100)
+        keys = [key(i) for i in range(10, 13)]
+        assert table.install_run(keys, start_us, 0, until_us, 0, 0,
+                                 owner_by_index) == answered
+
     def test_stops_before_the_earliest_deadline(self):
         # key(0)'s idle deadline is 100: an insert at 100 would purge it.
         table = self.filled(idle=100)
@@ -598,7 +603,6 @@ class TestInstallRun:
                                  owner_by_index) == answered
 
     @pytest.mark.parametrize("start_us, gap_us, first", [
-        (10, 0, 0),   # every install in one microsecond
         (1, 5, 0),    # behind the table clock
         (10, 5, 1),   # keys[1] is live
         (10, 5, 3),   # past the end of the keys
@@ -657,7 +661,7 @@ class TestInstallRun:
             assert not oracle.lookup(k, at_us)
             assert oracle.insert(k, at_us, hard, idle, owner_by_index(k)) == (None, False)
         assert table_state(table) == table_state(twin)
-        if gap_us >= 1 and start_us >= table._now and first + installed < len(keys):
+        if start_us >= table._now and first + installed < len(keys):
             # The run is maximal: the next key is live, the table is full, or
             # the next send could purge or meet an arrival.
             at_us = start_us + installed * gap_us

@@ -64,6 +64,17 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(noise="laplace")
 
+    def test_bands_sharing_a_drawn_microsecond_rejected(self):
+        # 0.3 ms and 0.3004 ms are apart, but both round to 300 us.
+        with pytest.raises(ValueError, match="disjoint"):
+            LatencyModel(miss_notfull_ms=(0.3004, 0.5), miss_full_ms=(0.8, 1.0))
+        model = LatencyModel(miss_notfull_ms=(0.3006, 0.5), miss_full_ms=(0.8, 1.0))
+        assert model.range_us(BRANCH_MISS_NOTFULL) == (301, 500)
+
+    def test_band_past_the_microsecond_range_rejected(self):
+        with pytest.raises(ValueError, match="invalid latency range"):
+            LatencyModel(miss_full_ms=(8.0, 1e306))
+
 
 class TestProbeBranches:
     def test_first_probe_misses_and_installs(self):
