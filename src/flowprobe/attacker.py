@@ -272,7 +272,7 @@ def bootstrap_thresholds(session: ProbeSession,
     failed confirmation folds the filler and every confirmation back into
     the miss band and the stream continues. A confirmed jump whose pinned
     re-probe was not faster than the miss-band median by the jump factor
-    raises AttackError: an entry timeout below ts1 expired the pin.
+    raises AttackError: a timeout below ts1 expired the pin, or bands too close.
     """
     t1_samples: list[float] = []
     t2_samples: list[float] = []
@@ -331,10 +331,12 @@ def bootstrap_thresholds(session: ProbeSession,
                 else:  # every confirmation jumped
                     if re_probe.rtt_us * params.jump_factor >= median:
                         raise AttackError(
-                            "the pinned key missed its re-probe "
-                            f"ts1_ms={params.ts1_ms} ms after install: an "
-                            "entry timeout below ts1_ms expired it"
-                        )
+                            f"the pinned key's re-probe ts1_ms={params.ts1_ms} ms after "
+                            f"install took {us_to_ms(re_probe.rtt_us)} ms, not "
+                            f"jump_factor={params.jump_factor} times below the "
+                            f"{us_to_ms(median)} ms miss-band median: either an entry "
+                            "timeout below ts1_ms expired it, or the hit and miss "
+                            "bands lie closer together than jump_factor")
                     t2_samples.append(us_to_ms(median))
                     t3_samples.append(us_to_ms(confirms[-1]))
                     jumped = True

@@ -9,7 +9,8 @@ identical table states.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+import math
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -101,11 +102,16 @@ class FlowTable:
     insertion time, then by insertion sequence number, so the victim is
     always unique.
 
-    One ordered dict, `entries`, is kept in victim order for both policies:
-    its first key is the next victim. An insert appends, since the new entry
-    sorts last under either rule. FIFO never reorders the dict. An LRU hit
-    moves the entry to the back; entries touched in the same microsecond
-    still order by insertion time, then sequence number.
+    One ordered dict is kept in victim order for both policies: its first
+    key is the next victim. An insert appends, since the new entry sorts
+    last under either rule. FIFO never reorders the dict. An LRU hit moves
+    the entry to the back; entries touched in the same microsecond still
+    order by insertion time, then sequence number.
+
+    `admit` appends fresh entries: bare `(inserted_at, seq)` values with one
+    timeout and owner, due in insert order. A deque holds `(inserted_at,
+    seq, key)` per live one; one heap record `(deadline, seq, ())` stands
+    for its head. A lookup hit thaws one into its `FlowEntry` in place.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO):
@@ -115,8 +121,13 @@ class FlowTable:
             raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self.entries: OrderedDict[FlowKey, FlowEntry] = OrderedDict()
+        self._entries: OrderedDict[FlowKey, FlowEntry | tuple[int, int]] = OrderedDict()
         self.removal_log: list[RemovalRecord] = []
+        # Fresh queue, its (hard, idle, owner), timeout, and record's presence.
+        self._fresh: deque[tuple[int, int, FlowKey]] = deque()
+        self._fresh_kind: Optional[tuple[int, int, str]] = None
+        self._fresh_timeout = 0
+        self._queued = False
         self._lru = policy == LRU
         # Latest time any entry's last_access was set; while it differs from
         # `now`, a refreshed LRU entry is the sole one touched at `now`.
@@ -132,7 +143,26 @@ class FlowTable:
         self._now = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
+
+    @property
+    def entries(self) -> OrderedDict[FlowKey, FlowEntry]:
+        """The live entries in victim order, each as a `FlowEntry`."""
+        if not self._fresh:
+            return self._entries
+        return OrderedDict((key, self._as_entry(key, value) if value.__class__ is tuple
+                            else value) for key, value in self._entries.items())
+
+    def _as_entry(self, key: FlowKey, value: tuple[int, int]) -> FlowEntry:
+        hard, idle, owner = self._fresh_kind
+        return FlowEntry(key, value[0], value[0], hard, idle, owner, value[1])
+
+    def _queue_fresh(self) -> None:
+        """Give the fresh queue's head a heap record if the heap holds none."""
+        if self._fresh and self._fresh_timeout and not self._queued:
+            at, seq, _ = self._fresh[0]
+            heapq.heappush(self._expiry_heap, (at + self._fresh_timeout, seq, ()))
+            self._queued = True
 
     def purge_expired(self, now: int) -> list[FlowKey]:
         """Remove every entry expired at `now`. Idempotent for a fixed `now`."""
@@ -140,18 +170,32 @@ class FlowTable:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
         removed: list[FlowKey] = []
-        heap = self._expiry_heap
+        heap, entries, fresh = self._expiry_heap, self._entries, self._fresh
         while heap and heap[0][0] <= now:
             _, seq, key = heapq.heappop(heap)
-            entry = self.entries.get(key)
-            if entry is None or entry.seq != seq:
+            if not key:  # the fresh queue's record, maybe early
+                self._queued = False
+                timeout = self._fresh_timeout
+                while fresh and fresh[0][0] + timeout <= now:
+                    at, seq, key = fresh[0]
+                    if heap and heap[0] < (at + timeout, seq):
+                        break  # another record sorts first
+                    fresh.popleft()
+                    del entries[key]
+                    self.removal_log.append(tuple.__new__(
+                        RemovalRecord, (now, key, self._fresh_kind[2], EXPIRED)))
+                    removed.append(key)
+                self._queue_fresh()
+                continue
+            entry = entries.get(key)
+            if entry.__class__ is not FlowEntry or entry.seq != seq:
                 continue  # stale heap record for a replaced/removed entry
             # An entry never hit since its insert is due at this record's
             # deadline, which has passed; only a hit entry's is recomputed.
             deadline = (now if entry.last_access == entry.inserted_at
                         else entry.next_deadline())  # finite: it is in the heap
             if deadline <= now:  # type: ignore[operator]
-                del self.entries[key]
+                del entries[key]
                 self.removal_log.append(
                     tuple.__new__(RemovalRecord, (now, key, entry.owner, EXPIRED)))
                 removed.append(key)
@@ -173,16 +217,23 @@ class FlowTable:
         heap = self._expiry_heap
         if heap and heap[0][0] <= now:
             self.purge_expired(now)
-        entry = self.entries.get(key)
+        entry = self._entries.get(key)
         if entry is None:
             return False
-        if entry.last_access != now:
-            entry.last_access = now
-            if self._lru:
-                self.entries.move_to_end(key)
-                if self._touched_at == now:
-                    self._order_tail(entry, now)
-                self._touched_at = now
+        try:  # only reading `last_access` of a fresh entry (a tuple) raises
+            if entry.last_access != now:
+                entry.last_access = now
+                if self._lru:
+                    self._entries.move_to_end(key)
+                    if self._touched_at == now:
+                        self._order_tail(entry, now)
+                    self._touched_at = now
+        except AttributeError:  # thaw it in place, with a heap record; hit again
+            entry = self._entries[key] = self._as_entry(key, entry)
+            self._fresh.remove((entry.inserted_at, entry.seq, key))
+            if self._fresh_timeout:
+                heapq.heappush(heap, (entry.next_deadline(), entry.seq, key))
+            return self.lookup(key, now)
         return True
 
     def _run_length(self, count: int, start_us: int, gap_us: int,
@@ -206,29 +257,30 @@ class FlowTable:
         `start_us + gap_us`, ...; return how many were answered.
 
         Each answered key is handled exactly as a hitting `lookup` at its
-        time would handle it. The run stops at the first missing key and
-        before the first time at or after `until_us` or the earliest expiry
-        deadline, where a lookup could purge. It answers nothing when
-        `gap_us < 1` or `start_us` is not after the latest LRU touch, where
-        a hit could tie with another touched in the same microsecond, or
-        when `start_us` is before the table's clock, which `lookup` rejects;
-        a run that cannot answer its first key costs O(1).
+        time would handle it. The run stops at the first missing or fresh
+        key (a lookup thaws it) and before the first time at or after
+        `until_us` or the earliest expiry deadline, where a lookup could
+        purge. It answers nothing when `gap_us < 1` or `start_us` is not
+        after the latest LRU touch, where a hit could tie with another
+        touched in the same microsecond, or when `start_us` is before the
+        table's clock, which `lookup` rejects; a run that cannot answer its
+        first key costs O(1).
         """
         if gap_us < 1 or start_us <= self._touched_at or start_us < self._now:
             return 0
-        entries = self.entries
+        entries = self._entries
         count = self._run_length(len(keys) - first, start_us, gap_us, until_us)
-        if count <= 0 or keys[first] not in entries:
+        if count <= 0 or entries.get(keys[first]).__class__ is not FlowEntry:
             return 0
         get = entries.get
         move_to_end = entries.move_to_end
         lru = self._lru
         now = start_us
         for key in keys[first:first + count]:
-            entry = get(key)
-            if entry is None:
+            try:
+                get(key).last_access = now
+            except AttributeError:  # absent (None) or fresh (a tuple)
                 break
-            entry.last_access = now
             if lru:
                 move_to_end(key)
             now += gap_us
@@ -251,7 +303,7 @@ class FlowTable:
         `gap_us < 0` or `start_us` is before the table's clock; a run that
         cannot install its first key costs O(1).
         """
-        entries = self.entries
+        entries = self._entries
         free = self.capacity - len(entries)
         if (gap_us < 0 or start_us < self._now or free <= 0
                 or first >= len(keys) or keys[first] in entries):
@@ -285,14 +337,16 @@ class FlowTable:
         """Move entries touched at `now` and inserted after `entry` behind it."""
         rank = (entry.inserted_at, entry.seq)
         later = []
-        tail = reversed(self.entries.values())
+        tail = reversed(self._entries.items())
         next(tail)  # `entry` itself
-        for other in tail:
+        for key, other in tail:
+            if other.__class__ is tuple:
+                other = self._as_entry(key, other)
             if other.last_access != now or (other.inserted_at, other.seq) < rank:
                 break
-            later.append(other.key)
+            later.append(key)
         for key in reversed(later):
-            self.entries.move_to_end(key)
+            self._entries.move_to_end(key)
 
     def insert(self, entry: FlowEntry, now: int) -> InsertResult:
         """Install `entry` at `now`, evicting one victim if the table is full.
@@ -308,16 +362,19 @@ class FlowTable:
         heap = self._expiry_heap
         if heap and heap[0][0] <= now:
             self.purge_expired(now)
-        entries = self.entries
+        entries = self._entries
         key = entry.key
         if key in entries:
             raise DuplicateEntryError(f"live entry already installed for {key}")
 
         if len(entries) >= self.capacity:
             evicted_key, victim = entries.popitem(last=False)
+            if victim.__class__ is tuple:  # a fresh entry, the fresh queue's head
+                self._fresh.popleft()
+            owner = victim.owner if victim.__class__ is FlowEntry else self._fresh_kind[2]
             # RemovalRecord(time, key, owner, reason), built as InsertResult is.
             self.removal_log.append(
-                tuple.__new__(RemovalRecord, (now, evicted_key, victim.owner, EVICTED)))
+                tuple.__new__(RemovalRecord, (now, evicted_key, owner, EVICTED)))
             result = tuple.__new__(InsertResult, (evicted_key, True))
         else:
             result = _NOT_FULL
@@ -333,11 +390,66 @@ class FlowTable:
             heapq.heappush(heap, (now + timeout, seq, key))
         return result
 
+    def admit(self, keys: Sequence[FlowKey], times: Sequence[int], hard_timeout: int,
+              idle_timeout: int, owner: str) -> list[int]:
+        """Insert `keys[i]` at `times[i]` as fresh entries, exactly as one
+        `insert` per key would; return the indexes of the inserts that found
+        the table full. The first call fixes the timeouts and owner of every
+        fresh entry; a call with others raises ValueError."""
+        kind = (hard_timeout, idle_timeout, owner)
+        if self._fresh_kind not in (None, kind):
+            raise ValueError(f"fresh entries are {self._fresh_kind}, not {kind}")
+        self._fresh_kind = kind
+        timeout = self._fresh_timeout = (
+            min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
+            else max(hard_timeout, idle_timeout))
+        entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
+        full: list[int] = []
+        # Nothing falls due before `fresh_due` (fresh) and `other_due` (the rest);
+        # fresh heads expire here, leaving the queue's record early until a purge.
+        fresh_due = ((fresh[0][0] if fresh else self._now) + timeout if timeout
+                     else math.inf)
+        other_due = (heap[0][0] if heap and heap[0][2]
+                     else min(heap[1:3], default=(math.inf,))[0])
+        try:
+            for i, key in enumerate(keys):
+                now = times[i]
+                if now < self._now:
+                    raise ClockError(f"clock went backwards: {now} < {self._now}")
+                self._now = now
+                if now >= fresh_due or now >= other_due:
+                    if now >= other_due:
+                        self._queue_fresh()
+                        self.purge_expired(now)
+                        other_due = (heap[0][0] if heap and heap[0][2]
+                                     else min(heap[1:3], default=(math.inf,))[0])
+                    else:
+                        while fresh and fresh[0][0] + timeout <= now:
+                            gone = fresh.popleft()[2]
+                            del entries[gone]
+                            self.removal_log.append(tuple.__new__(
+                                RemovalRecord, (now, gone, owner, EXPIRED)))
+                    fresh_due = ((fresh[0][0] if fresh else now) + timeout if timeout
+                                 else math.inf)
+                if key in entries:
+                    raise DuplicateEntryError(f"live entry already installed for {key}")
+                if len(entries) >= self.capacity:
+                    gone, victim = entries.popitem(last=False)
+                    if victim.__class__ is tuple:
+                        fresh.popleft()
+                    self.removal_log.append(tuple.__new__(RemovalRecord, (
+                        now, gone, getattr(victim, "owner", owner), EVICTED)))
+                    full.append(i)
+                self._seq = seq = self._seq + 1
+                self._touched_at = now
+                entries[key] = (now, seq)
+                fresh.append((now, seq, key))
+        finally:
+            self._queue_fresh()
+        return full
+
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""
         self.purge_expired(now)
-        attacker = 0
-        for entry in self.entries.values():
-            if entry.owner == OWNER_ATTACKER:
-                attacker += 1
-        return Occupancy(attacker, len(self.entries) - attacker)
+        attacker = sum(entry.owner == OWNER_ATTACKER for entry in self.entries.values())
+        return Occupancy(attacker, len(self._entries) - attacker)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from math import cos, log, sin, sqrt, tau
 from random import Random
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
@@ -280,13 +280,10 @@ class SwitchSimulator:
 
         # Background keys are indexes 0, 1, ... of the background prefix: the
         # preloaded entries first, then one per arrival. The preload is one
-        # run at t = 0; a usage past capacity evicts at t = 0, as inserts do.
-        preloaded = self._bg_keys.keys(0, self.workload.initial_usage)
-        installed = self.table.install_run(preloaded, 0, 0, math.inf,
-                                           self.hard_timeout_us, self.idle_timeout_us,
-                                           lambda key: OWNER_BACKGROUND)
-        for key in preloaded[installed:]:
-            self._install(key, 0, OWNER_BACKGROUND)
+        # batch at t = 0; a usage past capacity evicts at t = 0, as inserts do.
+        usage = self.workload.initial_usage
+        self.table.admit(self._bg_keys.keys(0, usage), [0] * usage, self.hard_timeout_us,
+                         self.idle_timeout_us, OWNER_BACKGROUND)
 
     # -- latency ---------------------------------------------------------
 
@@ -299,17 +296,17 @@ class SwitchSimulator:
             return self._midpoints[branch]
         return truncated_gauss(self._latency_rng, self._gauss[branch])
 
-    def _draw_rtts(self, branches: Sequence[str], keep: bool) -> list[int]:
-        """Make one `_draw_rtt` draw per branch of the non-empty `branches`,
+    def _draw_rtts(self, branches: Iterable[str], count: int, keep: bool) -> list[int]:
+        """Make one `_draw_rtt` draw per branch of the `count` > 0 `branches`,
         in order, and return them if `keep`; otherwise only advance the RNG
         as they would, and return an empty list."""
         if keep:
-            return [self._draw_rtt(branch) for branch in branches]
+            return list(map(self._draw_rtt, branches))
         if self._noise == NOISE_UNIFORM:
             # One random() takes two 32-bit words of the Mersenne Twister,
             # getrandbits(k) takes ceil(k / 32): advance the generator past
             # every draw in one call.
-            self._latency_rng.getrandbits(64 * len(branches))
+            self._latency_rng.getrandbits(64 * count)
         elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
             truncated_gauss(self._latency_rng, chain.from_iterable(
                 map(self._gauss.__getitem__, branches)))
@@ -332,9 +329,9 @@ class SwitchSimulator:
         first, installs every arrival in time order, then draws the RTTs in
         the same order through `_draw_rtts`: the state is that of handling
         the arrivals one by one. Each arrival is a fresh key of the
-        background prefix, so a lookup could only miss; it is installed
-        straight away (insert still rejects a live key) and answered as
-        `send_probe` answers a miss.
+        background prefix, so a lookup could only miss; `FlowTable.admit`
+        installs the batch straight away as fresh entries (it still rejects
+        a live key), and each is answered as `send_probe` answers a miss.
         """
         times = []
         at = self._next_arrival_us
@@ -346,16 +343,15 @@ class SwitchSimulator:
         count = len(times)
         first = self.workload.initial_usage + self.background_arrivals
         keys = self._bg_keys.keys(first, first + count)
-        insert = self.table.insert
-        hard, idle = self.hard_timeout_us, self.idle_timeout_us
-        branches = [BRANCH_MISS_FULL
-                    if insert(FlowEntry(key, 0, 0, hard, idle, OWNER_BACKGROUND),
-                              at).was_full
-                    else BRANCH_MISS_NOTFULL for key, at in zip(keys, times)]
+        full = self.table.admit(keys, times, self.hard_timeout_us, self.idle_timeout_us,
+                                OWNER_BACKGROUND)
         self.background_arrivals += count
         self.events_processed += count
         trace = self.trace
-        rtts = self._draw_rtts(branches, trace is not None)
+        branches = [BRANCH_MISS_NOTFULL] * count
+        for i in full:
+            branches[i] = BRANCH_MISS_FULL
+        rtts = self._draw_rtts(branches, count, trace is not None)
         if trace is not None:
             trace += [SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND, branch, rtt)
                       for at, key, branch, rtt in zip(times, keys, branches, rtts)]
@@ -438,7 +434,7 @@ class SwitchSimulator:
                                         self.owner_of, sent)
                 branch = BRANCH_MISS_NOTFULL
             if run:
-                kept += self._draw_rtts([branch] * run, rtts is not None)
+                kept += self._draw_rtts(repeat(branch, run), run, rtts is not None)
                 sent += run
                 at_us += run * gap_us
                 self.now_us = at_us - gap_us

@@ -43,6 +43,8 @@ from flowprobe.netsim import (
     us_to_ms,
 )
 
+from test_flowtable import table_state
+
 NOISELESS = LatencyModel(noise="none")
 MIDPOINT_THRESHOLDS = RttThresholds.from_band_centers(0.25, 4.0, 9.0)
 
@@ -519,10 +521,8 @@ def sim_state(sim):
     table = sim.table
     return (
         sim.now_us, sim.events_processed, sim.background_arrivals,
-        list(table.entries.items()), table.removal_log, sim.trace,
-        sim._latency_rng.getstate(), table._touched_at, table._now,
-        table._expiry_heap, table._seq, sim._next_arrival_us,
-        sim._arrival_rng.getstate(),
+        *table_state(table), sim.trace, sim._latency_rng.getstate(),
+        sim._next_arrival_us, sim._arrival_rng.getstate(),
     )
 
 
@@ -778,10 +778,12 @@ def per_filler_bootstrap(session, params):
                     else:
                         if re_probe.rtt_us * params.jump_factor >= median:
                             raise AttackError(
-                                "the pinned key missed its re-probe "
-                                f"ts1_ms={params.ts1_ms} ms after install: an "
-                                "entry timeout below ts1_ms expired it"
-                            )
+                                f"the pinned key's re-probe ts1_ms={params.ts1_ms} ms "
+                                f"after install took {us_to_ms(re_probe.rtt_us)} ms, not "
+                                f"jump_factor={params.jump_factor} times below the "
+                                f"{us_to_ms(median)} ms miss-band median: either an "
+                                "entry timeout below ts1_ms expired it, or the hit and "
+                                "miss bands lie closer together than jump_factor")
                         t2_samples.append(us_to_ms(median))
                         t3_samples.append(us_to_ms(confirms[-1]))
                         jumped = True

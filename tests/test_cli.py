@@ -465,6 +465,21 @@ class TestShippedConfigs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean_capacity"] == 400.0
 
+    def test_fifo400_with_close_bands_names_both_causes(self, capsys):
+        # fifo400 has no timeouts, so each pin's re-probe hits; but a hit
+        # RTT of 0.2-0.3 ms is not 1.5 times below a 0.3006-0.5 ms miss band.
+        assert main(["infer", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "latency.miss_notfull_ms=[0.3006,0.5]",
+                     "--set", "latency.miss_full_ms=[0.8,1.0]"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        errors = [run["error"] for run in payload["runs"] if run["error"]]
+        assert payload["failed_runs"] == len(errors) == 7
+        for error in errors:
+            assert "ts1_ms=100.0 ms after install took 0." in error
+            assert "ms miss-band median" in error and "jump_factor=1.5" in error
+            assert "entry timeout below ts1_ms expired it" in error
+            assert "hit and miss bands lie closer together than jump_factor" in error
+
     def test_characterize_config(self, capsys):
         assert main(["characterize-rtt", "--config",
                      str(CONFIGS / "characterize.json")]) == 0

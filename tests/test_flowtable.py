@@ -1,6 +1,7 @@
 """Unit and oracle-equivalence tests for the flow table."""
 
 import copy
+import itertools
 import math
 import heapq
 import random
@@ -143,10 +144,10 @@ class TestInsert:
         table.insert(entry(1, idle=100 * MS), 50)
         if due:
             heapq.heappush(table._expiry_heap, (10, 0, key(9)))
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         with pytest.raises(ClockError):
             table.insert(entry(2), 40)
-        assert table_state(table) == before
+        assert table_state(table, raw_heap=True) == before
 
     def test_reinstall_after_expiry_gets_fresh_position(self):
         # k1 expires, is reinstalled, and must then be newest, not oldest.
@@ -336,14 +337,34 @@ class TestOracleEquivalence:
             assert len(table) <= 6
 
 
-def table_state(table):
-    return (list(table.entries.items()), [e.seq for e in table.entries.values()],
-            table.removal_log, table._expiry_heap, table._seq, table._touched_at,
-            table._now)
+def table_state(table, raw_heap=False):
+    """What twin tables agree on when they hold the same entries, whatever
+    internal form holds them: each entry's fields (seq too) in victim order,
+    each one's next deadline, the removal log, the sequence counter and both
+    clocks. The raw expiry heap is added only if `raw_heap` (a table checked
+    against its own earlier state). Also asserts that every live entry with
+    a finite timeout is covered by a heap record at or before its deadline:
+    its own, or the fresh queue's for a fresh entry."""
+    entries = table.entries
+    own, queue = {}, math.inf
+    for deadline, seq, k in table._expiry_heap:
+        if k:
+            own[k, seq] = min(own.get((k, seq), math.inf), deadline)
+        else:
+            queue = min(queue, deadline)
+    for k, e in entries.items():
+        deadline = e.next_deadline()
+        fresh = type(table._entries[k]) is tuple
+        assert deadline is None or min(own.get((k, e.seq), math.inf),
+                                       queue if fresh else math.inf) <= deadline
+    return ([(e.key, e.inserted_at, e.last_access, e.hard_timeout, e.idle_timeout,
+              e.owner, e.seq, e.next_deadline()) for e in entries.values()],
+            table.removal_log, table._seq, table._touched_at, table._now,
+            *([list(table._expiry_heap)] if raw_heap else []))
 
 
 class TestPreload:
-    """The simulator's preload: one `install_run` at t = 0 with a gap of 0."""
+    """One `install_run` at t = 0 with a gap of 0 installs as an insert loop."""
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("usage", [0, 1, 5, 7])
@@ -419,9 +440,9 @@ class TestTouchRun:
     @pytest.mark.parametrize("until_us", [10, 9, 0, -7])
     def test_until_at_or_before_start_answers_nothing(self, until_us):
         table = self.filled()
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.touch_run([key(0), key(1)] * 5, 10, 5, until_us) == 0
-        assert table_state(table) == before
+        assert table_state(table, raw_heap=True) == before
 
     def test_stops_before_a_deadline_on_a_send_time(self):
         # key(0)'s idle deadline, 100, is the fourth send time, 40 + 3*20,
@@ -429,9 +450,9 @@ class TestTouchRun:
         table = self.filled(idle=100)
         assert table.touch_run([key(1)] * 50, 40, 20, 200) == 3
         assert key(0) in table.entries and table._now == 80
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.touch_run([key(1)] * 50, 100, 20, 200) == 0
-        assert table_state(table) == before
+        assert table_state(table, raw_heap=True) == before
 
     @pytest.mark.parametrize("policy, start_us, gap_us, touched", [
         ("LRU", 2, 5, 0),    # the microsecond of the last touch (an insert)
@@ -441,11 +462,11 @@ class TestTouchRun:
     ])
     def test_guards(self, policy, start_us, gap_us, touched):
         table = self.filled(policy)
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.touch_run([key(2), key(0), key(1)], start_us, gap_us,
                                float("inf")) == touched
         if not touched:
-            assert table_state(table) == before
+            assert table_state(table, raw_heap=True) == before
 
     def test_answers_from_the_first_index(self):
         table, twin = self.filled(), self.filled()
@@ -454,9 +475,9 @@ class TestTouchRun:
         assert twin.lookup(key(0), 10) and twin.lookup(key(1), 15)
         assert table_state(table) == table_state(twin)
         # keys[0] is live but keys[first] is not: nothing is answered.
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.touch_run([key(0), key(7)], 30, 5, float("inf"), first=1) == 0
-        assert table_state(table) == before
+        assert table_state(table, raw_heap=True) == before
 
     def test_fifo_hits_leave_the_order_and_touch_time(self):
         table = self.filled("FIFO")
@@ -561,10 +582,10 @@ class TestInstallRun:
         keys = [key(i) for i in range(10, 15)]
         assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 2
         assert len(table) == 5 and table.removal_log == []
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.install_run(keys, 20, 5, float("inf"), 0, 0, owner_by_index,
                                  first=2) == 0
-        assert table_state(table) == before
+        assert table_state(table, raw_heap=True) == before
 
     @pytest.mark.parametrize("until_us, answered", [(25, 3), (26, 4)])
     def test_stops_before_until(self, until_us, answered):
@@ -609,10 +630,10 @@ class TestInstallRun:
     ])
     def test_guards(self, start_us, gap_us, first):
         table = self.filled()
-        before = copy.deepcopy(table_state(table))
+        before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
                                  float("inf"), 0, 0, owner_by_index, first) == 0
-        assert table_state(table) == before
+        assert table_state(table, raw_heap=True) == before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -676,3 +697,155 @@ class TestInstallRun:
         for j in range(100, 100 + capacity):
             assert table.insert(entry(j), end_us).evicted == oracle.insert(key(j), end_us)[0]
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
+
+
+class TestAdmit:
+    """`admit` stores fresh entries; the table must behave as with one
+    `insert` per key, whatever is done with them afterwards."""
+
+    @staticmethod
+    def insert_loop(table, keys, times, hard, idle, owner="background"):
+        """The loop `admit` stands for; returns the indexes that found the
+        table full."""
+        return [i for i, (k, t) in enumerate(zip(keys, times))
+                if table.insert(FlowEntry(k, 0, 0, hard, idle, owner), t).was_full]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 8),
+        hard=st.sampled_from((0, 40, 100)),
+        idle=st.sampled_from((0, 25, 60)),
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("probe"), st.integers(0, 30),
+                      st.one_of(st.integers(0, 7), st.integers(100, 125)),
+                      st.sampled_from((0, 0, 30)), st.sampled_from((0, 0, 20))),
+            st.tuples(st.just("admit"), st.lists(st.integers(0, 12), max_size=10)),
+            st.tuples(st.just("run"), st.integers(1, 30), st.integers(1, 4),
+                      st.lists(st.one_of(st.integers(0, 7), st.integers(100, 125)),
+                               max_size=6)),
+        ), max_size=14),
+    )
+    def test_matches_an_insert_loop_and_the_oracle(self, policy, capacity, hard,
+                                                   idle, ops):
+        table, twin = FlowTable(capacity, policy), FlowTable(capacity, policy)
+        oracle = ReplayOracle(capacity, policy)
+        now, admitted = 0, 100
+
+        def probed(i):
+            """Index i >= 100 picks a key admitted so far, if there is one."""
+            if i < 100:
+                return key(i)
+            return key(100 + (i - 100) % (admitted - 100) if admitted > 100 else i - 100)
+
+        for op in ops:
+            if op[0] == "probe":  # a miss installs an attacker entry
+                _, dt, i, h, d = op
+                now += dt
+                k = probed(i)
+                hit = table.lookup(k, now)
+                assert hit == twin.lookup(k, now) == oracle.lookup(k, now)
+                if not hit:
+                    for each in (table, twin):
+                        each.insert(FlowEntry(k, 0, 0, h, d, "attacker"), now)
+                    oracle.insert(k, now, h, d, "attacker")
+            elif op[0] == "admit":
+                times = list(itertools.accumulate(op[1], initial=now))[1:]
+                keys = [key(admitted + j) for j in range(len(times))]
+                admitted += len(keys)
+                full = table.admit(keys, times, hard, idle, "background")
+                assert full == self.insert_loop(twin, keys, times, hard, idle)
+                assert full == [j for j, (k, t) in enumerate(zip(keys, times))
+                                if oracle.insert(k, t, hard, idle, "background")[1]]
+                now = times[-1] if times else now
+            else:  # a hit run stops at a fresh key, which a lookup thaws
+                _, dt, gap, run = op
+                now += dt
+                keys = [probed(i) for i in run]
+                answered = table.touch_run(keys, now, gap, math.inf)
+                for j in range(answered):
+                    assert twin.lookup(keys[j], now + j * gap)
+                    assert oracle.lookup(keys[j], now + j * gap)
+                now += max(0, answered - 1) * gap
+            assert table_state(table) == table_state(twin)
+            assert table.removal_log == twin.removal_log
+        # Flush with new keys so every surviving entry's victim rank shows.
+        for j in range(200, 200 + capacity):
+            assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
+        assert sorted(table.removal_log) == sorted(oracle.removal_log)
+
+    def test_stores_fresh_entries_with_one_queue_record(self):
+        table = FlowTable(4)
+        keys = [key(i) for i in range(3)]
+        assert table.admit(keys, [0, 5, 5], 100, 0, "background") == []
+        assert list(table._entries.values()) == [(0, 1), (5, 2), (5, 3)]
+        assert table._expiry_heap == [(100, 1, ())]
+        assert [e.inserted_at for e in table.entries.values()] == [0, 5, 5]
+        assert table.occupancy(99) == (0, 3)
+        assert table.purge_expired(105) == keys
+
+    def test_reading_entries_changes_nothing(self):
+        table = FlowTable(4)
+        table.insert(entry(9, idle=50), 0)
+        plain = table.entries
+        assert plain is table._entries
+        table.admit([key(1), key(2)], [1, 2], 0, 50, "background")
+        before = copy.deepcopy(table_state(table, raw_heap=True))
+        view = table.entries
+        assert view is not table._entries and list(view) == [key(9), key(1), key(2)]
+        view[key(1)].last_access = 40
+        assert table_state(table, raw_heap=True) == before
+        assert type(table._entries[key(1)]) is tuple
+
+    def test_a_hit_thaws_in_place(self):
+        table = FlowTable(4, "LRU")
+        table.admit([key(1), key(2), key(3)], [0, 0, 0], 0, 50, "background")
+        assert table.lookup(key(2), 10)
+        thawed = table._entries[key(2)]
+        assert type(thawed) is FlowEntry and thawed.last_access == 10
+        assert list(table._entries) == [key(1), key(3), key(2)]
+        assert (50, 2, key(2)) in table._expiry_heap
+        assert [k for _, _, k in table._fresh] == [key(1), key(3)]
+
+    def test_an_lru_touch_in_the_insert_microsecond_orders_the_tail(self):
+        # key(0) hit at 5 moves to the back, then behind it go key(2), hit
+        # at 5, and fresh key(1), admitted at 5: all were last touched at
+        # 5, and key(0) was inserted first.
+        table, twin = FlowTable(3, "LRU"), FlowTable(3, "LRU")
+        for each in (table, twin):
+            each.insert(entry(0), 0)
+            each.insert(entry(2), 1)
+            assert each.lookup(key(2), 5)
+        table.admit([key(1)], [5], 0, 0, "background")
+        self.insert_loop(twin, [key(1)], [5], 0, 0)
+        for each in (table, twin):
+            assert each.lookup(key(0), 5)
+        assert table_state(table) == table_state(twin)
+        assert list(table.entries) == [key(0), key(2), key(1)]
+
+    def test_one_table_admits_one_kind(self):
+        # The first call fixes the timeouts and owner, also once its fresh
+        # entries are gone (a queue record for them may still be due later).
+        table = FlowTable(1)
+        table.admit([key(1)], [0], 1000, 0, "background")
+        table.insert(entry(2), 1)
+        for hard, owner in ((10, "background"), (1000, "attacker")):
+            with pytest.raises(ValueError, match="fresh entries are"):
+                table.admit([key(3)], [5], hard, 0, owner)
+        assert table.admit([], [], 1000, 0, "background") == []
+
+    @pytest.mark.parametrize("times, keys, error", [
+        ([10, 12, 11], [key(5), key(6), key(7)], ClockError),
+        ([5, 10], [key(1), key(5)], ClockError),
+        ([10, 20, 30], [key(5), key(1), key(6)], DuplicateEntryError),
+        ([10, 20, 30], [key(5), key(6), key(5)], DuplicateEntryError),
+    ])
+    def test_errors_leave_the_state_of_the_insert_loop(self, times, keys, error):
+        table, twin = FlowTable(3), FlowTable(3)
+        for each in (table, twin):
+            each.insert(entry(1, idle=15), 8)
+        with pytest.raises(error):
+            table.admit(keys, times, 0, 25, "background")
+        with pytest.raises(error):
+            self.insert_loop(twin, keys, times, 0, 25)
+        assert table_state(table) == table_state(twin)

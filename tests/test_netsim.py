@@ -514,6 +514,68 @@ class TestBranchDecisionDifferential:
         assert all(count > 100 for count in seen.values()), seen
 
 
+class TestOracleReplay:
+    """A traced switch replayed through the scan-based oracle, as perfbench's
+    lru-churn check replays its prefix. The switch holds its preload and
+    arrivals as fresh entries; the oracle inserts them one by one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 10),
+        usage=st.integers(0, 14),
+        rate=st.sampled_from((0.0, 2_000.0, 20_000.0, 100_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.8)),
+        idle_ms=st.sampled_from((0.0, 0.3)),
+        seed=st.integers(0, 2**16),
+        probes=st.lists(st.tuples(st.booleans(), st.integers(0, 40),
+                                  st.sampled_from((0, 0, 1, 7, 60, 250, 600))),
+                        min_size=1, max_size=25),
+    )
+    def test_matches_the_oracle(self, policy, capacity, usage, rate, hard_ms,
+                                idle_ms, seed, probes):
+        def build():
+            return SwitchSimulator(capacity, policy, hard_ms, idle_ms,
+                                   LatencyModel(noise="none"),
+                                   BackgroundWorkload(rate, usage, seed), True)
+
+        sim, stepped = build(), build()
+        background = KeySequence(BACKGROUND_PREFIX)
+        at = 0
+        for ours, i, wait_us in probes:
+            # Waits of 0 touch LRU entries in one microsecond; a background
+            # key already issued may be live as a fresh entry (a thaw).
+            at += wait_us
+            issued = usage + sim.background_arrivals
+            key = (attacker_keys().key_at(i % 6) if ours or not issued
+                   else background.key_at(i % issued))
+            step_arrivals(stepped, at)
+            assert sim.send_probe(key, at) == stepped.send_probe(key, at)
+        assert sim_state(sim) == sim_state(stepped)
+
+        oracle = ReplayOracle(capacity, policy)
+        hard, idle = sim.hard_timeout_us, sim.idle_timeout_us
+        victims = [oracle.insert(background.key_at(i), 0, hard, idle,
+                                 OWNER_BACKGROUND)[0] for i in range(usage)]
+        branches = []
+        for event in sim.trace:
+            if oracle.lookup(event.key, event.time_us):
+                branches.append(BRANCH_HIT)
+                continue
+            victim, was_full = oracle.insert(event.key, event.time_us, hard, idle,
+                                             event.owner)
+            branches.append(BRANCH_MISS_FULL if was_full else BRANCH_MISS_NOTFULL)
+            victims.append(victim)
+        log = sim.table.removal_log
+        assert branches == [event.branch for event in sim.trace]
+        assert [v for v in victims if v is not None] == [
+            r.key for r in log if r.reason == EVICTED]
+        # Expiries that share a timestamp may be logged in any order.
+        assert [r.time for r in log] == sorted(r.time for r in log)
+        assert sorted(log) == sorted(oracle.removal_log)
+        assert sim.ground_truth().occupancy == oracle.occupancy(sim.now_us)
+
+
 class TestEvictionAudit:
     def test_attacker_count_changes_are_accounted_for(self):
         sim = SwitchSimulator(
