@@ -111,7 +111,8 @@ class FlowTable:
     `admit` appends fresh entries: bare `(inserted_at, seq)` values with one
     timeout and owner, due in insert order. A deque holds `(inserted_at,
     seq, key)` per live one; one heap record `(deadline, seq, ())` stands
-    for its head. A lookup hit thaws one into its `FlowEntry` in place.
+    for its head, and is early once that head is gone, as a hit entry's
+    record may be. A lookup hit thaws one into its `FlowEntry` in place.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO):
@@ -173,14 +174,10 @@ class FlowTable:
         heap, entries, fresh = self._expiry_heap, self._entries, self._fresh
         while heap and heap[0][0] <= now:
             _, seq, key = heapq.heappop(heap)
-            if not key:  # the fresh queue's record, maybe early
+            if not key:  # the fresh queue's record, early unless it is its head's
                 self._queued = False
-                timeout = self._fresh_timeout
-                while fresh and fresh[0][0] + timeout <= now:
-                    at, seq, key = fresh[0]
-                    if heap and heap[0] < (at + timeout, seq):
-                        break  # another record sorts first
-                    fresh.popleft()
+                if fresh and fresh[0][1] == seq:
+                    key = fresh.popleft()[2]
                     del entries[key]
                     self.removal_log.append(tuple.__new__(
                         RemovalRecord, (now, key, self._fresh_kind[2], EXPIRED)))
@@ -340,13 +337,24 @@ class FlowTable:
         tail = reversed(self._entries.items())
         next(tail)  # `entry` itself
         for key, other in tail:
-            if other.__class__ is tuple:
-                other = self._as_entry(key, other)
+            other = self._as_entry(key, other) if other.__class__ is tuple else other
             if other.last_access != now or (other.inserted_at, other.seq) < rank:
                 break
             later.append(key)
         for key in reversed(later):
             self._entries.move_to_end(key)
+
+    def _evict(self, now: int) -> FlowKey:
+        """Evict the next victim at `now` and return its key."""
+        key, victim = self._entries.popitem(last=False)
+        if victim.__class__ is FlowEntry:
+            owner = victim.owner
+        else:  # a fresh entry, the fresh queue's head
+            self._fresh.popleft()
+            owner = self._fresh_kind[2]
+        # RemovalRecord(time, key, owner, reason), built as InsertResult is.
+        self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, owner, EVICTED)))
+        return key
 
     def insert(self, entry: FlowEntry, now: int) -> InsertResult:
         """Install `entry` at `now`, evicting one victim if the table is full.
@@ -368,14 +376,7 @@ class FlowTable:
             raise DuplicateEntryError(f"live entry already installed for {key}")
 
         if len(entries) >= self.capacity:
-            evicted_key, victim = entries.popitem(last=False)
-            if victim.__class__ is tuple:  # a fresh entry, the fresh queue's head
-                self._fresh.popleft()
-            owner = victim.owner if victim.__class__ is FlowEntry else self._fresh_kind[2]
-            # RemovalRecord(time, key, owner, reason), built as InsertResult is.
-            self.removal_log.append(
-                tuple.__new__(RemovalRecord, (now, evicted_key, owner, EVICTED)))
-            result = tuple.__new__(InsertResult, (evicted_key, True))
+            result = tuple.__new__(InsertResult, (self._evict(now), True))
         else:
             result = _NOT_FULL
 
@@ -403,53 +404,52 @@ class FlowTable:
         timeout = self._fresh_timeout = (
             min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
             else max(hard_timeout, idle_timeout))
-        entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
+        entries, fresh = self._entries, self._fresh
         full: list[int] = []
-        # Nothing falls due before `fresh_due` (fresh) and `other_due` (the rest);
-        # fresh heads expire here, leaving the queue's record early until a purge.
-        fresh_due = ((fresh[0][0] if fresh else self._now) + timeout if timeout
-                     else math.inf)
-        other_due = (heap[0][0] if heap and heap[0][2]
-                     else min(heap[1:3], default=(math.inf,))[0])
-        try:
-            for i, key in enumerate(keys):
-                now = times[i]
-                if now < self._now:
-                    raise ClockError(f"clock went backwards: {now} < {self._now}")
-                self._now = now
-                if now >= fresh_due or now >= other_due:
-                    if now >= other_due:
-                        self._queue_fresh()
-                        self.purge_expired(now)
-                        other_due = (heap[0][0] if heap and heap[0][2]
-                                     else min(heap[1:3], default=(math.inf,))[0])
-                    else:
-                        while fresh and fresh[0][0] + timeout <= now:
-                            gone = fresh.popleft()[2]
-                            del entries[gone]
-                            self.removal_log.append(tuple.__new__(
-                                RemovalRecord, (now, gone, owner, EXPIRED)))
-                    fresh_due = ((fresh[0][0] if fresh else now) + timeout if timeout
-                                 else math.inf)
-                if key in entries:
-                    raise DuplicateEntryError(f"live entry already installed for {key}")
-                if len(entries) >= self.capacity:
-                    gone, victim = entries.popitem(last=False)
-                    if victim.__class__ is tuple:
-                        fresh.popleft()
-                    self.removal_log.append(tuple.__new__(RemovalRecord, (
-                        now, gone, getattr(victim, "owner", owner), EVICTED)))
-                    full.append(i)
-                self._seq = seq = self._seq + 1
-                self._touched_at = now
-                entries[key] = (now, seq)
-                fresh.append((now, seq, key))
-        finally:
-            self._queue_fresh()
+        # No fresh entry falls due before `fresh_due` (`now` bounds an empty
+        # queue's next entry), no other before `other_due`. Between purges,
+        # due fresh entries expire here, leaving the queue record early.
+        fresh_due, other_due = -1, self._other_due()
+        for i, key in enumerate(keys):
+            now = times[i]
+            if now < self._now:
+                raise ClockError(f"clock went backwards: {now} < {self._now}")
+            self._now = now
+            if now >= fresh_due or now >= other_due:
+                if now >= other_due:
+                    self.purge_expired(now)
+                    other_due = self._other_due()
+                elif timeout:
+                    while fresh and fresh[0][0] + timeout <= now:
+                        gone = fresh.popleft()[2]
+                        del entries[gone]
+                        self.removal_log.append(
+                            tuple.__new__(RemovalRecord, (now, gone, owner, EXPIRED)))
+                fresh_due = ((fresh[0][0] if fresh else now) + timeout if timeout
+                             else math.inf)
+            if key in entries:
+                raise DuplicateEntryError(f"live entry already installed for {key}")
+            if len(entries) >= self.capacity:
+                self._evict(now)
+                full.append(i)
+            self._seq = seq = self._seq + 1
+            self._touched_at = now
+            entries[key] = (now, seq)
+            fresh.append((now, seq, key))
+            if timeout and not self._queued:  # `key` heads the fresh queue
+                self._queue_fresh()
         return full
+
+    def _other_due(self) -> float:
+        """The earliest deadline in the heap but the queue record's, which
+        may be heap[0]; then the next is one of its children."""
+        heap = self._expiry_heap
+        return (heap[0] if heap and heap[0][2] else min(heap[1:3], default=(math.inf,)))[0]
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""
         self.purge_expired(now)
-        attacker = sum(entry.owner == OWNER_ATTACKER for entry in self.entries.values())
+        fresh_owner = self._fresh_kind and self._fresh_kind[2]
+        attacker = sum((value.owner if value.__class__ is FlowEntry else fresh_owner)
+                       == OWNER_ATTACKER for value in self._entries.values())
         return Occupancy(attacker, len(self._entries) - attacker)

@@ -784,6 +784,30 @@ class TestAdmit:
         assert table.occupancy(99) == (0, 3)
         assert table.purge_expired(105) == keys
 
+    def test_a_due_record_below_the_queue_record_expires_in_order(self):
+        # The heap holds the queue record on top, then key(2)'s late record
+        # and key(3)'s earlier one. key(1) (due 50) and key(3) (due 62)
+        # expire, in that order, when key(5) goes in at 62; key(4) (due 70)
+        # expires when key(6) goes in at 100.
+        table, twin = FlowTable(10), FlowTable(10)
+        admits = ((table, table.admit), (twin, lambda *a: self.insert_loop(twin, *a)))
+        for each, admit in admits:
+            admit([key(1)], [0], 0, 50, "background")
+            each.insert(entry(2, idle=200), 1)
+            each.insert(entry(3, idle=60), 2)
+            admit([key(4)], [20], 0, 50, "background")
+        assert [k for _, _, k in table._expiry_heap] == [(), key(2), key(3)]
+        for each, admit in admits:
+            admit([key(5), key(6)], [62, 100], 0, 50, "background")
+        assert table_state(table) == table_state(twin)
+        assert [r.key for r in table.removal_log] == [key(1), key(3), key(4)]
+
+    def test_occupancy_counts_fresh_entries_of_their_owner(self):
+        table = FlowTable(4)
+        table.admit([key(1), key(2)], [0, 0], 0, 0, "attacker")
+        table.insert(entry(3, owner="background"), 1)
+        assert table.occupancy(1) == (2, 1)
+
     def test_reading_entries_changes_nothing(self):
         table = FlowTable(4)
         table.insert(entry(9, idle=50), 0)
