@@ -397,13 +397,16 @@ class FlowTable:
         `insert` per key would; return the indexes of the inserts that found
         the table full. The first call fixes the timeouts and owner of every
         fresh entry; a call with others raises ValueError."""
-        kind = (hard_timeout, idle_timeout, owner)
-        if self._fresh_kind not in (None, kind):
-            raise ValueError(f"fresh entries are {self._fresh_kind}, not {kind}")
-        self._fresh_kind = kind
-        timeout = self._fresh_timeout = (
-            min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
-            else max(hard_timeout, idle_timeout))
+        kind = self._fresh_kind
+        if kind is None:
+            self._fresh_kind = (hard_timeout, idle_timeout, owner)
+            self._fresh_timeout = (
+                min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
+                else max(hard_timeout, idle_timeout))
+        elif hard_timeout != kind[0] or idle_timeout != kind[1] or owner != kind[2]:
+            raise ValueError(f"fresh entries are {kind}, "
+                             f"not {(hard_timeout, idle_timeout, owner)}")
+        timeout = self._fresh_timeout
         entries, fresh = self._entries, self._fresh
         full: list[int] = []
         # No fresh entry falls due before `fresh_due` (`now` bounds an empty

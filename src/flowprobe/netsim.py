@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from math import cos, log, sin, sqrt, tau
+from itertools import repeat
+from math import cos, exp, log, sin, sqrt, tau
 from random import Random
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
@@ -53,7 +53,31 @@ def us_to_ms(us: int) -> float:
     return us / US_PER_MS
 
 
-def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]]) -> int:
+# A Box-Muller pair whose second uniform u2 is below _SKIP_BELOW has
+# sqrt(-2 log(1 - u2)) < _SKIP_Z, so both its deviates do: 1 - u2 is exact
+# for u2 >= 0.5, and log and sqrt err by under an ulp, far less than the
+# margin anywhere but the ulps next to the threshold, which the tests check.
+# About 1.1% of pairs are not below it.
+_SKIP_Z = 2.999
+_SKIP_BELOW = 1.0 - exp(-_SKIP_Z * _SKIP_Z / 2)
+
+
+def skip_threshold(bands: Iterable[tuple[int, int, float, float]]) -> float:
+    """The `skip_below` that `truncated_gauss` may take for draws from any
+    of these `(lo, hi, mu, sigma)` bands, or 0.0, which skips nothing.
+
+    It is `_SKIP_BELOW` when every band holds mu - Z*sigma and mu + Z*sigma
+    as computed in floating point. Rounding is monotone, so then every
+    deviate z with |z| < Z gives `mu + z * sigma` inside every band.
+    """
+    z = _SKIP_Z
+    ok = all(lo <= mu - z * sigma <= hi and lo <= mu + z * sigma <= hi
+             for lo, hi, mu, sigma in bands)
+    return _SKIP_BELOW if ok else 0.0
+
+
+def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]],
+                    skip_below: float = 0.0) -> int:
     """Draw one RTT per `(lo, hi, mu, sigma)` of the non-empty `bands` and
     return the last.
 
@@ -62,14 +86,32 @@ def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]])
     The loop is `Random.gauss` unrolled (Box-Muller, the spare deviate kept
     in `rng.gauss_next`), so values and generator state match one `gauss`
     call per try.
+
+    A pair whose second uniform is below `skip_below`, which
+    `skip_threshold(bands)` gives, is taken with no Box-Muller math: both
+    its deviates lie in every band, so each answers its draw at the first
+    try. Such a draw has no value, so the return value is of use only when
+    `skip_below` is 0.0. A spare deviate left unread at the end is computed
+    then, so `gauss_next` ends as with `gauss` calls.
     """
     random = rng.random
     spare = rng.gauss_next
+    skipped = False  # the spare is a skipped pair's, not computed yet
+    value = 0.0
     for lo, hi, mu, sigma in bands:
-        for _ in range(16):
+        if skipped:
+            skipped = False
+            continue
+        tries = 16
+        while True:
             if spare is None:
-                x2pi = random() * tau
-                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                u1 = random()
+                u2 = random()
+                if u2 < skip_below:
+                    skipped = True
+                    break
+                x2pi = u1 * tau
+                g2rad = sqrt(-2.0 * log(1.0 - u2))
                 z = cos(x2pi) * g2rad
                 spare = sin(x2pi) * g2rad
             else:
@@ -77,8 +119,12 @@ def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]])
             value = mu + z * sigma
             if lo <= value <= hi:
                 break
-        else:
-            value = min(max(value, lo), hi)
+            tries -= 1
+            if not tries:
+                value = min(max(value, lo), hi)
+                break
+    if skipped:
+        spare = sin(u1 * tau) * sqrt(-2.0 * log(1.0 - u2))
     rng.gauss_next = spare
     return round(value)
 
@@ -263,7 +309,8 @@ class SwitchSimulator:
         self._bg_keys = KeySequence(BACKGROUND_PREFIX)
         rate = self.workload.arrival_rate
         self._rate_us = 1e6 / rate if rate > 0 else math.inf
-        self._next_arrival_us = self._draw_arrival(0)
+        self._next_arrival_us = 0
+        self._arrival_times(0)  # the first arrival time, one gap after t = 0
         # Cache per-branch draw parameters and a bound RNG method; the probe
         # path is hot.
         self._ranges = {
@@ -272,9 +319,10 @@ class SwitchSimulator:
         }
         self._uniform = {b: (lo, hi - lo + 1) for b, (lo, hi) in self._ranges.items()}
         self._midpoints = {b: (lo + hi) // 2 for b, (lo, hi) in self._ranges.items()}
-        # One-band tuples, as `truncated_gauss` takes them.
-        self._gauss = {b: ((lo, hi, (lo + hi) / 2, (hi - lo) / 6),)
+        # `truncated_gauss` bands, and the skip its unread draws may take.
+        self._gauss = {b: (lo, hi, (lo + hi) / 2, (hi - lo) / 6)
                        for b, (lo, hi) in self._ranges.items()}
+        self._skip_below = skip_threshold(self._gauss.values())
         self._rand = self._latency_rng.random
         self._noise = self.latency.noise
 
@@ -294,12 +342,19 @@ class SwitchSimulator:
             return lo + int(self._rand() * span)
         if noise == NOISE_NONE:
             return self._midpoints[branch]
-        return truncated_gauss(self._latency_rng, self._gauss[branch])
+        return truncated_gauss(self._latency_rng, (self._gauss[branch],))
 
     def _draw_rtts(self, branches: Iterable[str], count: int, keep: bool) -> list[int]:
         """Make one `_draw_rtt` draw per branch of the `count` > 0 `branches`,
         in order, and return them if `keep`; otherwise only advance the RNG
-        as they would, and return an empty list."""
+        exactly as they would, and return an empty list.
+
+        Unread uniform draws are one `getrandbits` call. Unread truncated
+        Gaussian draws are one `truncated_gauss` call that skips the
+        Box-Muller math of every pair whose deviates land in any band of
+        this switch (`skip_threshold`): two `random()` calls and one
+        comparison answer both its draws.
+        """
         if keep:
             return list(map(self._draw_rtt, branches))
         if self._noise == NOISE_UNIFORM:
@@ -308,38 +363,45 @@ class SwitchSimulator:
             # every draw in one call.
             self._latency_rng.getrandbits(64 * count)
         elif self._noise == NOISE_TRUNCATED_GAUSSIAN:
-            truncated_gauss(self._latency_rng, chain.from_iterable(
-                map(self._gauss.__getitem__, branches)))
+            truncated_gauss(self._latency_rng, map(self._gauss.__getitem__, branches),
+                            self._skip_below)
         return []
 
     # -- background workload ---------------------------------------------
 
-    def _draw_arrival(self, after_us: int) -> float:
-        # Inversion method; gap floored at 1 us to keep time strictly advancing.
-        # A gap that is not finite (no background traffic, or a rate near or
-        # below 1e-302 per s) means no further arrival.
-        u = self._arrival_rng.random()
-        gap_us = -math.log(1.0 - u) * self._rate_us
-        return after_us + max(1, round(gap_us)) if gap_us < math.inf else math.inf
+    def _arrival_times(self, up_to_us: float) -> list[int]:
+        """Return the arrival times from `_next_arrival_us` on that are due
+        by `up_to_us`, and move `_next_arrival_us` to the first one after.
+
+        Gaps are drawn by inversion from the arrival RNG and floored at
+        1 us, so time strictly advances. A gap that is not finite (no
+        background traffic, or a rate near or below 1e-302 per s) means no
+        further arrival.
+        """
+        times = []
+        at = self._next_arrival_us
+        random, rate_us, inf = self._arrival_rng.random, self._rate_us, math.inf
+        while at <= up_to_us:
+            times.append(at)
+            gap_us = -log(1.0 - random()) * rate_us
+            at = at + max(1, round(gap_us)) if gap_us < inf else inf
+        self._next_arrival_us = at
+        return times
 
     def _process_arrivals(self, up_to_us: int) -> None:
         """Apply every background arrival due by `up_to_us`, as one batch.
 
         The two RNGs are independent, so the batch draws all arrival times
-        first, installs every arrival in time order, then draws the RTTs in
-        the same order through `_draw_rtts`: the state is that of handling
-        the arrivals one by one. Each arrival is a fresh key of the
-        background prefix, so a lookup could only miss; `FlowTable.admit`
-        installs the batch straight away as fresh entries (it still rejects
-        a live key), and each is answered as `send_probe` answers a miss.
+        first (`_arrival_times`, one loop), installs every arrival in time
+        order, then draws the RTTs in the same order through `_draw_rtts`:
+        the state is that of handling the arrivals one by one. Each arrival
+        is a fresh key of the background prefix, so a lookup could only
+        miss; `FlowTable.admit` installs the batch straight away as fresh
+        entries (it still rejects a live key), and each is answered as
+        `send_probe` answers a miss. With tracing off the RTTs go unread,
+        and `_draw_rtts` only advances the latency RNG past them.
         """
-        times = []
-        at = self._next_arrival_us
-        next_arrival = self._draw_arrival
-        while at <= up_to_us:
-            times.append(at)
-            at = next_arrival(at)
-        self._next_arrival_us = at
+        times = self._arrival_times(up_to_us)
         count = len(times)
         first = self.workload.initial_usage + self.background_arrivals
         keys = self._bg_keys.keys(first, first + count)

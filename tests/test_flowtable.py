@@ -853,9 +853,10 @@ class TestAdmit:
         table = FlowTable(1)
         table.admit([key(1)], [0], 1000, 0, "background")
         table.insert(entry(2), 1)
-        for hard, owner in ((10, "background"), (1000, "attacker")):
+        for hard, idle, owner in ((10, 0, "background"), (1000, 5, "background"),
+                                  (1000, 0, "attacker")):
             with pytest.raises(ValueError, match="fresh entries are"):
-                table.admit([key(3)], [5], hard, 0, owner)
+                table.admit([key(3)], [5], hard, idle, owner)
         assert table.admit([], [], 1000, 0, "background") == []
 
     @pytest.mark.parametrize("times, keys, error", [

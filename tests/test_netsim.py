@@ -33,6 +33,7 @@ from flowprobe.netsim import (
     SimEvent,
     SwitchSimulator,
     ms_to_us,
+    skip_threshold,
     truncated_gauss,
 )
 
@@ -183,7 +184,7 @@ class TestBackgroundWorkload:
         assert sim.background_arrivals == len(events)
         assert len(events) > 50  # 10/s over 10 s: sanity that the draw ran
 
-    @pytest.mark.parametrize("noise", ["none", "uniform"])
+    @pytest.mark.parametrize("noise", NOISE_MODES)
     def test_identical_seeds_identical_runs(self, noise):
         def build():
             return SwitchSimulator(
@@ -211,6 +212,14 @@ class TestBackgroundWorkload:
         assert sim.background_arrivals == 0
         assert sim.ground_truth().occupancy == (1, 0)
 
+    def test_gaps_are_floored_at_one_microsecond(self):
+        # At 1e9 flows/s every drawn gap is far below 0.5 us.
+        sim = SwitchSimulator(capacity=100, record_trace=True,
+                              workload=BackgroundWorkload(arrival_rate=1e9, seed=2))
+        sim.send_probe(attacker_keys().next_key(), 50)
+        assert [e.time_us for e in sim.trace] == [*range(1, 51), 50]
+        assert sim._next_arrival_us == 51
+
     def test_arrivals_due_before_probe_apply_first(self):
         sim = SwitchSimulator(
             capacity=5, workload=BackgroundWorkload(arrival_rate=1000.0, seed=1)
@@ -219,6 +228,15 @@ class TestBackgroundWorkload:
         # ~100 arrivals due in the first 100 ms; the table must reflect them.
         assert sim.background_arrivals > 50
         assert sim.ground_truth().occupancy.total == 5
+
+
+def next_arrival(sim, after_us):
+    """The arrival after one at `after_us`, drawn from the switch's arrival
+    RNG as the spec has it: an exponential gap by inversion, floored at
+    1 us; a gap past float range means no further arrival."""
+    rate = sim.workload.arrival_rate
+    gap_us = -math.log(1.0 - sim._arrival_rng.random()) * (1e6 / rate if rate else math.inf)
+    return after_us + max(1, round(gap_us)) if math.isfinite(gap_us) else math.inf
 
 
 def step_arrivals(sim, up_to_us):
@@ -235,7 +253,7 @@ def step_arrivals(sim, up_to_us):
         if sim.trace is not None:
             sim.trace.append(SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND,
                                       branch, rtt))
-        sim._next_arrival_us = sim._draw_arrival(at)
+        sim._next_arrival_us = next_arrival(sim, at)
 
 
 class TestArrivalBatch:
@@ -420,11 +438,28 @@ class Forced(random.Random):
         return self.values[(self.calls - 1) % len(self.values)]
 
 
+# The skip's bound on a deviate, and the threshold on a Box-Muller pair's
+# second uniform below which both deviates are within it.
+SKIP_Z = 2.999
+THRESHOLD = 1.0 - math.exp(-SKIP_Z ** 2 / 2)
+EDGE = (-SKIP_Z, SKIP_Z, 0.0, 1.0)  # a band exactly at the skip's bound
+DEFAULT_BANDS = [(200, 300, 250.0, 100 / 6), (3000, 5000, 4000.0, 2000 / 6),
+                 (8000, 10000, 9000.0, 2000 / 6)]
+# Bands that hold mu +- SKIP_Z * sigma, so every skipped deviate lands in
+# them (lo == hi with sigma 0, and a large mu whose sigma is below its
+# rounding, among them), and bands that do not: lo == hi with sigma > 0, a
+# narrow one that rejects most draws and often takes all 16 tries, a large
+# mu whose sigma is not below its rounding, and one a hair short of it.
+SKIPPABLE = [*DEFAULT_BANDS, EDGE, (-3.0, 3.0, 0.0, 1.0), (250, 250, 250.0, 0.0),
+             (10**16, 10**16, 1e16, 0.3)]
+UNSKIPPABLE = [(5, 5, 5.0, 1.0), (0, 1, 0.5, 5.0), (10**16, 10**16, 1e16, 1.0),
+               (-2.998, 2.999, 0.0, 1.0)]
+
+
 class TestTruncatedGauss:
     # The default bands in microseconds, and a narrow one that rejects most
     # draws and often takes all 16 tries.
-    BANDS = [(200, 300, 250.0, 100 / 6), (3000, 5000, 4000.0, 2000 / 6),
-             (8000, 10000, 9000.0, 2000 / 6), (0, 1, 0.5, 5.0)]
+    BANDS = [*DEFAULT_BANDS, (0, 1, 0.5, 5.0)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("spare", [False, True])
@@ -459,6 +494,79 @@ class TestTruncatedGauss:
         # Two draws of 16 tries: 32 deviates, 16 Box-Muller pairs.
         assert fast.calls == reference.calls == 32
         assert fast.gauss_next is reference.gauss_next is None
+
+    def test_the_guard_admits_a_band_only_if_every_skipped_deviate_lands(self):
+        assert skip_threshold(DEFAULT_BANDS) == THRESHOLD
+        for band in SKIPPABLE:
+            assert skip_threshold([band]) == THRESHOLD, band
+        for band in UNSKIPPABLE:
+            assert skip_threshold([band]) == 0.0, band
+            assert skip_threshold([*DEFAULT_BANDS, band]) == 0.0, band
+
+    def test_deviates_below_the_threshold_stay_below_the_bound(self):
+        # The ulps next to the threshold, where rounding could matter.
+        u2 = THRESHOLD
+        assert math.sqrt(-2.0 * math.log(1.0 - u2)) >= SKIP_Z
+        for _ in range(10_000):
+            u2 = math.nextafter(u2, 0)
+            assert math.sqrt(-2.0 * math.log(1.0 - u2)) < SKIP_Z
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        count=st.integers(1, 200),
+        pool=st.lists(st.sampled_from(SKIPPABLE), min_size=1, max_size=4)
+        | st.lists(st.sampled_from(SKIPPABLE + UNSKIPPABLE), min_size=1, max_size=4),
+        spare=st.booleans(),
+    )
+    def test_skip_leaves_the_state_of_random_gauss(self, seed, count, pool, spare):
+        # Draws from `pool` with the skip its guard allows, against one
+        # `Random.gauss` call per try; odd counts may end with a skipped
+        # pair's spare still unread.
+        bands = random.Random(seed).choices(pool, k=count)
+        fast, reference = random.Random(seed), random.Random(seed)
+        if spare:  # enter with a spare deviate held in gauss_next
+            for rng in (fast, reference):
+                rng.gauss()
+        for band in bands:
+            gauss_rtt(reference, band)
+        truncated_gauss(fast, bands, skip_threshold(pool))
+        assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("u2", [math.nextafter(THRESHOLD, 0), THRESHOLD,
+                                     math.nextafter(THRESHOLD, 1)])
+    @pytest.mark.parametrize("u1", [0.0, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_threshold_is_exact_to_the_ulp(self, u2, u1, count):
+        # cos and sin of 2 pi u1 are 0 or +-1, so a deviate is 0 or
+        # +-sqrt(-2 log(1 - u2)): just inside EDGE one ulp below the
+        # threshold, just outside it at the threshold and above.
+        fast, reference = Forced([u1, u2]), Forced([u1, u2])
+        for _ in range(count):
+            gauss_rtt(reference, EDGE)
+        truncated_gauss(fast, [EDGE] * count, skip_threshold([EDGE]))
+        assert (fast.calls, fast.gauss_next) == (reference.calls, reference.gauss_next)
+
+
+class TestDrawRtts:
+    @pytest.mark.parametrize("noise", NOISE_MODES)
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 199, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unread_draws_leave_the_rng_as_read_ones(self, noise, count, seed):
+        branches = random.Random(seed).choices(
+            [BRANCH_MISS_NOTFULL, BRANCH_MISS_FULL, BRANCH_HIT], k=count)
+        latency = LatencyModel(noise=noise, seed=seed)
+        kept, unread = SwitchSimulator(8, latency=latency), SwitchSimulator(8, latency=latency)
+        for spare in (None, 0.5, None):  # entering without and with a spare deviate
+            for sim in (kept, unread):
+                sim._latency_rng.gauss_next = spare
+            assert len(kept._draw_rtts(branches, count, True)) == count
+            assert unread._draw_rtts(branches, count, False) == []
+            assert kept._latency_rng.getstate() == unread._latency_rng.getstate()
+
+    def test_the_default_bands_take_the_skip(self):
+        sim = SwitchSimulator(8, latency=LatencyModel(noise="truncated-gaussian"))
+        assert sim._skip_below == THRESHOLD
 
 
 class TestGroundTruth:
