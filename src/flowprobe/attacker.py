@@ -204,16 +204,22 @@ class ProbeSession:
 
     def probe_fresh(self, count: int, stop_rtt_us: float,
                     gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
+                    watch: Optional[FlowKey] = None,
                     ) -> tuple[list[FlowKey], Optional[RttSample]]:
         """Probe up to `count` fresh keys as `probe_burst` would, appending
         each RTT to `rtts` if it is given; return the keys sent and the
         stopping sample (or None).
 
-        The keys are built in blocks that double in size, and only the keys
-        sent are consumed: the next `fresh_key()` is the first one unsent.
+        Given `watch`, each fresh key is followed one gap later by a probe
+        of `watch`, and only those probes can stop the run: the rounds of
+        a fresh key and then `watch` go out as `SwitchSimulator.send_rounds`
+        sends them, and `rtts` is not read. The keys are built in blocks
+        that double in size, and only the keys sent are consumed: the next
+        `fresh_key()` is the first one unsent.
         """
         if gap_us is None:
             gap_us = self.send_gap_us
+        per_key = 1 if watch is None else 2  # probes
         fresh = self._keys
         sent_keys: list[FlowKey] = []
         block, stop = 256, None
@@ -221,14 +227,17 @@ class ProbeSession:
         while stop is None and len(sent_keys) < count:
             first = fresh.index
             keys = fresh.keys(first, first + min(block, count - len(sent_keys)))
-            sent, stop = self.sim.send_burst(keys, at_us, gap_us, stop_rtt_us, rtts)
+            if watch is None:
+                sent, stop = self.sim.send_burst(keys, at_us, gap_us, stop_rtt_us, rtts)
+            else:
+                sent, stop = self.sim.send_rounds(keys, watch, at_us, gap_us, stop_rtt_us)
             fresh.index = first + sent
             sent_keys += keys[:sent]
-            at_us += sent * gap_us
+            at_us += per_key * sent * gap_us
             block *= 2
         if sent_keys:
             self.now_us = at_us - gap_us + self.send_gap_us
-            self.probes_sent += len(sent_keys)
+            self.probes_sent += per_key * len(sent_keys)
         return sent_keys, stop
 
     def probe_burst(self, keys: Sequence[FlowKey], stop_rtt_us: float,
@@ -465,12 +474,18 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
     Then `watched(keys)` names the attacker keys to re-probe; if there are
     any, they go out as one burst that stops at the first miss, which fixes
     n2 and ends the attack (the miss also reinstalls that key). Re-probes
-    count toward traffic but not toward the distinct-key budget. Once the
-    round ends past `time_budget_ms`, the run raises InfeasibleRate if
-    `budget_fatal`, and is otherwise flagged and keeps going. With
-    `blind_until_full` the rounds before n1 watch nothing, so they go out
-    as one fresh-key burst that stops at the first full-table RTT; only a
-    flag, which the last of them would set too, can depend on their time.
+    count toward traffic but not toward the distinct-key budget. Once a
+    round that does not stop the attack ends past `time_budget_ms`, the run
+    raises InfeasibleRate if `budget_fatal`, and is otherwise flagged and
+    keeps going. With `blind_until_full` the rounds before n1 watch
+    nothing, and from the n1 round on `watched` names one key, the same in
+    every round. So both go out as runs: the rounds before n1 as one
+    fresh-key burst that stops at the first full-table RTT, and the rounds
+    after the n1 round as one run of a fresh key, then the watched key,
+    per round, that stops at its first miss. Only a flag can depend on
+    their time, and time only grows, so it is checked once per run: at the
+    end of the run, or as the round that stops the attack begins, when the
+    round before it ends.
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
@@ -482,22 +497,35 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
     n1: Optional[int] = None
     budget_exceeded = False
     while len(keys) < key_budget:
-        if n1 is None and blind_until_full:
-            sent, full = session.probe_fresh(key_budget - len(keys), full_cut_us)
+        begun_us = session.now_us  # as the round's first probe goes out
+        if n1 is not None and blind_until_full:
+            sent, miss = session.probe_fresh(key_budget - len(keys), hit_cut_us,
+                                             watch=watched(keys)[0])
             keys += sent
-            if full is None:
+            if miss is None:
                 continue  # the key budget is spent
-            n1 = len(keys) - 1
+            begun_us = miss.time_us - session.send_gap_us
         else:
-            key = session.fresh_key()
-            rtt_us = session.probe(key).rtt_us
-            if n1 is None and rtt_us >= full_cut_us:
-                n1 = len(keys)
-            keys.append(key)
-        reprobe = watched(keys)
-        if reprobe and session.probe_burst(reprobe, hit_cut_us) is not None:
-            break
-        if budget_us is not None and session.now_us - start_us > budget_us:
+            if n1 is None and blind_until_full:
+                sent, full = session.probe_fresh(key_budget - len(keys), full_cut_us)
+                keys += sent
+                if full is None:
+                    continue  # the key budget is spent
+                n1 = len(keys) - 1
+                begun_us = full.time_us
+            else:
+                key = session.fresh_key()
+                rtt_us = session.probe(key).rtt_us
+                if n1 is None and rtt_us >= full_cut_us:
+                    n1 = len(keys)
+                keys.append(key)
+            reprobe = watched(keys)
+            miss = session.probe_burst(reprobe, hit_cut_us) if reprobe else None
+        # The round that stops the attack checks no budget; the one before
+        # it, if any, ended as it began.
+        ended_us = session.now_us if miss is None else begun_us
+        if (budget_us is not None and ended_us - start_us > budget_us
+                and (miss is None or len(keys) > 1)):
             if budget_fatal:
                 raise InfeasibleRate(
                     f"rolling maintenance exceeded the {time_budget_ms} ms "
@@ -505,6 +533,8 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
                 )
             budget_exceeded = True
             budget_us = None  # flag once, keep going
+        if miss is not None:
+            break
     else:
         raise BudgetExhausted(
             f"no eviction of an attacker entry within {key_budget} keys"

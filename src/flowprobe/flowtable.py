@@ -94,6 +94,13 @@ class RemovalRecord(NamedTuple):
     reason: str  # EVICTED or EXPIRED
 
 
+def _due_after(hard_timeout: int, idle_timeout: int) -> int:
+    """How long after its insert an entry that is never hit falls due: the
+    smaller enabled timeout, or 0 if neither is."""
+    return (min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
+            else max(hard_timeout, idle_timeout))
+
+
 class FlowTable:
     """Bounded store of flow entries with deterministic replacement.
 
@@ -305,9 +312,7 @@ class FlowTable:
         if (gap_us < 0 or start_us < self._now or free <= 0
                 or first >= len(keys) or keys[first] in entries):
             return 0
-        # As in `insert`: the timeout after which a new entry falls due.
-        timeout = (min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
-                   else max(hard_timeout, idle_timeout))
+        timeout = _due_after(hard_timeout, idle_timeout)
         if timeout:
             until_us = min(until_us, start_us + timeout)
         count = self._run_length(min(len(keys) - first, free), start_us, gap_us,
@@ -329,6 +334,63 @@ class FlowTable:
         self._seq = seq
         self._now = self._touched_at = now - gap_us
         return seq - before
+
+    def round_run(self, keys: Sequence[FlowKey], watch: FlowKey, start_us: int,
+                  gap_us: int, until_us: float, hard_timeout: int, idle_timeout: int,
+                  owner_of: Callable[[FlowKey], str], first: int = 0,
+                  ) -> tuple[int, list[int]]:
+        """Answer the leading rounds of `keys[first:]`: round i installs the
+        absent `keys[first + i]`, missed at `start_us + 2 * i * gap_us`, for
+        `owner_of(key)` exactly as `insert` would, then looks up `watch` one
+        `gap_us` later, a hit. Return how many rounds were answered and the
+        indexes (from `first`) of the installs that found the table full.
+
+        The run stops at the first live key, at the round whose install
+        would evict `watch`, and before the first time at or after
+        `until_us`, the earliest expiry deadline and its own first entry's
+        deadline. It answers nothing when `watch` is absent or fresh (a
+        lookup thaws it), `gap_us < 1` or `start_us` is before the table's
+        clock; a run that cannot answer its first round costs O(1).
+        """
+        entries = self._entries
+        watched = entries.get(watch)
+        if (gap_us < 1 or start_us < self._now or watched.__class__ is not FlowEntry
+                or first >= len(keys) or keys[first] in entries):
+            return 0, []
+        timeout = _due_after(hard_timeout, idle_timeout)
+        if timeout:
+            until_us = min(until_us, start_us + timeout)
+        # A round's last time is its lookup's, one gap after its install.
+        count = self._run_length(len(keys) - first, start_us + gap_us, 2 * gap_us,
+                                 until_us)
+        heap, capacity, lru = self._expiry_heap, self.capacity, self._lru
+        full: list[int] = []
+        seq = before = self._seq
+        now = start_us
+        for key in keys[first:first + count]:
+            if key in entries:
+                break
+            if len(entries) >= capacity:
+                if next(iter(entries)) == watch:
+                    break
+                self._evict(now)
+                full.append(seq - before)
+            seq += 1
+            entries[key] = FlowEntry(key, now, now, hard_timeout, idle_timeout,
+                                     owner_of(key), seq)
+            if timeout:
+                heapq.heappush(heap, (now + timeout, seq, key))
+            now += gap_us
+            watched.last_access = now
+            if lru:
+                entries.move_to_end(watch)
+            now += gap_us
+        if seq > before:
+            self._seq = seq
+            self._now = now - gap_us
+            # An insert touches at its time; only an LRU hit does at its own.
+            self._touched_at = now - gap_us if lru else now - 2 * gap_us
+        return seq - before, full
 
     def _order_tail(self, entry: FlowEntry, now: int) -> None:
         """Move entries touched at `now` and inserted after `entry` behind it."""
@@ -386,7 +448,7 @@ class FlowTable:
         entries[key] = entry
         hard, idle = entry.hard_timeout, entry.idle_timeout
         if hard > 0 or idle > 0:
-            # next_deadline() of an entry inserted and last touched at `now`.
+            # _due_after(hard, idle), inline on the per-probe path.
             timeout = min(hard, idle) if hard > 0 and idle > 0 else max(hard, idle)
             heapq.heappush(heap, (now + timeout, seq, key))
         return result
@@ -400,19 +462,18 @@ class FlowTable:
         kind = self._fresh_kind
         if kind is None:
             self._fresh_kind = (hard_timeout, idle_timeout, owner)
-            self._fresh_timeout = (
-                min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
-                else max(hard_timeout, idle_timeout))
+            self._fresh_timeout = _due_after(hard_timeout, idle_timeout)
         elif hard_timeout != kind[0] or idle_timeout != kind[1] or owner != kind[2]:
             raise ValueError(f"fresh entries are {kind}, "
                              f"not {(hard_timeout, idle_timeout, owner)}")
         timeout = self._fresh_timeout
-        entries, fresh = self._entries, self._fresh
+        entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
         full: list[int] = []
         # No fresh entry falls due before `fresh_due` (`now` bounds an empty
-        # queue's next entry), no other before `other_due`. Between purges,
-        # due fresh entries expire here, leaving the queue record early.
-        fresh_due, other_due = -1, self._other_due()
+        # queue's next entry), no other before `other_due`; both start at
+        # the heap's top, and a purge makes them exact. Between purges, due
+        # fresh entries expire here, leaving the queue record early.
+        fresh_due = other_due = heap[0][0] if heap else math.inf
         for i, key in enumerate(keys):
             now = times[i]
             if now < self._now:
@@ -441,6 +502,7 @@ class FlowTable:
             fresh.append((now, seq, key))
             if timeout and not self._queued:  # `key` heads the fresh queue
                 self._queue_fresh()
+                fresh_due = now + timeout
         return full
 
     def _other_due(self) -> float:

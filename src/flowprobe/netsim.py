@@ -278,10 +278,10 @@ TRACE_COLUMNS = ("time_us", "kind", "owner", "branch", "rtt_us")
 class SwitchSimulator:
     """Single switch + controller with a bounded flow table.
 
-    The simulator owns one logical timeline. `send_probe` and `send_burst`
-    must be called with nondecreasing timestamps; background arrivals due
-    before a probe are applied first so the probe always sees the table
-    state it would have seen live.
+    The simulator owns one logical timeline. `send_probe`, `send_burst` and
+    `send_rounds` must be called with nondecreasing timestamps; background
+    arrivals due before a probe are applied first so the probe always sees
+    the table state it would have seen live.
     """
 
     def __init__(
@@ -508,6 +508,50 @@ class SwitchSimulator:
             if sample.rtt_us >= stop_rtt_us:
                 return sent, sample
             at_us += gap_us
+        return sent, None
+
+    def send_rounds(self, keys: Sequence[FlowKey], watch: FlowKey, start_us: int,
+                    gap_us: int, stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
+        """Send rounds at `start_us`, `start_us + 2 * gap_us`, ...: round i
+        sends `keys[i]`, then `watch` one `gap_us` later.
+
+        Stops after the first round whose probe of `watch` has an RTT of at
+        least `stop_rtt_us`. Returns the number of rounds sent and that
+        probe's sample, or None if every round was sent. The result and the
+        simulator's state are those of one `send_probe` call per probe.
+
+        With tracing off and the hit band's top below the cut, rounds that
+        no arrival or expiry can interleave are answered in one table pass,
+        `FlowTable.round_run`, with the RTT draws of their probes. A round
+        it does not answer (the one whose install would evict `watch`, for
+        one) is two `send_probe` calls; then the pass is retried.
+        """
+        if start_us < self.now_us:
+            raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
+        answer = self.trace is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us
+        sent = 0
+        at_us = start_us
+        while sent < len(keys):
+            if answer:
+                run, full = self.table.round_run(
+                    keys, watch, at_us, gap_us, self._next_arrival_us,
+                    self.hard_timeout_us, self.idle_timeout_us, self.owner_of, sent)
+                if run:
+                    branches = [BRANCH_MISS_NOTFULL, BRANCH_HIT] * run
+                    for i in full:
+                        branches[2 * i] = BRANCH_MISS_FULL
+                    self._draw_rtts(branches, 2 * run, False)
+                    sent += run
+                    at_us += 2 * run * gap_us
+                    self.now_us = at_us - gap_us
+                    self.events_processed += 2 * run
+                    continue
+            self.send_probe(keys[sent], at_us)
+            sample = self.send_probe(watch, at_us + gap_us)
+            sent += 1
+            if sample.rtt_us >= stop_rtt_us:
+                return sent, sample
+            at_us += 2 * gap_us
         return sent, None
 
     def ground_truth(self) -> GroundTruth:

@@ -330,9 +330,9 @@ class TestInferFifo:
         probe_burst = ProbeSession.probe_burst
         probe = ProbeSession.probe
 
-        def record_fresh(session, count, *args):
-            sent, stop = probe_fresh(session, count, *args)
-            fresh.append((count, len(sent), stop.time_us))
+        def record_fresh(session, count, *args, **kwargs):
+            sent, stop = probe_fresh(session, count, *args, **kwargs)
+            fresh.append((count, len(sent), stop.time_us, kwargs.get("watch")))
             return sent, stop
 
         def record_burst(session, keys, *args):
@@ -350,12 +350,15 @@ class TestInferFifo:
         report = infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=1000)
         # Rounds 1-91 watch nothing and go out as one fresh-key burst that
         # stops at key 91, the first full-table miss (n1 = 90); that round
-        # and rounds 92-121 re-probe the first key, each in a one-key burst,
-        # and rounds 92-121 each probe one fresh key.
+        # re-probes the first key in a one-key burst. Rounds 92-121 each
+        # probe one fresh key, then the first key, 100 us apart: they go out
+        # as one more `probe_fresh` call watching it, which stops at round
+        # 121's re-probe, at 9300 + 29 * 200 us.
         assert report.n1 == 90 and report.distinct_keys == 121
-        assert fresh == [(1000, 91, 9000)]
-        assert len(bursts) == 31 and all(len(keys) == 1 for keys in bursts)
-        assert len(probes) == 30
+        first = KeySequence("10.1").key_at(0)
+        assert fresh == [(1000, 91, 9000, None), (909, 30, 15100, first)]
+        assert bursts == [[first]]
+        assert probes == []
 
     def test_n1_matches_first_true_miss_full(self):
         # Noiseless run: n1 must point at the first probe whose true branch
@@ -800,8 +803,11 @@ def per_filler_bootstrap(session, params):
 
 
 def per_round_infer_fifo(session, thresholds, key_budget, time_budget_ms=None):
-    """`infer_fifo` as it was before its rounds before n1 went out as one
-    fresh-key burst: one fresh key per round, then k1 once n1 is fixed."""
+    """`infer_fifo` as it was before its rounds went out as runs (the rounds
+    before n1 as one fresh-key burst, the rounds after it as one run of
+    fresh keys each followed by k1): one `probe` of a fresh key per round,
+    then a one-key burst of k1 once n1 is fixed, and a budget check after
+    each round that does not stop the attack."""
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
     budget_us = None if time_budget_ms is None else ms_to_us(time_budget_ms)
@@ -836,8 +842,9 @@ def outcome(run):
 
 
 class TestFreshRuns:
-    """Bootstrap fillers and FIFO's rounds before n1 go out as fresh-key
-    runs; both end exactly as the per-probe loops they replace."""
+    """Bootstrap fillers and FIFO's rounds go out as fresh-key runs (after
+    n1, each fresh key followed by the first); all end exactly as the
+    per-probe loops they replace."""
 
     @pytest.mark.parametrize("noise", NOISE_MODES)
     @pytest.mark.parametrize("sim_kwargs, params, expected", [
@@ -927,3 +934,39 @@ class TestFreshRuns:
         assert result == outcome(lambda: per_round_infer_fifo(
             loop, MIDPOINT_THRESHOLDS, key_budget, time_budget_ms))
         assert session_state(runs) == session_state(loop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "FIFO", "LRU")),
+        noise=st.sampled_from(NOISE_MODES),
+        capacity=st.integers(1, 250),
+        usage=st.integers(0, 250),
+        rate=st.sampled_from((0.0, 0.0, 50.0, 2000.0, 50_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.0, 3.0, 40.0)),
+        idle_ms=st.sampled_from((0.0, 0.0, 1.5, 25.0)),
+        send_rate_pps=st.sampled_from((10_000.0, 10_000.0, 3000.0, 1e6)),
+        key_budget=st.integers(1, 600),
+        time_budget_ms=st.sampled_from((None, None, 0.1, 5.0, 15.0, 40.0)),
+        seed=st.integers(0, 2**16),
+        record_trace=st.sampled_from((False, False, True)),
+    )
+    def test_fifo_inference_sweep_matches_the_per_round_loop(
+            self, policy, noise, capacity, usage, rate, hard_ms, idle_ms,
+            send_rate_pps, key_budget, time_budget_ms, seed, record_trace):
+        # Timeouts of a few ms and arrivals cut the runs after n1 short, key
+        # budgets end inside them, and time budgets run out inside them; on
+        # an LRU table the first key is never evicted, so the budget runs out.
+        def build():
+            sim = make_sim(capacity, policy, usage=min(usage, capacity), rate=rate,
+                           hard_ms=hard_ms, idle_ms=idle_ms,
+                           latency=LatencyModel(noise=noise), seed=seed,
+                           record_trace=record_trace)
+            return ProbeSession(sim, send_rate_pps)
+
+        runs, loop = build(), build()
+        result = outcome(lambda: infer_fifo(runs, MIDPOINT_THRESHOLDS, key_budget,
+                                            time_budget_ms))
+        assert result == outcome(lambda: per_round_infer_fifo(
+            loop, MIDPOINT_THRESHOLDS, key_budget, time_budget_ms))
+        assert session_state(runs) == session_state(loop)
+        assert runs.sim._latency_rng.getstate() == loop.sim._latency_rng.getstate()

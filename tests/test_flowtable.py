@@ -699,6 +699,235 @@ class TestInstallRun:
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
 
+class TestRoundRun:
+    """`round_run` answers rounds of a miss-and-install, then a hit on the
+    watched key; the table must end as with a `lookup` and an `insert`, then
+    a `lookup` of the watched key, per round."""
+
+    @staticmethod
+    def round_loop(table, keys, watch, start_us, gap_us, hard=0, idle=0):
+        """The loop `round_run` stands for; returns the indexes of the
+        inserts that found the table full."""
+        full = []
+        for i, k in enumerate(keys):
+            at_us = start_us + 2 * i * gap_us
+            assert not table.lookup(k, at_us)
+            entry_ = FlowEntry(k, 0, 0, hard, idle, owner_by_index(k))
+            if table.insert(entry_, at_us).was_full:
+                full.append(i)
+            assert table.lookup(watch, at_us + gap_us)
+        return full
+
+    @staticmethod
+    def filled(policy="FIFO", capacity=6, ahead=2, idle=0):
+        """`ahead` admitted background entries, then key(0), watched, and
+        key(1), installed at 1 and 2."""
+        table = FlowTable(capacity=capacity, policy=policy)
+        table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, 0, idle,
+                    "background")
+        table.insert(entry(0, idle=idle), 1)
+        table.insert(entry(1, idle=idle), 2)
+        return table
+
+    def run_matches_loop(self, table, twin, keys, start_us, gap_us, until_us=math.inf,
+                         hard=0, idle=0, first=0, watch=key(0)):
+        """Run `round_run` on `table` and the loop on `twin`; assert both end
+        alike and return what `round_run` returned."""
+        rounds, full = table.round_run(keys, watch, start_us, gap_us, until_us, hard,
+                                       idle, owner_by_index, first)
+        assert full == self.round_loop(twin, keys[first:first + rounds], watch,
+                                       start_us, gap_us, hard, idle)
+        assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
+        return rounds, full
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("hard, idle", [(0, 0), (500, 0), (0, 400), (500, 400)])
+    def test_answers_rounds_as_inserts_and_lookups_would(self, policy, hard, idle):
+        table, twin = self.filled(policy), self.filled(policy)
+        keys = [key(i) for i in (10, 11, 12)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5, hard=hard,
+                                     idle=idle) == (3, [2])
+        watched = table.entries[key(0)]
+        assert watched.last_access == 35 and table._now == 35
+        assert table._touched_at == (35 if policy == "LRU" else 30)
+        assert list(table.entries)[-1] == (key(0) if policy == "LRU" else key(12))
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_evicts_fresh_entries_ahead_and_names_the_full_rounds(self, policy):
+        # Five slots hold two admitted entries, key(0) and key(1): round 0
+        # takes the last free one, rounds 1 and 2 evict the admitted entries.
+        table, twin = self.filled(policy, capacity=5), self.filled(policy, capacity=5)
+        keys = [key(i) for i in (10, 11, 12)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5) == (3, [1, 2])
+        assert table.removal_log == [(20, key(100), "background", "evicted"),
+                                     (30, key(101), "background", "evicted")]
+        # Under LRU every round moved key(0) to the back, so key(1) is next.
+        keys.append(key(13))
+        assert self.run_matches_loop(table, twin, keys, 40, 5, first=3) == (
+            (1, [0]) if policy == "LRU" else (0, []))
+
+    def test_stops_at_the_round_that_would_evict_the_watched_key(self):
+        # FIFO, full: rounds 0 and 1 evict the two admitted entries; round
+        # 2's install would evict key(0), the head.
+        table, twin = self.filled(capacity=4), self.filled(capacity=4)
+        keys = [key(i) for i in range(10, 15)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5) == (2, [0, 1])
+        assert next(iter(table.entries)) == key(0)
+        before = copy.deepcopy(table_state(table, raw_heap=True))
+        assert table.round_run(keys, key(0), 30, 5, math.inf, 0, 0, owner_by_index,
+                               2) == (0, [])
+        assert table_state(table, raw_heap=True) == before
+
+    def test_the_watched_key_at_the_head_of_a_table_with_room(self):
+        table, twin = self.filled(ahead=0), self.filled(ahead=0)
+        keys = [key(i) for i in range(10, 14)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5) == (4, [])
+        assert table.removal_log == []
+
+    @pytest.mark.parametrize("watch", [key(9), key(100)], ids=["absent", "fresh"])
+    def test_answers_nothing_when_the_watched_key_is_absent_or_fresh(self, watch):
+        table = self.filled()
+        before = copy.deepcopy(table_state(table, raw_heap=True))
+        assert table.round_run([key(10)], watch, 10, 5, math.inf, 0, 0,
+                               owner_by_index) == (0, [])
+        assert table_state(table, raw_heap=True) == before
+
+    def test_stops_at_the_first_live_key(self):
+        table, twin = self.filled(), self.filled()
+        keys = [key(10), key(11), key(1), key(12)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5) == (2, [])
+        assert key(12) not in table.entries and table._now == 25
+
+    @pytest.mark.parametrize("until_us, answered", [
+        (20, 1),  # round 1's install time
+        (25, 1),  # round 1's lookup time
+        (26, 2),
+    ])
+    def test_stops_before_until(self, until_us, answered):
+        # Installs at 10, 20, 30, ..., lookups at 15, 25, 35, ...
+        table, twin = self.filled(capacity=20), self.filled(capacity=20)
+        keys = [key(i) for i in range(10, 16)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5, until_us)[0] == answered
+
+    @pytest.mark.parametrize("idle, answered", [
+        (120, 2),  # key(100)'s deadline, 120, is round 2's install time
+        (125, 2),  # ... round 2's lookup time
+        (126, 3),
+    ])
+    def test_stops_before_the_earliest_deadline(self, idle, answered):
+        # Installs at 100, 110, 120, 130, lookups 5 us after each.
+        table = self.filled(capacity=20, idle=idle)
+        twin = self.filled(capacity=20, idle=idle)
+        keys = [key(i) for i in range(10, 14)]
+        assert self.run_matches_loop(table, twin, keys, 100, 5)[0] == answered
+
+    @pytest.mark.parametrize("hard, idle, answered", [
+        (20, 0, 2),   # due at 30, round 2's install time
+        (0, 25, 2),   # due at 35, round 2's lookup time
+        (45, 25, 2), (0, 26, 3), (0, 0, 6)])
+    def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
+        # The first key, installed at 10, is due at 10 + min(timeouts);
+        # installs go out at 10, 20, 30, ..., lookups at 15, 25, 35, ...
+        table, twin = self.filled(capacity=20), self.filled(capacity=20)
+        keys = [key(i) for i in range(10, 16)]
+        assert self.run_matches_loop(table, twin, keys, 10, 5, hard=hard,
+                                     idle=idle)[0] == answered
+
+    @pytest.mark.parametrize("start_us, gap_us, first", [
+        (1, 5, 0),    # behind the table clock
+        (10, 0, 0),   # a zero gap
+        (10, 5, 1),   # keys[1] is live
+        (10, 5, 3),   # past the end of the keys
+    ])
+    def test_guards(self, start_us, gap_us, first):
+        table = self.filled()
+        before = copy.deepcopy(table_state(table, raw_heap=True))
+        assert table.round_run([key(10), key(1), key(11)], key(0), start_us, gap_us,
+                               math.inf, 0, 0, owner_by_index, first) == (0, [])
+        assert table_state(table, raw_heap=True) == before
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 8),
+        fresh=st.integers(0, 4),
+        fresh_idle=st.sampled_from((0, 20, 60)),
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 7),
+                      st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
+            max_size=12,
+        ),
+        watch=st.integers(0, 9),
+        start_dt=st.integers(0, 3),
+        gap_us=st.integers(0, 4),
+        until_dt=st.integers(0, 60),
+        hard=st.sampled_from((0, 0, 7, 30)),
+        idle=st.sampled_from((0, 0, 5, 20)),
+        first=st.integers(0, 2),
+        run=st.lists(st.integers(0, 15), max_size=12),
+    )
+    def test_matches_a_round_loop_and_the_oracle(
+            self, policy, capacity, fresh, fresh_idle, steps, watch, start_dt,
+            gap_us, until_dt, hard, idle, first, run):
+        # `fresh` admitted entries go in first, so they sort ahead of the
+        # watched key; watch 8 and 9 are admitted keys (fresh, or absent).
+        def build():
+            table = FlowTable(capacity=capacity, policy=policy)
+            oracle = ReplayOracle(capacity=capacity, policy=policy)
+            admitted = [key(100 + j) for j in range(fresh)]
+            table.admit(admitted, [0] * fresh, 0, fresh_idle, "background")
+            for k in admitted:
+                oracle.insert(k, 0, 0, fresh_idle, "background")
+            now = 0
+            for dt, i, h, d in steps:
+                now += dt
+                hit = table.lookup(key(i), now)
+                assert hit == oracle.lookup(key(i), now)
+                if not hit:
+                    table.insert(entry(i, h, d, owner_by_index(key(i))), now)
+                    oracle.insert(key(i), now, h, d, owner_by_index(key(i)))
+            return table, oracle, now
+
+        table, oracle, now = build()
+        twin, _, _ = build()
+        watched = key(watch) if watch < 8 else key(100 + watch - 8)
+        start_us = now + start_dt
+        until_us = start_us + until_dt
+        keys = [key(i) for i in run]
+        rounds, full = table.round_run(keys, watched, start_us, gap_us, until_us, hard,
+                                       idle, owner_by_index, first)
+        sent = keys[first:first + rounds]
+        assert full == self.round_loop(twin, sent, watched, start_us, gap_us, hard, idle)
+        assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
+        oracle_full = []
+        for i, k in enumerate(sent):
+            at_us = start_us + 2 * i * gap_us
+            assert not oracle.lookup(k, at_us)
+            if oracle.insert(k, at_us, hard, idle, owner_by_index(k))[1]:
+                oracle_full.append(i)
+            assert oracle.lookup(watched, at_us + gap_us)
+        assert full == oracle_full
+        if rounds:
+            assert start_us + (2 * rounds - 1) * gap_us < until_us
+        if (gap_us >= 1 and first + rounds < len(keys)
+                and type(twin._entries.get(watched)) is FlowEntry):
+            # The run is maximal: the next key is live, its install would
+            # evict the watched key, or a time of the next round could
+            # purge or meet an arrival.
+            at_us = start_us + (2 * rounds + 1) * gap_us  # the next lookup's
+            heap = twin._expiry_heap
+            timeout = min(t for t in (hard, idle, math.inf) if t > 0)
+            assert (keys[first + rounds] in twin.entries
+                    or (len(twin) >= capacity and next(iter(twin.entries)) == watched)
+                    or at_us >= until_us or (heap and at_us >= heap[0][0])
+                    or at_us >= start_us + timeout)
+        # Flush with new keys so every surviving entry's victim rank shows.
+        end_us = max(now, start_us + (2 * rounds - 1) * gap_us)
+        for j in range(200, 200 + capacity):
+            assert table.insert(entry(j), end_us).evicted == oracle.insert(key(j), end_us)[0]
+        assert sorted(table.removal_log) == sorted(oracle.removal_log)
+
+
 class TestAdmit:
     """`admit` stores fresh entries; the table must behave as with one
     `insert` per key, whatever is done with them afterwards."""

@@ -411,7 +411,24 @@ class TestSendBurst:
             sim.send_probe(key, 99)
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
             sim.send_burst([key], 99, 1, 0)
+        with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
+            sim.send_rounds([key], key, 99, 1, 0)
         assert (sim.now_us, sim.events_processed) == (100, 1)
+
+    def test_rounds_stop_at_the_first_miss_of_the_watched_key(self):
+        # Two slots. Round 0 (10, 15 us) is the table pass: a fresh key
+        # fills the free slot, then k1 hits. Round 1's fresh key evicts k1,
+        # the head, so it goes through send_probe, and k1's probe at 25 us
+        # misses on a full table.
+        sim = SwitchSimulator(capacity=2, latency=LatencyModel(noise="none"))
+        keys = attacker_keys()
+        k1 = keys.next_key()
+        sim.send_probe(k1, 0)
+        fresh = [keys.next_key() for _ in range(3)]
+        sent, stop = sim.send_rounds(fresh, k1, 10, 5, 1000)
+        assert (sent, stop) == (2, (25, k1, 9000, BRANCH_MISS_FULL))
+        assert (sim.now_us, sim.events_processed) == (25, 5)
+        assert [(r.time, r.key) for r in sim.table.removal_log] == [(20, k1), (25, fresh[0])]
 
 
 def gauss_rtt(rng, band):
