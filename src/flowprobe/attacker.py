@@ -562,8 +562,11 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
     """Capacity/usage inference against a FIFO-replacement table.
 
     Once the table has been seen full, each round re-probes the earliest
-    attacker key: under FIFO it is provably the first attacker victim. A
-    blown time budget only sets `timeout_budget_exceeded`.
+    attacker key: under FIFO it is provably the first attacker victim. The
+    rounds before n1 go out as one fresh-key burst, and the rounds after
+    the n1 round as one run of a fresh key, then the earliest key, per
+    round; both end exactly as the rounds one at a time would. A blown
+    time budget only sets `timeout_budget_exceeded`.
     """
     return _infer(session, thresholds, key_budget, time_budget_ms, "FIFO",
                   lambda keys: keys[:1], budget_fatal=False,
