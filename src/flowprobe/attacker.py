@@ -29,6 +29,7 @@ from .netsim import (
     KeySequence,
     RttSample,
     SwitchSimulator,
+    US_PER_MS,
     ms_to_us,
     us_to_ms,
 )
@@ -140,6 +141,10 @@ class BootstrapParams:
         for name in ("filler_budget", "min_miss_samples", "inter_repeat_wait_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("ts1_ms", "ts2_ms", "inter_repeat_wait_ms"):
+            value = getattr(self, name)
+            if not value * US_PER_MS < math.inf:
+                raise ValueError(f"{name}={value} is past float range in us")
 
 
 @dataclass
@@ -206,16 +211,16 @@ class ProbeSession:
                     gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
                     watch: Optional[FlowKey] = None,
                     ) -> tuple[list[FlowKey], Optional[RttSample]]:
-        """Probe up to `count` fresh keys as `probe_burst` would, appending
-        each RTT to `rtts` if it is given; return the keys sent and the
-        stopping sample (or None).
+        """Probe up to `count` fresh keys `gap_us` apart (default: back to
+        back), each followed one gap later by a probe of `watch` if it is
+        given, as `SwitchSimulator.send_rounds` sends them: the run stops
+        after the first round whose last probe has an RTT of at least
+        `stop_rtt_us`. Each probe's RTT is appended to `rtts` if it is
+        given. Return the keys sent and the stopping sample (or None).
 
-        Given `watch`, each fresh key is followed one gap later by a probe
-        of `watch`, and only those probes can stop the run: the rounds of
-        a fresh key and then `watch` go out as `SwitchSimulator.send_rounds`
-        sends them, and `rtts` is not read. The keys are built in blocks
-        that double in size, and only the keys sent are consumed: the next
-        `fresh_key()` is the first one unsent.
+        The keys are built in blocks that double in size, and only the keys
+        sent are consumed: the next `fresh_key()` is the first one unsent.
+        The cursor ends one send gap after the last probe sent.
         """
         if gap_us is None:
             gap_us = self.send_gap_us
@@ -227,10 +232,8 @@ class ProbeSession:
         while stop is None and len(sent_keys) < count:
             first = fresh.index
             keys = fresh.keys(first, first + min(block, count - len(sent_keys)))
-            if watch is None:
-                sent, stop = self.sim.send_burst(keys, at_us, gap_us, stop_rtt_us, rtts)
-            else:
-                sent, stop = self.sim.send_rounds(keys, watch, at_us, gap_us, stop_rtt_us)
+            sent, stop = self.sim.send_rounds(keys, at_us, gap_us, stop_rtt_us, watch,
+                                              rtts)
             fresh.index = first + sent
             sent_keys += keys[:sent]
             at_us += per_key * sent * gap_us

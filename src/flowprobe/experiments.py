@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -46,6 +47,7 @@ from .netsim import (
     BackgroundWorkload,
     LatencyModel,
     SwitchSimulator,
+    US_PER_MS,
     ms_to_us,
     us_to_ms,
 )
@@ -117,6 +119,8 @@ class Scenario:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("hard_timeout_ms", "idle_timeout_ms"):
             value = getattr(self, name)
+            if not value * US_PER_MS < math.inf:
+                raise ValueError(f"{name}={value} is past float range in us")
             if value > 0 and ms_to_us(value) == 0:
                 raise ValueError(f"{name}={value} rounds to 0 us, which "
                                  "would disable the timer")

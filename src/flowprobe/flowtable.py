@@ -295,74 +295,40 @@ class FlowTable:
 
     def install_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
                     until_us: float, hard_timeout: int, idle_timeout: int,
-                    owner_of: Callable[[FlowKey], str], first: int = 0) -> int:
-        """Install the leading absent keys of `keys[first:]`, missed at
-        `start_us`, `start_us + gap_us`, ..., for `owner_of(key)` exactly as
-        `insert` would; return how many were installed.
+                    owner_of: Callable[[FlowKey], str], first: int = 0,
+                    watch: Optional[FlowKey] = None) -> tuple[int, list[int]]:
+        """Answer the leading rounds of `keys[first:]`, which start at
+        `start_us` one `gap_us` apart, or two gaps apart given `watch`: round
+        i installs the absent `keys[first + i]`, missed at its start, for
+        `owner_of(key)` exactly as `insert` would, and given `watch` then
+        looks up `watch` one `gap_us` later, a hit.
+        Return how many rounds were answered and the indexes (from `first`)
+        of the installs that found the table full.
 
-        The run stops at the first live key and once the table is full, so
-        it never evicts, and before `until_us`, the earliest expiry deadline
-        and its own first entry's deadline, so nothing falls due inside it.
-        A gap of 0 installs every key at `start_us`. It installs nothing when
-        `gap_us < 0` or `start_us` is before the table's clock; a run that
-        cannot install its first key costs O(1).
-        """
-        entries = self._entries
-        free = self.capacity - len(entries)
-        if (gap_us < 0 or start_us < self._now or free <= 0
-                or first >= len(keys) or keys[first] in entries):
-            return 0
-        timeout = _due_after(hard_timeout, idle_timeout)
-        if timeout:
-            until_us = min(until_us, start_us + timeout)
-        count = self._run_length(min(len(keys) - first, free), start_us, gap_us,
-                                 until_us)
-        if count <= 0:
-            return 0
-        heap = self._expiry_heap
-        seq = before = self._seq
-        now = start_us
-        for key in keys[first:first + count]:
-            if key in entries:
-                break
-            seq += 1
-            entries[key] = FlowEntry(key, now, now, hard_timeout, idle_timeout,
-                                     owner_of(key), seq)
-            if timeout:
-                heapq.heappush(heap, (now + timeout, seq, key))
-            now += gap_us
-        self._seq = seq
-        self._now = self._touched_at = now - gap_us
-        return seq - before
-
-    def round_run(self, keys: Sequence[FlowKey], watch: FlowKey, start_us: int,
-                  gap_us: int, until_us: float, hard_timeout: int, idle_timeout: int,
-                  owner_of: Callable[[FlowKey], str], first: int = 0,
-                  ) -> tuple[int, list[int]]:
-        """Answer the leading rounds of `keys[first:]`: round i installs the
-        absent `keys[first + i]`, missed at `start_us + 2 * i * gap_us`, for
-        `owner_of(key)` exactly as `insert` would, then looks up `watch` one
-        `gap_us` later, a hit. Return how many rounds were answered and the
-        indexes (from `first`) of the installs that found the table full.
-
-        The run stops at the first live key, at the round whose install
-        would evict `watch`, and before the first time at or after
+        The run stops at the first live key; without `watch` once the table
+        is full, so it never evicts, and with it at the round whose install
+        would evict `watch`. It stops before the first time at or after
         `until_us`, the earliest expiry deadline and its own first entry's
-        deadline. It answers nothing when `watch` is absent or fresh (a
-        lookup thaws it), `gap_us < 1` or `start_us` is before the table's
-        clock; a run that cannot answer its first round costs O(1).
+        deadline, so nothing falls due inside it. It answers nothing when
+        `watch` is given but absent or fresh (a lookup thaws it), `gap_us < 1`
+        or `start_us` is before the table's clock; a run that cannot answer
+        its first round costs O(1).
         """
         entries = self._entries
-        watched = entries.get(watch)
-        if (gap_us < 1 or start_us < self._now or watched.__class__ is not FlowEntry
-                or first >= len(keys) or keys[first] in entries):
+        watched = entries.get(watch)  # None without `watch`
+        if (gap_us < 1 or start_us < self._now or first >= len(keys)
+                or keys[first] in entries
+                or (watch is not None and watched.__class__ is not FlowEntry)):
             return 0, []
         timeout = _due_after(hard_timeout, idle_timeout)
         if timeout:
             until_us = min(until_us, start_us + timeout)
-        # A round's last time is its lookup's, one gap after its install.
-        count = self._run_length(len(keys) - first, start_us + gap_us, 2 * gap_us,
-                                 until_us)
+        if watch is None:  # at most the free slots: the run never evicts
+            count, step = min(len(keys) - first, self.capacity - len(entries)), gap_us
+        else:
+            count, step = len(keys) - first, 2 * gap_us
+        # A round's last time is its last probe's: with `watch`, its lookup's.
+        count = self._run_length(count, start_us + step - gap_us, step, until_us)
         heap, capacity, lru = self._expiry_heap, self.capacity, self._lru
         full: list[int] = []
         seq = before = self._seq
@@ -370,7 +336,7 @@ class FlowTable:
         for key in keys[first:first + count]:
             if key in entries:
                 break
-            if len(entries) >= capacity:
+            if len(entries) >= capacity:  # only with `watch`
                 if next(iter(entries)) == watch:
                     break
                 self._evict(now)
@@ -381,15 +347,16 @@ class FlowTable:
             if timeout:
                 heapq.heappush(heap, (now + timeout, seq, key))
             now += gap_us
-            watched.last_access = now
-            if lru:
-                entries.move_to_end(watch)
-            now += gap_us
+            if watched is not None:
+                watched.last_access = now
+                if lru:
+                    entries.move_to_end(watch)
+                now += gap_us
         if seq > before:
             self._seq = seq
             self._now = now - gap_us
             # An insert touches at its time; only an LRU hit does at its own.
-            self._touched_at = now - gap_us if lru else now - 2 * gap_us
+            self._touched_at = self._now if lru else now - step
         return seq - before, full
 
     def _order_tail(self, entry: FlowEntry, now: int) -> None:

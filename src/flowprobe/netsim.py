@@ -459,72 +459,19 @@ class SwitchSimulator:
         return tuple.__new__(RttSample, (at_us, key, rtt, branch))
 
     def send_burst(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                   stop_rtt_us: float, rtts: Optional[list[int]] = None,
-                   ) -> tuple[int, Optional[RttSample]]:
+                   stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
         """Send `keys` in order at `start_us`, `start_us + gap_us`, ...
 
         Stops after the first probe whose RTT is at least `stop_rtt_us`.
         Returns the number of probes sent and the stopping probe's sample,
-        or None if every key was sent; each sent probe's RTT is appended to
-        `rtts` if it is given. The result and the simulator's state are
-        those of one `send_probe` call per key at its time.
+        or None if every key was sent. The result and the simulator's state
+        are those of one `send_probe` call per key at its time.
 
-        With tracing off, a run that no arrival or expiry can interleave
-        is answered in one table pass, with the RTT draws of its probes: a
-        run of hits by `FlowTable.touch_run` if the hit band's top is below
-        the cut, and a run of misses into free slots by
-        `FlowTable.install_run` if the miss band's top is. A key neither
-        pass answers is a `send_probe` call; then both passes are retried.
-        """
-        if start_us < self.now_us:
-            raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
-        untraced = self.trace is None
-        hits = untraced and self._ranges[BRANCH_HIT][1] < stop_rtt_us
-        misses = untraced and self._ranges[BRANCH_MISS_NOTFULL][1] < stop_rtt_us
-        table = self.table
-        kept = rtts if rtts is not None else []  # unread when the caller gave none
-        sent = 0
-        at_us = start_us
-        while sent < len(keys):
-            run = 0
-            if hits:
-                run = table.touch_run(keys, at_us, gap_us, self._next_arrival_us, sent)
-                branch = BRANCH_HIT
-            if not run and misses:
-                run = table.install_run(keys, at_us, gap_us, self._next_arrival_us,
-                                        self.hard_timeout_us, self.idle_timeout_us,
-                                        self.owner_of, sent)
-                branch = BRANCH_MISS_NOTFULL
-            if run:
-                kept += self._draw_rtts(repeat(branch, run), run, rtts is not None)
-                sent += run
-                at_us += run * gap_us
-                self.now_us = at_us - gap_us
-                self.events_processed += run
-                continue
-            sample = self.send_probe(keys[sent], at_us)
-            sent += 1
-            kept.append(sample.rtt_us)
-            if sample.rtt_us >= stop_rtt_us:
-                return sent, sample
-            at_us += gap_us
-        return sent, None
-
-    def send_rounds(self, keys: Sequence[FlowKey], watch: FlowKey, start_us: int,
-                    gap_us: int, stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
-        """Send rounds at `start_us`, `start_us + 2 * gap_us`, ...: round i
-        sends `keys[i]`, then `watch` one `gap_us` later.
-
-        Stops after the first round whose probe of `watch` has an RTT of at
-        least `stop_rtt_us`. Returns the number of rounds sent and that
-        probe's sample, or None if every round was sent. The result and the
-        simulator's state are those of one `send_probe` call per probe.
-
-        With tracing off and the hit band's top below the cut, rounds that
-        no arrival or expiry can interleave are answered in one table pass,
-        `FlowTable.round_run`, with the RTT draws of their probes. A round
-        it does not answer (the one whose install would evict `watch`, for
-        one) is two `send_probe` calls; then the pass is retried.
+        With tracing off and the hit band's top below the cut, a run of hits
+        that no arrival or expiry can interleave is answered in one table
+        pass, `FlowTable.touch_run`, with the RTT draws of its probes. A key
+        the pass does not answer is a `send_probe` call; then the pass is
+        retried.
         """
         if start_us < self.now_us:
             raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
@@ -533,25 +480,80 @@ class SwitchSimulator:
         at_us = start_us
         while sent < len(keys):
             if answer:
-                run, full = self.table.round_run(
-                    keys, watch, at_us, gap_us, self._next_arrival_us,
-                    self.hard_timeout_us, self.idle_timeout_us, self.owner_of, sent)
+                run = self.table.touch_run(keys, at_us, gap_us, self._next_arrival_us,
+                                           sent)
                 if run:
-                    branches = [BRANCH_MISS_NOTFULL, BRANCH_HIT] * run
-                    for i in full:
-                        branches[2 * i] = BRANCH_MISS_FULL
-                    self._draw_rtts(branches, 2 * run, False)
+                    self._draw_rtts(repeat(BRANCH_HIT, run), run, False)
                     sent += run
-                    at_us += 2 * run * gap_us
+                    at_us += run * gap_us
                     self.now_us = at_us - gap_us
-                    self.events_processed += 2 * run
+                    self.events_processed += run
                     continue
-            self.send_probe(keys[sent], at_us)
-            sample = self.send_probe(watch, at_us + gap_us)
+            sample = self.send_probe(keys[sent], at_us)
             sent += 1
             if sample.rtt_us >= stop_rtt_us:
                 return sent, sample
-            at_us += 2 * gap_us
+            at_us += gap_us
+        return sent, None
+
+    def send_rounds(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
+                    stop_rtt_us: float, watch: Optional[FlowKey] = None,
+                    rtts: Optional[list[int]] = None,
+                    ) -> tuple[int, Optional[RttSample]]:
+        """Send one round per key, one `gap_us` apart, or two given `watch`:
+        round i sends `keys[i]` and, given `watch`, then `watch` one
+        `gap_us` later.
+
+        Stops after the first round whose last probe has an RTT of at least
+        `stop_rtt_us`. Returns the number of rounds sent and that probe's
+        sample, or None if every round was sent; each probe's RTT is
+        appended to `rtts` if it is given. The result and the simulator's
+        state are those of one `send_probe` call per probe.
+
+        With tracing off, rounds that no arrival or expiry can interleave
+        are answered in one table pass, `FlowTable.install_run`, with the
+        RTT draws of their probes, when the band of a round's last probe has
+        its top below the cut: the miss band without `watch` (the pass then
+        installs into free slots only), the hit band with it. A round the
+        pass does not answer (the one whose install would evict `watch`,
+        for one) is one `send_probe` call per probe; then the pass is
+        retried.
+        """
+        if start_us < self.now_us:
+            raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
+        # The branches of a round the pass answers, unless its install evicts.
+        answered = ([BRANCH_MISS_NOTFULL] if watch is None
+                    else [BRANCH_MISS_NOTFULL, BRANCH_HIT])
+        per_round = len(answered)
+        answer = self.trace is None and self._ranges[answered[-1]][1] < stop_rtt_us
+        kept = rtts if rtts is not None else []  # unread when the caller gave none
+        sent = 0
+        at_us = start_us
+        while sent < len(keys):
+            if answer:
+                run, full = self.table.install_run(
+                    keys, at_us, gap_us, self._next_arrival_us, self.hard_timeout_us,
+                    self.idle_timeout_us, self.owner_of, sent, watch)
+                if run:
+                    branches = answered * run
+                    for i in full:
+                        branches[per_round * i] = BRANCH_MISS_FULL
+                    kept += self._draw_rtts(branches, per_round * run, rtts is not None)
+                    sent += run
+                    at_us += per_round * run * gap_us
+                    self.now_us = at_us - gap_us
+                    self.events_processed += per_round * run
+                    continue
+            sample = self.send_probe(keys[sent], at_us)
+            if watch is not None:
+                kept.append(sample.rtt_us)
+                at_us += gap_us
+                sample = self.send_probe(watch, at_us)
+            kept.append(sample.rtt_us)
+            sent += 1
+            if sample.rtt_us >= stop_rtt_us:
+                return sent, sample
+            at_us += gap_us
         return sent, None
 
     def ground_truth(self) -> GroundTruth:

@@ -496,16 +496,18 @@ def probe_loop(session, keys, stop_rtt_us):
     return None
 
 
-def fresh_loop(session, count, stop_rtt_us, gap_us=None, rtts=None):
+def fresh_loop(session, count, stop_rtt_us, gap_us=None, rtts=None, watch=None):
     """The per-probe loop that `ProbeSession.probe_fresh` stands for."""
     gap_us = session.send_gap_us if gap_us is None else gap_us
     start_us, keys = session.now_us, []
+    per_key = 1 if watch is None else 2
     for i in range(count):
-        session.now_us = start_us + i * gap_us
         keys.append(session.fresh_key())
-        sample = session.probe(keys[-1])
-        if rtts is not None:
-            rtts.append(sample.rtt_us)
+        for j, key in enumerate((keys[-1], watch)[:per_key]):
+            session.now_us = start_us + (per_key * i + j) * gap_us
+            sample = session.probe(key)
+            if rtts is not None:
+                rtts.append(sample.rtt_us)
         if sample.rtt_us >= stop_rtt_us:
             return keys, sample
     return keys, None
@@ -578,8 +580,10 @@ class TestProbeBurst:
                 st.integers(0, 30),                           # new keys after them
                 st.sampled_from((250, 300, 1000, 4000, 5000, 5001, 6500,
                                  float("inf"))),              # stop, us
-                st.sampled_from(("burst", "fresh", "fresh+rtts")),
+                st.sampled_from(("burst", "fresh", "fresh+rtts", "fresh+watch",
+                                 "fresh+watch+rtts")),
                 st.sampled_from((None, 0, 1, 250)),           # fresh-key gap, us
+                st.integers(0, 11),                           # watched key index
             ),
             min_size=1, max_size=8,
         ),
@@ -606,7 +610,7 @@ class TestProbeBurst:
         new = (key for i in itertools.count()
                for key in (KeySequence("10.1").key_at(500 + i),
                            KeySequence("10.2").key_at(60_100 + i)))
-        for wait_us, indexes, times, fresh, stop, kind, gap_us in rounds:
+        for wait_us, indexes, times, fresh, stop, kind, gap_us, watched in rounds:
             burst.wait_us(wait_us)
             loop.wait_us(wait_us)
             if kind == "burst":
@@ -616,11 +620,13 @@ class TestProbeBurst:
                 assert burst.probe_burst(keys, stop) == probe_loop(loop, keys, stop)
             else:
                 # The session's fresh keys start at ATTACKER_KEYS[0], so some
-                # may be live: a fresh-key burst can hit too.
-                rtts = [] if kind == "fresh+rtts" else None
-                loop_rtts = [] if kind == "fresh+rtts" else None
-                assert (burst.probe_fresh(fresh, stop, gap_us, rtts)
-                        == fresh_loop(loop, fresh, stop, gap_us, loop_rtts))
+                # may be live: a fresh-key burst can hit too, and a fresh key
+                # may be the watched one.
+                rtts = [] if kind.endswith("rtts") else None
+                loop_rtts = [] if kind.endswith("rtts") else None
+                watch = pool[watched] if "watch" in kind else None
+                assert (burst.probe_fresh(fresh, stop, gap_us, rtts, watch)
+                        == fresh_loop(loop, fresh, stop, gap_us, loop_rtts, watch))
                 assert rtts == loop_rtts
             assert session_state(burst) == session_state(loop)
 

@@ -283,6 +283,11 @@ class TestExitContract:
     @example(["attack.send_rate_pps=1" + "0" * 400])
     @example(["timeouts.idle_ms=1" + "0" * 400])
     @example(["latency.miss_full_ms=[8, 1e306]"])
+    @example(["timeouts.hard_ms=1e308"])
+    @example(["timeouts.idle_ms=1e308"])
+    @example(["attack.bootstrap.ts1_ms=1e308"])
+    @example(["attack.bootstrap.ts2_ms=1e308"])
+    @example(["attack.bootstrap.repeat=2", "attack.bootstrap.inter_repeat_wait_ms=1e308"])
     def test_check_exits_0_or_1_quietly_or_2_with_one_line(self, assignments):
         argv = ["check", "--config", str(CONFIGS / "fifo400.json"),
                 "--set", "repeats=1", "--set", "capacity=64",

@@ -364,23 +364,21 @@ def table_state(table, raw_heap=False):
 
 
 class TestPreload:
-    """One `install_run` at t = 0 with a gap of 0 installs as an insert loop."""
+    """One `admit` at t = 0, the simulator's preload, installs as an insert
+    loop."""
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("usage", [0, 1, 5, 7])
     @pytest.mark.parametrize("hard, idle", [(0, 0), (300, 0), (0, 200),
                                             (300, 200), (200, 300)])
     def test_matches_an_insert_loop(self, policy, usage, hard, idle):
-        # A fresh table of 5; the keys past capacity are inserted after the
-        # run, and evict, at t = 0.
+        # A fresh table of 5: the keys past capacity evict at t = 0.
         keys = [key(i) for i in range(usage)]
         table, twin = FlowTable(5, policy), FlowTable(5, policy)
-        installed = table.install_run(keys, 0, 0, math.inf, hard, idle, owner_by_index)
-        assert installed == min(usage, 5)
-        for k in keys[installed:]:
-            table.insert(FlowEntry(k, 0, 0, hard, idle, owner_by_index(k)), 0)
+        assert table.admit(keys, [0] * usage, hard, idle, "background") == list(
+            range(5, usage))
         for k in keys:
-            twin.insert(FlowEntry(k, 0, 0, hard, idle, owner_by_index(k)), 0)
+            twin.insert(FlowEntry(k, 0, 0, hard, idle, "background"), 0)
         assert table_state(table) == table_state(twin)
         # Both go on alike: a hit at t = 0, then inserts that evict and expire.
         for each in (table, twin):
@@ -552,7 +550,7 @@ class TestInstallRun:
         table, twin = self.filled(policy), self.filled(policy)
         keys = [key(i) for i in (10, 11, 12)]
         assert table.install_run(keys, 10, 5, float("inf"), hard, idle,
-                                 owner_by_index) == 3
+                                 owner_by_index) == (3, [])
         self.insert_loop(twin, keys, 10, 5, hard, idle)
         assert table_state(table) == table_state(twin)
         assert [table.entries[k].owner for k in keys] == [
@@ -562,29 +560,32 @@ class TestInstallRun:
         table, twin = self.filled(), self.filled()
         keys = [key(1), key(10), key(11)]
         assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index,
-                                 first=1) == 2
+                                 first=1) == (2, [])
         self.insert_loop(twin, keys[1:], 10, 5)
         assert table_state(table) == table_state(twin)
 
     def test_stops_at_the_first_live_key(self):
         table = self.filled()
         keys = [key(10), key(11), key(0), key(12)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 2
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0,
+                                 owner_by_index) == (2, [])
         assert key(12) not in table.entries and table._now == 15
 
     def test_a_repeated_key_is_live_by_its_second_send(self):
         table = self.filled()
         keys = [key(10), key(10)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 1
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0,
+                                 owner_by_index) == (1, [])
 
     def test_stops_once_the_table_is_full(self):
         table = self.filled(capacity=5)
         keys = [key(i) for i in range(10, 15)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index) == 2
+        assert table.install_run(keys, 10, 5, float("inf"), 0, 0,
+                                 owner_by_index) == (2, [])
         assert len(table) == 5 and table.removal_log == []
         before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.install_run(keys, 20, 5, float("inf"), 0, 0, owner_by_index,
-                                 first=2) == 0
+                                 first=2) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
     @pytest.mark.parametrize("until_us, answered", [(25, 3), (26, 4)])
@@ -593,25 +594,14 @@ class TestInstallRun:
         table = self.filled(capacity=10)
         keys = [key(i) for i in range(10, 16)]
         assert table.install_run(keys, 10, 5, until_us, 0, 0,
-                                 owner_by_index) == answered
-
-    @pytest.mark.parametrize("start_us, until_us, answered", [
-        (10, 10, 0), (10, 11, 3),  # until
-        (100, math.inf, 0),        # key(0)'s idle deadline
-    ])
-    def test_a_zero_gap_run_is_all_before_until_or_none(self, start_us, until_us,
-                                                         answered):
-        table = self.filled(idle=100)
-        keys = [key(i) for i in range(10, 13)]
-        assert table.install_run(keys, start_us, 0, until_us, 0, 0,
-                                 owner_by_index) == answered
+                                 owner_by_index) == (answered, [])
 
     def test_stops_before_the_earliest_deadline(self):
         # key(0)'s idle deadline is 100: an insert at 100 would purge it.
         table = self.filled(idle=100)
         keys = [key(i) for i in range(10, 13)]
         assert table.install_run(keys, 60, 20, float("inf"), 0, 0,
-                                 owner_by_index) == 2
+                                 owner_by_index) == (2, [])
         assert table._now == 80
 
     @pytest.mark.parametrize("hard, idle, answered", [
@@ -621,19 +611,23 @@ class TestInstallRun:
         table = self.filled(capacity=10)
         keys = [key(i) for i in range(10, 16)]
         assert table.install_run(keys, 10, 10, float("inf"), hard, idle,
-                                 owner_by_index) == answered
+                                 owner_by_index) == (answered, [])
 
     @pytest.mark.parametrize("start_us, gap_us, first", [
         (1, 5, 0),    # behind the table clock
+        (10, 0, 0),   # a zero gap
         (10, 5, 1),   # keys[1] is live
         (10, 5, 3),   # past the end of the keys
     ])
     def test_guards(self, start_us, gap_us, first):
-        table = self.filled()
-        before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
-                                 float("inf"), 0, 0, owner_by_index, first) == 0
-        assert table_state(table, raw_heap=True) == before
+        # Alike without a watched key and with a live one.
+        for watch in (None, key(0)):
+            table = self.filled()
+            before = copy.deepcopy(table_state(table, raw_heap=True))
+            assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
+                                     float("inf"), 0, 0, owner_by_index, first,
+                                     watch) == (0, [])
+            assert table_state(table, raw_heap=True) == before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -673,8 +667,9 @@ class TestInstallRun:
         start_us = now + start_dt
         until_us = start_us + until_dt
         keys = [key(i) for i in run]
-        installed = table.install_run(keys, start_us, gap_us, until_us, hard,
-                                      idle, owner_by_index, first)
+        installed, full = table.install_run(keys, start_us, gap_us, until_us, hard,
+                                            idle, owner_by_index, first)
+        assert full == []
         sent = keys[first:first + installed]
         self.insert_loop(twin, sent, start_us, gap_us, hard, idle)
         for i, k in enumerate(sent):
@@ -682,9 +677,10 @@ class TestInstallRun:
             assert not oracle.lookup(k, at_us)
             assert oracle.insert(k, at_us, hard, idle, owner_by_index(k)) == (None, False)
         assert table_state(table) == table_state(twin)
-        if start_us >= table._now and first + installed < len(keys):
-            # The run is maximal: the next key is live, the table is full, or
-            # the next send could purge or meet an arrival.
+        if gap_us >= 1 and first + installed < len(keys):
+            # Past the zero-gap guard the run is maximal: the next key is
+            # live, the table is full, or the next send could purge or meet
+            # an arrival.
             at_us = start_us + installed * gap_us
             heap = twin._expiry_heap
             timeout = min(t for t in (hard, idle, math.inf) if t > 0)
@@ -700,13 +696,13 @@ class TestInstallRun:
 
 
 class TestRoundRun:
-    """`round_run` answers rounds of a miss-and-install, then a hit on the
-    watched key; the table must end as with a `lookup` and an `insert`, then
+    """`install_run` with a watched key answers rounds of a miss-and-install,
+    then a hit on the watched key; the table must end as with a `lookup` and an `insert`, then
     a `lookup` of the watched key, per round."""
 
     @staticmethod
     def round_loop(table, keys, watch, start_us, gap_us, hard=0, idle=0):
-        """The loop `round_run` stands for; returns the indexes of the
+        """The loop `install_run(..., watch=watch)` stands for; returns the indexes of the
         inserts that found the table full."""
         full = []
         for i, k in enumerate(keys):
@@ -731,10 +727,10 @@ class TestRoundRun:
 
     def run_matches_loop(self, table, twin, keys, start_us, gap_us, until_us=math.inf,
                          hard=0, idle=0, first=0, watch=key(0)):
-        """Run `round_run` on `table` and the loop on `twin`; assert both end
-        alike and return what `round_run` returned."""
-        rounds, full = table.round_run(keys, watch, start_us, gap_us, until_us, hard,
-                                       idle, owner_by_index, first)
+        """Run `install_run` watching `watch` on `table` and the loop on
+        `twin`; assert both end alike and return what `install_run` returned."""
+        rounds, full = table.install_run(keys, start_us, gap_us, until_us, hard, idle,
+                                         owner_by_index, first, watch)
         assert full == self.round_loop(twin, keys[first:first + rounds], watch,
                                        start_us, gap_us, hard, idle)
         assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
@@ -774,8 +770,8 @@ class TestRoundRun:
         assert self.run_matches_loop(table, twin, keys, 10, 5) == (2, [0, 1])
         assert next(iter(table.entries)) == key(0)
         before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.round_run(keys, key(0), 30, 5, math.inf, 0, 0, owner_by_index,
-                               2) == (0, [])
+        assert table.install_run(keys, 30, 5, math.inf, 0, 0, owner_by_index, 2,
+                                 key(0)) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
     def test_the_watched_key_at_the_head_of_a_table_with_room(self):
@@ -788,8 +784,8 @@ class TestRoundRun:
     def test_answers_nothing_when_the_watched_key_is_absent_or_fresh(self, watch):
         table = self.filled()
         before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.round_run([key(10)], watch, 10, 5, math.inf, 0, 0,
-                               owner_by_index) == (0, [])
+        assert table.install_run([key(10)], 10, 5, math.inf, 0, 0, owner_by_index,
+                                 watch=watch) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
     def test_stops_at_the_first_live_key(self):
@@ -832,19 +828,6 @@ class TestRoundRun:
         keys = [key(i) for i in range(10, 16)]
         assert self.run_matches_loop(table, twin, keys, 10, 5, hard=hard,
                                      idle=idle)[0] == answered
-
-    @pytest.mark.parametrize("start_us, gap_us, first", [
-        (1, 5, 0),    # behind the table clock
-        (10, 0, 0),   # a zero gap
-        (10, 5, 1),   # keys[1] is live
-        (10, 5, 3),   # past the end of the keys
-    ])
-    def test_guards(self, start_us, gap_us, first):
-        table = self.filled()
-        before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.round_run([key(10), key(1), key(11)], key(0), start_us, gap_us,
-                               math.inf, 0, 0, owner_by_index, first) == (0, [])
-        assert table_state(table, raw_heap=True) == before
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -894,8 +877,8 @@ class TestRoundRun:
         start_us = now + start_dt
         until_us = start_us + until_dt
         keys = [key(i) for i in run]
-        rounds, full = table.round_run(keys, watched, start_us, gap_us, until_us, hard,
-                                       idle, owner_by_index, first)
+        rounds, full = table.install_run(keys, start_us, gap_us, until_us, hard, idle,
+                                         owner_by_index, first, watched)
         sent = keys[first:first + rounds]
         assert full == self.round_loop(twin, sent, watched, start_us, gap_us, hard, idle)
         assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)

@@ -412,7 +412,7 @@ class TestSendBurst:
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
             sim.send_burst([key], 99, 1, 0)
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
-            sim.send_rounds([key], key, 99, 1, 0)
+            sim.send_rounds([key], 99, 1, 0, watch=key)
         assert (sim.now_us, sim.events_processed) == (100, 1)
 
     def test_rounds_stop_at_the_first_miss_of_the_watched_key(self):
@@ -425,7 +425,7 @@ class TestSendBurst:
         k1 = keys.next_key()
         sim.send_probe(k1, 0)
         fresh = [keys.next_key() for _ in range(3)]
-        sent, stop = sim.send_rounds(fresh, k1, 10, 5, 1000)
+        sent, stop = sim.send_rounds(fresh, 10, 5, 1000, watch=k1)
         assert (sent, stop) == (2, (25, k1, 9000, BRANCH_MISS_FULL))
         assert (sim.now_us, sim.events_processed) == (25, 5)
         assert [(r.time, r.key) for r in sim.table.removal_log] == [(20, k1), (25, fresh[0])]
