@@ -301,9 +301,9 @@ class FlowTable:
         `start_us` one `gap_us` apart, or two gaps apart given `watch`: round
         i installs the absent `keys[first + i]`, missed at its start, for
         `owner_of(key)` exactly as `insert` would, and given `watch` then
-        looks up `watch` one `gap_us` later, a hit.
-        Return how many rounds were answered and the indexes (from `first`)
-        of the installs that found the table full.
+        looks up `watch` one `gap_us` later, a hit. Return how many rounds
+        were answered and the indexes (from `first`) of the installs that
+        found the table full.
 
         The run stops at the first live key; without `watch` once the table
         is full, so it never evicts, and with it at the round whose install

@@ -500,9 +500,9 @@ class SwitchSimulator:
                     stop_rtt_us: float, watch: Optional[FlowKey] = None,
                     rtts: Optional[list[int]] = None,
                     ) -> tuple[int, Optional[RttSample]]:
-        """Send one round per key, one `gap_us` apart, or two given `watch`:
-        round i sends `keys[i]` and, given `watch`, then `watch` one
-        `gap_us` later.
+        """Send one round per key from `start_us`, one `gap_us` apart, or
+        two gaps apart given `watch`: round i sends `keys[i]` and, given
+        `watch`, then `watch` one `gap_us` later.
 
         Stops after the first round whose last probe has an RTT of at least
         `stop_rtt_us`. Returns the number of rounds sent and that probe's
