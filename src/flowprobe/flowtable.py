@@ -309,16 +309,17 @@ class FlowTable:
         is full, so it never evicts, and with it at the round whose install
         would evict `watch`. It stops before the first time at or after
         `until_us`, the earliest expiry deadline and its own first entry's
-        deadline, so nothing falls due inside it. It answers nothing when
-        `watch` is given but absent or fresh (a lookup thaws it), `gap_us < 1`
-        or `start_us` is before the table's clock; a run that cannot answer
-        its first round costs O(1).
+        deadline, so nothing falls due inside it. Without `watch` a gap of 0
+        installs every key at `start_us`. It answers nothing when `gap_us < 0`,
+        when `watch` is given but absent or fresh (a lookup thaws it) or
+        `gap_us < 1`, or when `start_us` is before the table's clock; a run
+        that cannot answer its first round costs O(1).
         """
         entries = self._entries
         watched = entries.get(watch)  # None without `watch`
-        if (gap_us < 1 or start_us < self._now or first >= len(keys)
-                or keys[first] in entries
-                or (watch is not None and watched.__class__ is not FlowEntry)):
+        if (gap_us < 0 or start_us < self._now or first >= len(keys)
+                or keys[first] in entries or (watch is not None and (
+                    gap_us < 1 or watched.__class__ is not FlowEntry))):
             return 0, []
         timeout = _due_after(hard_timeout, idle_timeout)
         if timeout:

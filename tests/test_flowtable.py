@@ -613,21 +613,28 @@ class TestInstallRun:
         assert table.install_run(keys, 10, 10, float("inf"), hard, idle,
                                  owner_by_index) == (answered, [])
 
+    @pytest.mark.parametrize("start_us, until_us, answered", [
+        (10, 10, 0), (10, 11, 3),  # until
+        (100, math.inf, 0),        # key(0)'s idle deadline
+    ])
+    def test_a_zero_gap_run_is_all_before_until_or_none(self, start_us, until_us,
+                                                         answered):
+        table = self.filled(idle=100)
+        keys = [key(i) for i in range(10, 13)]
+        assert table.install_run(keys, start_us, 0, until_us, 0, 0,
+                                 owner_by_index) == (answered, [])
+
     @pytest.mark.parametrize("start_us, gap_us, first", [
         (1, 5, 0),    # behind the table clock
-        (10, 0, 0),   # a zero gap
         (10, 5, 1),   # keys[1] is live
         (10, 5, 3),   # past the end of the keys
     ])
     def test_guards(self, start_us, gap_us, first):
-        # Alike without a watched key and with a live one.
-        for watch in (None, key(0)):
-            table = self.filled()
-            before = copy.deepcopy(table_state(table, raw_heap=True))
-            assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
-                                     float("inf"), 0, 0, owner_by_index, first,
-                                     watch) == (0, [])
-            assert table_state(table, raw_heap=True) == before
+        table = self.filled()
+        before = copy.deepcopy(table_state(table, raw_heap=True))
+        assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
+                                 float("inf"), 0, 0, owner_by_index, first) == (0, [])
+        assert table_state(table, raw_heap=True) == before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -677,10 +684,9 @@ class TestInstallRun:
             assert not oracle.lookup(k, at_us)
             assert oracle.insert(k, at_us, hard, idle, owner_by_index(k)) == (None, False)
         assert table_state(table) == table_state(twin)
-        if gap_us >= 1 and first + installed < len(keys):
-            # Past the zero-gap guard the run is maximal: the next key is
-            # live, the table is full, or the next send could purge or meet
-            # an arrival.
+        if first + installed < len(keys):
+            # The run is maximal: the next key is live, the table is full, or
+            # the next send could purge or meet an arrival.
             at_us = start_us + installed * gap_us
             heap = twin._expiry_heap
             timeout = min(t for t in (hard, idle, math.inf) if t > 0)
@@ -828,6 +834,20 @@ class TestRoundRun:
         keys = [key(i) for i in range(10, 16)]
         assert self.run_matches_loop(table, twin, keys, 10, 5, hard=hard,
                                      idle=idle)[0] == answered
+
+    @pytest.mark.parametrize("start_us, gap_us, first", [
+        (1, 5, 0),    # behind the table clock
+        (10, 0, 0),   # a zero gap
+        (10, 5, 1),   # keys[1] is live
+        (10, 5, 3),   # past the end of the keys
+    ])
+    def test_guards(self, start_us, gap_us, first):
+        table = self.filled()
+        before = copy.deepcopy(table_state(table, raw_heap=True))
+        assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
+                                 math.inf, 0, 0, owner_by_index, first,
+                                 key(0)) == (0, [])
+        assert table_state(table, raw_heap=True) == before
 
     @settings(max_examples=400, deadline=None)
     @given(
