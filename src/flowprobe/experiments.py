@@ -126,6 +126,12 @@ class Scenario:
                                  "would disable the timer")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        # Nothing drains the table that bootstrap's first round filled.
+        repeat = self.attack.bootstrap.repeat
+        if repeat > 1 and not (self.hard_timeout_ms or self.idle_timeout_ms):
+            raise ValueError(f"attack.bootstrap.repeat={repeat} needs a hard or idle "
+                             "timeout: without one, no round after the first can "
+                             "see the table not full")
 
 
 @dataclass

@@ -194,6 +194,9 @@ class BackgroundWorkload:
 
 _OCTETS = tuple(map(str, range(256)))
 
+# Per prefix, the keys `KeySequence.keys` has built, key i at position i.
+_BUILT_KEYS: dict[str, list[FlowKey]] = {}
+
 
 class KeySequence:
     """Deterministic generator of distinct FlowKeys under one /16 prefix.
@@ -202,6 +205,12 @@ class KeySequence:
     /16 roll into the dst_ip octets, so the sequence never repeats. Owner
     prefixes are disjoint, which keeps attacker and background key spaces
     disjoint by construction.
+
+    A key is a pure function of (prefix, index), so every sequence of one
+    prefix, in any switch or session of the process, shares one list of the
+    keys `keys` has built: each key is built once. The list grows from index
+    0 only, to the largest `stop` requested contiguously; a request that
+    starts past its end is built and not kept.
     """
 
     def __init__(self, prefix: str):
@@ -210,6 +219,7 @@ class KeySequence:
         # "{prefix}.{j}." per third octet j: a source address is two joined
         # strings, not two integers formatted.
         self._heads = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
+        self._built = _BUILT_KEYS.setdefault(prefix, [])
 
     def key_at(self, i: int) -> FlowKey:
         block, rest = divmod(i, 1 << 16)
@@ -223,7 +233,16 @@ class KeySequence:
         ))
 
     def keys(self, start: int, stop: int) -> list[FlowKey]:
-        """`[key_at(i) for i in range(start, stop)]`, built in one pass."""
+        """`[key_at(i) for i in range(start, stop)]`, from the shared list."""
+        built = self._built
+        end = len(built)
+        if stop > end:
+            if start > end:
+                return self._build(start, stop)
+            built += self._build(end, stop)
+        return built[start:stop]
+
+    def _build(self, start: int, stop: int) -> list[FlowKey]:
         heads, new = self._heads, tuple.__new__
         return [new(FlowKey, (
             heads[i >> 8 & 255] + _OCTETS[i & 255],

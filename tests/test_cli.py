@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowprobe import experiments
+from flowprobe import experiments, netsim
 from flowprobe.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -198,6 +198,17 @@ class TestUsageErrors:
             "miss_notfull < miss_full in us, got [(200, 300), (300, 500), "
             "(800, 1000)]\n")
 
+    def test_bootstrap_repeat_without_a_timeout_exits_2(self, capsys):
+        # Round 1 leaves the table full and nothing drains it, so round 2
+        # would spend its whole filler budget without seeing a jump.
+        assert main(["check", "--config", str(CONFIGS / "fifo400.json"),
+                     "--set", "repeats=1", "--set", "attack.bootstrap.repeat=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: attack.bootstrap.repeat=2 needs a hard or idle timeout: "
+            "without one, no round after the first can see the table not full\n")
+
     @pytest.mark.parametrize("command", ["bootstrap", "measure-timeouts"])
     def test_first_phases_reject_a_multi_scenario_suite(self, command, capsys):
         assert main([command, "--config", str(CONFIGS / "paper-suite.json")]) == 2
@@ -254,12 +265,11 @@ CONFIG_PATHS = (
     "bounds.max_capacity_rel_error", "bounds.max_usage_rel_error",
 )
 POOLS = {path: VALUES for path in CONFIG_PATHS} | {
-    # Small valid counts. Not bootstrap.repeat=2: without timeouts its second
-    # round finds the table still full and sends all 100,000 fillers.
+    # Small valid counts.
     path: VALUES + ("1", "2") for path in (
         "capacity", "initial_usage", "repeats", "seed", "attack.key_budget",
-        "attack.capacity_guess", "attack.bootstrap.filler_budget",
-        "attack.bootstrap.min_miss_samples")
+        "attack.capacity_guess", "attack.bootstrap.repeat",
+        "attack.bootstrap.filler_budget", "attack.bootstrap.min_miss_samples")
 } | {
     # A background rate of 1e-9 per s with a send rate of 1e-300 pps would
     # simulate about 1e291 arrivals per probe; at 1e-300 per s it is one.
@@ -337,6 +347,15 @@ class TestSweep:
         lines = out_a.read_text().splitlines()
         assert lines[0].startswith("scenario,repeat,truth_capacity")
         assert len(lines) == 3
+
+    def test_csv_does_not_depend_on_the_shared_keys(self, monkeypatch, capsys):
+        monkeypatch.setattr(netsim, "_BUILT_KEYS", {})
+        argv = ["sweep", "--config", str(CONFIGS / "fifo400.json"),
+                "--set", "repeats=2"]
+        assert main(argv) == 0
+        empty = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == empty
 
     def test_seed_override_changes_and_pins_output(self, config_path, tmp_path,
                                                    capsys):

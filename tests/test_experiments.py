@@ -4,13 +4,13 @@ import gc
 import io
 import json
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from statistics import fmean
 
 import pytest
 
-from flowprobe import experiments
+from flowprobe import experiments, netsim
 from flowprobe.experiments import (
     SWEEP_CSV_COLUMNS,
     AttackConfig,
@@ -74,6 +74,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"{field}=1e-09 rounds to 0 us"):
             scenario(**{field: 1e-9})
         assert getattr(scenario(**{field: 0.001}), field) == 0.001
+
+
+    def test_bootstrap_repeat_needs_a_timeout(self):
+        attack = AttackConfig(bootstrap=BootstrapParams(repeat=2))
+        with pytest.raises(ValueError, match="attack.bootstrap.repeat=2 needs a "
+                                             "hard or idle timeout"):
+            scenario(attack=attack)
+        for timeout in ("hard_timeout_ms", "idle_timeout_ms"):
+            assert scenario(attack=attack, **{timeout: 5000.0}).attack == attack
 
 
 class TestRunScenario:
@@ -187,6 +196,16 @@ class TestRunRepeat:
         record = run_repeat(s)
         assert record.error.startswith("bootstrap: ")
         assert record.thresholds is None and record.wall_events > 5
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_result_does_not_depend_on_the_shared_keys(self, policy, monkeypatch):
+        s = scenario(policy=policy, background_rate=20.0, idle_timeout_ms=5000.0,
+                     hard_timeout_ms=20000.0, repeats=1,
+                     latency=LatencyModel(noise="truncated-gaussian"))
+        monkeypatch.setattr(netsim, "_BUILT_KEYS", {})
+        empty = asdict(run_repeat(s))
+        assert netsim._BUILT_KEYS  # the run built and kept keys
+        assert asdict(run_repeat(s)) == empty
 
 
 class TestCyclicGcPause:

@@ -19,7 +19,9 @@ from flowprobe.flowtable import (
     FlowTable,
     RemovalRecord,
 )
+from flowprobe import netsim
 from flowprobe.netsim import (
+    ATTACKER_PREFIX,
     BACKGROUND_PREFIX,
     BRANCH_HIT,
     BRANCH_MISS_FULL,
@@ -790,3 +792,55 @@ class TestKeySpaces:
         sample_indexes = [0, 1, 65_535, 65_536, 70_000, 131_072]
         keys = [seq.key_at(i) for i in sample_indexes]
         assert len(set(keys)) == len(keys)
+
+
+class TestSharedKeys:
+    """`KeySequence.keys` shares one list of built keys per prefix."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(netsim, "_BUILT_KEYS", {})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 1200),
+                              st.integers(0, 300)), max_size=12))
+    def test_any_request_order_gives_key_at(self, requests):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netsim, "_BUILT_KEYS", {})
+            pair = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
+            for second, start, length in requests:
+                keys = pair[second].keys(start, start + length)
+                assert keys == [pair[0].key_at(i) for i in range(start, start + length)]
+
+    def test_requests_across_a_full_slash16_give_key_at(self):
+        a, b = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
+        for seq, start, stop in [(a, 0, 65_530), (b, 65_530, 65_542), (a, 65_540, 65_541),
+                                 (b, 65_500, 65_600), (a, 65_530, 65_542)]:
+            assert seq.keys(start, stop) == [seq.key_at(i) for i in range(start, stop)]
+        assert len(netsim._BUILT_KEYS[ATTACKER_PREFIX]) == 65_600
+
+    def test_sequences_of_one_prefix_return_the_same_objects(self):
+        a, b = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
+        first = a.keys(0, 300)
+        second = b.keys(100, 400)
+        assert all(x is y for x, y in zip(first[100:], second))
+        first.clear()  # a caller's list is its own
+        assert all(x is y for x, y in zip(a.keys(0, 400), b.keys(0, 400)))
+
+    def test_prefixes_share_no_entry(self):
+        attacker = KeySequence(ATTACKER_PREFIX).keys(0, 600)
+        background = KeySequence(BACKGROUND_PREFIX).keys(0, 600)
+        assert all(key.src_ip.startswith(ATTACKER_PREFIX + ".") for key in attacker)
+        assert all(key.src_ip.startswith(BACKGROUND_PREFIX + ".") for key in background)
+        assert not set(attacker) & set(background)
+        assert not set(map(id, attacker)) & set(map(id, background))
+        assert set(netsim._BUILT_KEYS) == {ATTACKER_PREFIX, BACKGROUND_PREFIX}
+
+    def test_a_request_past_the_end_is_not_kept(self):
+        seq = KeySequence(BACKGROUND_PREFIX)
+        seq.keys(0, 10)
+        assert seq.keys(131_070, 131_074) == [seq.key_at(i) for i in range(131_070, 131_074)]
+        assert seq.keys(11, 20) == [seq.key_at(i) for i in range(11, 20)]
+        assert len(netsim._BUILT_KEYS[BACKGROUND_PREFIX]) == 10
+        seq.keys(10, 20)  # starts at the end: extends it
+        assert len(netsim._BUILT_KEYS[BACKGROUND_PREFIX]) == 20
