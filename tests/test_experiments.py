@@ -75,7 +75,6 @@ class TestScenarioValidation:
             scenario(**{field: 1e-9})
         assert getattr(scenario(**{field: 0.001}), field) == 0.001
 
-
     def test_bootstrap_repeat_needs_a_timeout(self):
         attack = AttackConfig(bootstrap=BootstrapParams(repeat=2))
         with pytest.raises(ValueError, match="attack.bootstrap.repeat=2 needs a "
