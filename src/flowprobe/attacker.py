@@ -254,7 +254,7 @@ class ProbeSession:
         """
         if gap_us is None:
             gap_us = self.send_gap_us
-        sent, stop = self.sim.send_burst(keys, self.now_us, gap_us, stop_rtt_us)
+        sent, stop = self.sim.send_rounds(keys, self.now_us, gap_us, stop_rtt_us)
         if sent:
             self.now_us += (sent - 1) * gap_us + self.send_gap_us
         self.probes_sent += sent

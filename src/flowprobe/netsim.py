@@ -208,9 +208,9 @@ class KeySequence:
 
     A key is a pure function of (prefix, index), so every sequence of one
     prefix, in any switch or session of the process, shares one list of the
-    keys `keys` has built: each key is built once. The list grows from index
-    0 only, to the largest `stop` requested contiguously; a request that
-    starts past its end is built and not kept.
+    keys `keys` and `next_key` have built: each key is built once. The list
+    grows from index 0 only, to the largest `stop` requested contiguously; a
+    request that starts past its end is built and not kept.
     """
 
     def __init__(self, prefix: str):
@@ -252,7 +252,7 @@ class KeySequence:
         )) for i in range(start, stop)]
 
     def next_key(self) -> FlowKey:
-        key = self.key_at(self.index)
+        key = self.keys(self.index, self.index + 1)[0]
         self.index += 1
         return key
 
@@ -297,10 +297,10 @@ TRACE_COLUMNS = ("time_us", "kind", "owner", "branch", "rtt_us")
 class SwitchSimulator:
     """Single switch + controller with a bounded flow table.
 
-    The simulator owns one logical timeline. `send_probe`, `send_burst` and
-    `send_rounds` must be called with nondecreasing timestamps; background
-    arrivals due before a probe are applied first so the probe always sees
-    the table state it would have seen live.
+    The simulator owns one logical timeline. `send_probe` and `send_rounds`
+    must be called with nondecreasing timestamps; background arrivals due
+    before a probe are applied first so the probe always sees the table
+    state it would have seen live.
     """
 
     def __init__(
@@ -477,44 +477,6 @@ class SwitchSimulator:
         # RttSample(time_us, key, rtt_us, branch), built as `key_at` builds keys.
         return tuple.__new__(RttSample, (at_us, key, rtt, branch))
 
-    def send_burst(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                   stop_rtt_us: float) -> tuple[int, Optional[RttSample]]:
-        """Send `keys` in order at `start_us`, `start_us + gap_us`, ...
-
-        Stops after the first probe whose RTT is at least `stop_rtt_us`.
-        Returns the number of probes sent and the stopping probe's sample,
-        or None if every key was sent. The result and the simulator's state
-        are those of one `send_probe` call per key at its time.
-
-        With tracing off and the hit band's top below the cut, a run of hits
-        that no arrival or expiry can interleave is answered in one table
-        pass, `FlowTable.touch_run`, with the RTT draws of its probes. A key
-        the pass does not answer is a `send_probe` call; then the pass is
-        retried.
-        """
-        if start_us < self.now_us:
-            raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
-        answer = self.trace is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us
-        sent = 0
-        at_us = start_us
-        while sent < len(keys):
-            if answer:
-                run = self.table.touch_run(keys, at_us, gap_us, self._next_arrival_us,
-                                           sent)
-                if run:
-                    self._draw_rtts(repeat(BRANCH_HIT, run), run, False)
-                    sent += run
-                    at_us += run * gap_us
-                    self.now_us = at_us - gap_us
-                    self.events_processed += run
-                    continue
-            sample = self.send_probe(keys[sent], at_us)
-            sent += 1
-            if sample.rtt_us >= stop_rtt_us:
-                return sent, sample
-            at_us += gap_us
-        return sent, None
-
     def send_rounds(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
                     stop_rtt_us: float, watch: Optional[FlowKey] = None,
                     rtts: Optional[list[int]] = None,
@@ -530,39 +492,52 @@ class SwitchSimulator:
         state are those of one `send_probe` call per probe.
 
         With tracing off, rounds that no arrival or expiry can interleave
-        are answered in one table pass, `FlowTable.install_run`, with the
-        RTT draws of their probes, when the band of a round's last probe has
-        its top below the cut: the miss band without `watch` (the pass then
-        installs into free slots only), the hit band with it. A round the
-        pass does not answer (the one whose install would evict `watch`,
-        for one) is one `send_probe` call per probe; then the pass is
-        retried.
+        are answered in one table pass, with the RTT draws of their probes,
+        which the table picks: `FlowTable.touch_run` a run of live keys,
+        given no `watch` and the hit band's top below the cut; else
+        `FlowTable.install_run` a run of absent keys, given the band of a
+        round's last probe with its top below the cut: the miss band without
+        `watch` (the pass then installs into free slots only), the hit band
+        with it. A round neither pass answers (the one whose install would
+        evict `watch`, for one) is one `send_probe` call per probe; then the
+        passes are retried.
         """
         if start_us < self.now_us:
             raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
-        # The branches of a round the pass answers, unless its install evicts.
+        # The branches of a round the install pass answers, unless it evicts.
         answered = ([BRANCH_MISS_NOTFULL] if watch is None
                     else [BRANCH_MISS_NOTFULL, BRANCH_HIT])
         per_round = len(answered)
-        answer = self.trace is None and self._ranges[answered[-1]][1] < stop_rtt_us
-        kept = rtts if rtts is not None else []  # unread when the caller gave none
+        untraced = self.trace is None
+        touch = untraced and watch is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us
+        install = untraced and self._ranges[answered[-1]][1] < stop_rtt_us
+        keep = rtts is not None
+        kept = rtts if keep else []  # unread when the caller gave none
         sent = 0
         at_us = start_us
         while sent < len(keys):
-            if answer:
+            probes = 0
+            if touch:
+                probes = run = self.table.touch_run(keys, at_us, gap_us,
+                                                    self._next_arrival_us, sent)
+                if run:
+                    kept += self._draw_rtts(repeat(BRANCH_HIT, run), run, keep)
+            if install and not probes:
                 run, full = self.table.install_run(
                     keys, at_us, gap_us, self._next_arrival_us, self.hard_timeout_us,
                     self.idle_timeout_us, self.owner_of, sent, watch)
+                probes = per_round * run
                 if run:
                     branches = answered * run
                     for i in full:
                         branches[per_round * i] = BRANCH_MISS_FULL
-                    kept += self._draw_rtts(branches, per_round * run, rtts is not None)
-                    sent += run
-                    at_us += per_round * run * gap_us
-                    self.now_us = at_us - gap_us
-                    self.events_processed += per_round * run
-                    continue
+                    kept += self._draw_rtts(branches, probes, keep)
+            if probes:
+                sent += run
+                at_us += probes * gap_us
+                self.now_us = at_us - gap_us
+                self.events_processed += probes
+                continue
             sample = self.send_probe(keys[sent], at_us)
             if watch is not None:
                 kept.append(sample.rtt_us)

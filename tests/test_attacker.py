@@ -31,7 +31,9 @@ from flowprobe.attacker import (
     measure_hard_timeout,
     measure_idle_timeout,
 )
+from flowprobe import netsim
 from flowprobe.netsim import (
+    ATTACKER_PREFIX,
     BRANCH_MISS_FULL,
     EVENT_PROBE,
     NOISE_MODES,
@@ -121,6 +123,17 @@ class TestBootstrap:
                                         latency=latency, seed=seed))
         with pytest.raises(AttackError, match="ts1_ms=100.0 ms"):
             bootstrap_thresholds(session, BootstrapParams(ts2_ms=0.1))
+
+    def test_a_first_run_builds_its_keys_into_the_shared_list(self, monkeypatch):
+        # The pin is the session's first key, from next_key, so the fillers
+        # after it extend the attacker list rather than start past its end.
+        # The list also holds the unsent rest of the last run's keys.
+        monkeypatch.setattr(netsim, "_BUILT_KEYS", {})
+        session = ProbeSession(make_sim(capacity=100, usage=25))
+        bootstrap_thresholds(session, BootstrapParams())
+        built, keys = netsim._BUILT_KEYS[ATTACKER_PREFIX], session._keys
+        assert len(built) >= keys.index > 75
+        assert built == [keys.key_at(i) for i in range(len(built))]
 
     def test_filler_budget_exhaustion(self):
         session = ProbeSession(make_sim(capacity=1000))
@@ -514,7 +527,8 @@ def fresh_loop(session, count, stop_rtt_us, gap_us=None, rtts=None, watch=None):
 
 
 def send_loop(sim, keys, start_us, gap_us, stop_rtt_us):
-    """The per-probe loop that `SwitchSimulator.send_burst` stands for."""
+    """The per-probe loop that `SwitchSimulator.send_rounds` stands for
+    without `watch`."""
     for sent, key in enumerate(keys, 1):
         sample = sim.send_probe(key, start_us + (sent - 1) * gap_us)
         if sample.rtt_us >= stop_rtt_us:
@@ -553,7 +567,7 @@ def burst_matches_loop(build, setup, keys, start_us, gap_us, stop_rtt_us):
     burst, loop = build(), build()
     setup(burst)
     setup(loop)
-    result = burst.send_burst(keys, start_us, gap_us, stop_rtt_us)
+    result = burst.send_rounds(keys, start_us, gap_us, stop_rtt_us)
     assert result == send_loop(loop, keys, start_us, gap_us, stop_rtt_us)
     assert sim_state(burst) == sim_state(loop)
     return result, burst
@@ -698,10 +712,42 @@ class TestProbeBurst:
 
         sim.table.touch_run = counted_touch_run
         sim.send_probe = counted_send_probe
-        assert sim.send_burst(keys * 5, 400, 100, float("inf")) == (20, None)
+        assert sim.send_rounds(keys * 5, 400, 100, float("inf")) == (20, None)
         assert passes == [4] + [0] * 8 + [8]
         assert calls == list(range(800, 1600, 100))
         assert sim.events_processed == 4 + 20 + sim.background_arrivals
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_hits_then_misses_are_one_touch_and_one_install_pass(self, policy):
+        # Four installed keys, then four absent ones into the four free
+        # slots: the table picks touch_run for the hits and install_run for
+        # the misses, and no probe goes through send_probe.
+        live, absent = ATTACKER_KEYS[:4], ATTACKER_KEYS[4:8]
+        build = lambda: make_sim(8, policy)
+        sim, loop = build(), build()
+        for twin in (sim, loop):
+            installed(live)(twin)
+        passes, calls = [], []
+        table = sim.table
+        touch_run, install_run = table.touch_run, table.install_run
+
+        def counted(name, run):
+            def call(*args):
+                result = run(*args)
+                passes.append((name, result))
+                return result
+            return call
+
+        table.touch_run = counted("touch_run", touch_run)
+        table.install_run = counted("install_run", install_run)
+        send_probe = sim.send_probe
+        sim.send_probe = lambda key, at_us: calls.append(at_us) or send_probe(key, at_us)
+        keys = live + absent
+        result = sim.send_rounds(keys, 400, 100, float("inf"))
+        assert result == send_loop(loop, keys, 400, 100, float("inf")) == (8, None)
+        assert passes == [("touch_run", 4), ("touch_run", 0), ("install_run", (4, []))]
+        assert calls == []
+        assert sim_state(sim) == sim_state(loop)
 
     def test_tracing_on(self):
         keys = ATTACKER_KEYS[:4]

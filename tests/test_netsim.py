@@ -346,7 +346,7 @@ class TestSendBurst:
     def test_empty_burst_changes_nothing(self):
         sim = SwitchSimulator(capacity=4, record_trace=True)
         sim.send_probe(attacker_keys().next_key(), 50)
-        assert sim.send_burst([], 70, 10, 0) == (0, None)
+        assert sim.send_rounds([], 70, 10, 0) == (0, None)
         assert (sim.now_us, sim.events_processed, len(sim.trace)) == (50, 1, 1)
 
     def test_stops_after_first_probe_at_the_cut(self):
@@ -355,7 +355,7 @@ class TestSendBurst:
         pinned = keys.next_key()
         sim.send_probe(pinned, 0)
         fresh = keys.next_key()
-        sent, stop = sim.send_burst([pinned, fresh, pinned], 10, 5, 1000)
+        sent, stop = sim.send_rounds([pinned, fresh, pinned], 10, 5, 1000)
         assert sent == 2
         assert stop == (15, fresh, 4000, BRANCH_MISS_NOTFULL)
         assert (sim.now_us, sim.events_processed) == (15, 3)
@@ -363,7 +363,7 @@ class TestSendBurst:
     def test_never_stops(self):
         sim = SwitchSimulator(capacity=2)
         keys = [attacker_keys().key_at(i) for i in range(3)]
-        assert sim.send_burst(keys, 0, 7, math.inf) == (3, None)
+        assert sim.send_rounds(keys, 0, 7, math.inf) == (3, None)
         assert (sim.now_us, sim.events_processed) == (14, 3)
         assert [e.time for e in sim.table.removal_log] == [14]
 
@@ -384,9 +384,9 @@ class TestSendBurst:
         burst, loop = (SwitchSimulator(capacity=16, latency=latency)
                        for _ in range(2))
         for sim in (burst, loop):
-            sim.send_burst(keys, 0, 1, math.inf)
+            sim.send_rounds(keys, 0, 1, math.inf)
         hits = (keys * 50)[:count]
-        assert burst.send_burst(hits, 100, 1, math.inf) == (count, None)
+        assert burst.send_rounds(hits, 100, 1, math.inf) == (count, None)
         for i, key in enumerate(hits):
             assert loop.send_probe(key, 100 + i).branch == BRANCH_HIT
         assert burst._latency_rng.getstate() == loop._latency_rng.getstate()
@@ -412,7 +412,7 @@ class TestSendBurst:
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
             sim.send_probe(key, 99)
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
-            sim.send_burst([key], 99, 1, 0)
+            sim.send_rounds([key], 99, 1, 0)
         with pytest.raises(ValueError, match="probe time 99 precedes simulator time 100"):
             sim.send_rounds([key], 99, 1, 0, watch=key)
         assert (sim.now_us, sim.events_processed) == (100, 1)
