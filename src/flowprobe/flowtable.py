@@ -115,11 +115,12 @@ class FlowTable:
     the entry to the back; entries touched in the same microsecond still
     order by insertion time, then sequence number.
 
-    `admit` appends fresh entries: bare `(inserted_at, seq)` values with one
-    timeout and owner, due in insert order. A deque holds `(inserted_at,
-    seq, key)` per live one; one heap record `(deadline, seq, ())` stands
-    for its head, and is early once that head is gone, as a hit entry's
-    record may be. A lookup hit thaws one into its `FlowEntry` in place.
+    `admit` and `install_run` append fresh entries: bare `(inserted_at, seq,
+    owner)` values with the table's one pair of timeouts, due in insert
+    order whatever their owner. A deque holds `(inserted_at, seq, key)` per
+    live one; one heap record `(deadline, seq, ())` stands for its head, and
+    is early once that head is gone, as a hit entry's record may be. A
+    lookup hit thaws one into its `FlowEntry` in place.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO):
@@ -129,11 +130,11 @@ class FlowTable:
             raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self._entries: OrderedDict[FlowKey, FlowEntry | tuple[int, int]] = OrderedDict()
+        self._entries: OrderedDict[FlowKey, FlowEntry | tuple[int, int, str]] = OrderedDict()
         self.removal_log: list[RemovalRecord] = []
-        # Fresh queue, its (hard, idle, owner), timeout, and record's presence.
+        # Fresh queue, its (hard, idle), timeout, and record's presence.
         self._fresh: deque[tuple[int, int, FlowKey]] = deque()
-        self._fresh_kind: Optional[tuple[int, int, str]] = None
+        self._fresh_kind: Optional[tuple[int, int]] = None
         self._fresh_timeout = 0
         self._queued = False
         self._lru = policy == LRU
@@ -161,9 +162,17 @@ class FlowTable:
         return OrderedDict((key, self._as_entry(key, value) if value.__class__ is tuple
                             else value) for key, value in self._entries.items())
 
-    def _as_entry(self, key: FlowKey, value: tuple[int, int]) -> FlowEntry:
-        hard, idle, owner = self._fresh_kind
-        return FlowEntry(key, value[0], value[0], hard, idle, owner, value[1])
+    def _as_entry(self, key: FlowKey, value: tuple[int, int, str]) -> FlowEntry:
+        at, seq, owner = value
+        return FlowEntry(key, at, at, *self._fresh_kind, owner, seq)
+
+    def _takes_fresh(self, hard_timeout: int, idle_timeout: int) -> bool:
+        """Whether entries with these timeouts can be fresh. The first call
+        fixes the table's pair."""
+        if self._fresh_kind is None:
+            self._fresh_kind = (hard_timeout, idle_timeout)
+            self._fresh_timeout = _due_after(hard_timeout, idle_timeout)
+        return self._fresh_kind == (hard_timeout, idle_timeout)
 
     def _queue_fresh(self) -> None:
         """Give the fresh queue's head a heap record if the heap holds none."""
@@ -185,9 +194,8 @@ class FlowTable:
                 self._queued = False
                 if fresh and fresh[0][1] == seq:
                     key = fresh.popleft()[2]
-                    del entries[key]
                     self.removal_log.append(tuple.__new__(
-                        RemovalRecord, (now, key, self._fresh_kind[2], EXPIRED)))
+                        RemovalRecord, (now, key, entries.pop(key)[2], EXPIRED)))
                     removed.append(key)
                 self._queue_fresh()
                 continue
@@ -305,6 +313,10 @@ class FlowTable:
         were answered and the indexes (from `first`) of the installs that
         found the table full.
 
+        The installs are fresh entries, as `admit` appends them, unless the
+        table's fresh entries have other timeouts (a call fixes them if no
+        `admit` has); then each is a `FlowEntry` with its own heap record.
+
         The run stops at the first live key; without `watch` once the table
         is full, so it never evicts, and with it at the round whose install
         would evict `watch`. It stops before the first time at or after
@@ -321,6 +333,7 @@ class FlowTable:
                 or keys[first] in entries or (watch is not None and (
                     gap_us < 1 or watched.__class__ is not FlowEntry))):
             return 0, []
+        fresh = self._fresh if self._takes_fresh(hard_timeout, idle_timeout) else None
         timeout = _due_after(hard_timeout, idle_timeout)
         if timeout:
             until_us = min(until_us, start_us + timeout)
@@ -343,10 +356,14 @@ class FlowTable:
                 self._evict(now)
                 full.append(seq - before)
             seq += 1
-            entries[key] = FlowEntry(key, now, now, hard_timeout, idle_timeout,
-                                     owner_of(key), seq)
-            if timeout:
-                heapq.heappush(heap, (now + timeout, seq, key))
+            if fresh is not None:
+                entries[key] = (now, seq, owner_of(key))
+                fresh.append((now, seq, key))
+            else:
+                entries[key] = FlowEntry(key, now, now, hard_timeout, idle_timeout,
+                                         owner_of(key), seq)
+                if timeout:
+                    heapq.heappush(heap, (now + timeout, seq, key))
             now += gap_us
             if watched is not None:
                 watched.last_access = now
@@ -358,6 +375,7 @@ class FlowTable:
             self._now = now - gap_us
             # An insert touches at its time; only an LRU hit does at its own.
             self._touched_at = self._now if lru else now - step
+            self._queue_fresh()
         return seq - before, full
 
     def _order_tail(self, entry: FlowEntry, now: int) -> None:
@@ -381,7 +399,7 @@ class FlowTable:
             owner = victim.owner
         else:  # a fresh entry, the fresh queue's head
             self._fresh.popleft()
-            owner = self._fresh_kind[2]
+            owner = victim[2]
         # RemovalRecord(time, key, owner, reason), built as InsertResult is.
         self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, owner, EVICTED)))
         return key
@@ -425,15 +443,11 @@ class FlowTable:
               idle_timeout: int, owner: str) -> list[int]:
         """Insert `keys[i]` at `times[i]` as fresh entries, exactly as one
         `insert` per key would; return the indexes of the inserts that found
-        the table full. The first call fixes the timeouts and owner of every
-        fresh entry; a call with others raises ValueError."""
-        kind = self._fresh_kind
-        if kind is None:
-            self._fresh_kind = (hard_timeout, idle_timeout, owner)
-            self._fresh_timeout = _due_after(hard_timeout, idle_timeout)
-        elif hard_timeout != kind[0] or idle_timeout != kind[1] or owner != kind[2]:
-            raise ValueError(f"fresh entries are {kind}, "
-                             f"not {(hard_timeout, idle_timeout, owner)}")
+        the table full. The first call, or `install_run`'s, fixes the
+        timeouts of every fresh entry; a call with others raises ValueError."""
+        if not self._takes_fresh(hard_timeout, idle_timeout):
+            raise ValueError(f"fresh entries are {self._fresh_kind}, "
+                             f"not {(hard_timeout, idle_timeout)}")
         timeout = self._fresh_timeout
         entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
         full: list[int] = []
@@ -454,9 +468,8 @@ class FlowTable:
                 elif timeout:
                     while fresh and fresh[0][0] + timeout <= now:
                         gone = fresh.popleft()[2]
-                        del entries[gone]
-                        self.removal_log.append(
-                            tuple.__new__(RemovalRecord, (now, gone, owner, EXPIRED)))
+                        self.removal_log.append(tuple.__new__(
+                            RemovalRecord, (now, gone, entries.pop(gone)[2], EXPIRED)))
                 fresh_due = ((fresh[0][0] if fresh else now) + timeout if timeout
                              else math.inf)
             if key in entries:
@@ -466,7 +479,7 @@ class FlowTable:
                 full.append(i)
             self._seq = seq = self._seq + 1
             self._touched_at = now
-            entries[key] = (now, seq)
+            entries[key] = (now, seq, owner)
             fresh.append((now, seq, key))
             if timeout and not self._queued:  # `key` heads the fresh queue
                 self._queue_fresh()
@@ -482,7 +495,6 @@ class FlowTable:
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""
         self.purge_expired(now)
-        fresh_owner = self._fresh_kind and self._fresh_kind[2]
-        attacker = sum((value.owner if value.__class__ is FlowEntry else fresh_owner)
+        attacker = sum((value.owner if value.__class__ is FlowEntry else value[2])
                        == OWNER_ATTACKER for value in self._entries.values())
         return Occupancy(attacker, len(self._entries) - attacker)

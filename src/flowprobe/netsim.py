@@ -77,9 +77,9 @@ def skip_threshold(bands: Iterable[tuple[int, int, float, float]]) -> float:
 
 
 def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]],
-                    skip_below: float = 0.0) -> int:
+                    skip_below: float = 0.0, out: Optional[list[int]] = None) -> int:
     """Draw one RTT per `(lo, hi, mu, sigma)` of the non-empty `bands` and
-    return the last.
+    return the last; each is also appended to `out` if it is given.
 
     Each draw takes `rng.gauss(mu, sigma)` until a value lies in [lo, hi],
     at most 16 times, then clamps the value into the band and rounds it.
@@ -90,9 +90,9 @@ def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]],
     A pair whose second uniform is below `skip_below`, which
     `skip_threshold(bands)` gives, is taken with no Box-Muller math: both
     its deviates lie in every band, so each answers its draw at the first
-    try. Such a draw has no value, so the return value is of use only when
-    `skip_below` is 0.0. A spare deviate left unread at the end is computed
-    then, so `gauss_next` ends as with `gauss` calls.
+    try. Such a draw has no value, so the return value and `out` are of use
+    only when `skip_below` is 0.0. A spare deviate left unread at the end is
+    computed then, so `gauss_next` ends as with `gauss` calls.
     """
     random = rng.random
     spare = rng.gauss_next
@@ -123,6 +123,8 @@ def truncated_gauss(rng: Random, bands: Iterable[tuple[int, int, float, float]],
             if not tries:
                 value = min(max(value, lo), hi)
                 break
+        if out is not None:
+            out.append(round(value))
     if skipped:
         spare = sin(u1 * tau) * sqrt(-2.0 * log(1.0 - u2))
     rng.gauss_next = spare
@@ -194,8 +196,11 @@ class BackgroundWorkload:
 
 _OCTETS = tuple(map(str, range(256)))
 
-# Per prefix, the keys `KeySequence.keys` has built, key i at position i.
+# Per prefix, the keys `KeySequence.keys` has built, key i at position i, and
+# "{prefix}.{j}." per third octet j: a source address is two joined strings,
+# not two integers formatted.
 _BUILT_KEYS: dict[str, list[FlowKey]] = {}
+_HEADS: dict[str, tuple[str, ...]] = {}
 
 
 class KeySequence:
@@ -210,15 +215,16 @@ class KeySequence:
     prefix, in any switch or session of the process, shares one list of the
     keys `keys` and `next_key` have built: each key is built once. The list
     grows from index 0 only, to the largest `stop` requested contiguously; a
-    request that starts past its end is built and not kept.
+    request that starts past its end is built and not kept. The 256 address
+    heads a key is built from are likewise built once per prefix.
     """
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.index = 0  # of the key `next_key` returns next
-        # "{prefix}.{j}." per third octet j: a source address is two joined
-        # strings, not two integers formatted.
-        self._heads = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
+        if prefix not in _HEADS:
+            _HEADS[prefix] = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
+        self._heads = _HEADS[prefix]
         self._built = _BUILT_KEYS.setdefault(prefix, [])
 
     def key_at(self, i: int) -> FlowKey:
@@ -368,14 +374,26 @@ class SwitchSimulator:
         in order, and return them if `keep`; otherwise only advance the RNG
         exactly as they would, and return an empty list.
 
-        Unread uniform draws are one `getrandbits` call. Unread truncated
-        Gaussian draws are one `truncated_gauss` call that skips the
-        Box-Muller math of every pair whose deviates land in any band of
-        this switch (`skip_threshold`): two `random()` calls and one
-        comparison answer both its draws.
+        Kept draws are one pass: a comprehension over `random()` for uniform
+        noise, one `map` for none, and one `truncated_gauss` call that
+        appends each value for truncated Gaussian noise. Unread uniform
+        draws are one `getrandbits` call. Unread truncated Gaussian draws
+        are one `truncated_gauss` call that skips the Box-Muller math of
+        every pair whose deviates land in any band of this switch
+        (`skip_threshold`): two `random()` calls and one comparison answer
+        both its draws.
         """
         if keep:
-            return list(map(self._draw_rtt, branches))
+            if self._noise == NOISE_UNIFORM:
+                rand = self._rand
+                return [lo + int(rand() * span)
+                        for lo, span in map(self._uniform.__getitem__, branches)]
+            if self._noise == NOISE_NONE:
+                return list(map(self._midpoints.__getitem__, branches))
+            kept: list[int] = []
+            truncated_gauss(self._latency_rng, map(self._gauss.__getitem__, branches),
+                            0.0, kept)
+            return kept
         if self._noise == NOISE_UNIFORM:
             # One random() takes two 32-bit words of the Mersenne Twister,
             # getrandbits(k) takes ceil(k / 32): advance the generator past

@@ -636,6 +636,81 @@ class TestInstallRun:
                                  float("inf"), 0, 0, owner_by_index, first) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("ahead", [0, 5])
+    @pytest.mark.parametrize("watch", [None, key(1)])
+    def test_installs_fresh_entries_under_one_heap_record(self, policy, ahead, watch,
+                                                         monkeypatch):
+        # `ahead` admitted entries fix the fresh timeouts at (500, 400), or
+        # the run does; key(1), a `FlowEntry`, may be watched.
+        def build():
+            table = FlowTable(capacity=40, policy=policy)
+            if ahead:
+                table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, 500, 400,
+                            "background")
+            table.insert(entry(1, 500, 400), 1)
+            return table
+
+        table, twin = build(), build()
+        keys = [key(i) for i in range(10, 40)]
+        heap = len(table._expiry_heap)
+        built = []
+        init = FlowEntry.__init__
+        monkeypatch.setattr(FlowEntry, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        assert table.install_run(keys, 10, 5, math.inf, 500, 400, owner_by_index,
+                                 watch=watch) == (30, [])
+        assert built == [] and len(table._expiry_heap) <= heap + 1
+        assert all(type(table._entries[k]) is tuple for k in keys)
+        if watch is None:
+            self.insert_loop(twin, keys, 10, 5, 500, 400)
+        else:
+            TestRoundRun.round_loop(twin, keys, watch, 10, 5, 500, 400)
+        assert table_state(table) == table_state(twin)
+        # They fall due alike, the admitted ones first.
+        for each in (table, twin):
+            each.purge_expired(10_000)
+        assert table.removal_log == twin.removal_log and len(table.removal_log) == (
+            31 + ahead)
+
+    @pytest.mark.parametrize("watch", [None, key(1)])
+    def test_other_timeouts_fall_back_to_flow_entries(self, watch):
+        # The admitted entries fix the fresh timeouts at (0, 400); a run with
+        # (500, 0) installs `FlowEntry`s, each with its own heap record. Five
+        # of eight slots are free; with `watch` two more installs evict the
+        # admitted entries, and the next would evict key(1).
+        def build():
+            table, oracle = FlowTable(8), ReplayOracle(8, "FIFO")
+            table.admit([key(100), key(101)], [0, 0], 0, 400, "background")
+            table.insert(entry(1, 0, 400), 1)
+            for k, at_us, owner in ((key(100), 0, "background"),
+                                    (key(101), 0, "background"), (key(1), 1, "attacker")):
+                oracle.insert(k, at_us, 0, 400, owner)
+            return table, oracle
+
+        (table, oracle), (twin, _) = build(), build()
+        keys = [key(i) for i in range(10, 18)]
+        heap = len(table._expiry_heap)
+        rounds, full = table.install_run(keys, 10, 5, math.inf, 500, 0, owner_by_index,
+                                         watch=watch)
+        assert (rounds, full) == ((5, []) if watch is None else (7, [5, 6]))
+        assert all(type(table._entries[k]) is FlowEntry for k in keys[:rounds])
+        assert len(table._expiry_heap) == heap + rounds
+        assert table._fresh_kind == (0, 400)
+        if watch is None:
+            self.insert_loop(twin, keys[:rounds], 10, 5, 500, 0)
+        else:
+            TestRoundRun.round_loop(twin, keys[:rounds], watch, 10, 5, 500, 0)
+        assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
+        gap = 5 if watch is None else 10
+        for i, k in enumerate(keys[:rounds]):
+            oracle.insert(k, 10 + i * gap, 500, 0, owner_by_index(k))
+            if watch is not None:
+                assert oracle.lookup(watch, 10 + i * gap + 5)
+        assert table.occupancy(1000) == twin.occupancy(1000) == oracle.occupancy(1000)
+        assert table.removal_log == twin.removal_log
+        assert sorted(table.removal_log) == sorted(oracle.removal_log)
+
     @settings(max_examples=300, deadline=None)
     @given(
         policy=st.sampled_from(("FIFO", "LRU")),
@@ -901,7 +976,7 @@ class TestRoundRun:
                                          owner_by_index, first, watched)
         sent = keys[first:first + rounds]
         assert full == self.round_loop(twin, sent, watched, start_us, gap_us, hard, idle)
-        assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
+        assert table_state(table) == table_state(twin)
         oracle_full = []
         for i, k in enumerate(sent):
             at_us = start_us + 2 * i * gap_us
@@ -1010,7 +1085,8 @@ class TestAdmit:
         table = FlowTable(4)
         keys = [key(i) for i in range(3)]
         assert table.admit(keys, [0, 5, 5], 100, 0, "background") == []
-        assert list(table._entries.values()) == [(0, 1), (5, 2), (5, 3)]
+        assert list(table._entries.values()) == [
+            (0, 1, "background"), (5, 2, "background"), (5, 3, "background")]
         assert table._expiry_heap == [(100, 1, ())]
         assert [e.inserted_at for e in table.entries.values()] == [0, 5, 5]
         assert table.occupancy(99) == (0, 3)
@@ -1080,16 +1156,20 @@ class TestAdmit:
         assert list(table.entries) == [key(0), key(2), key(1)]
 
     def test_one_table_admits_one_kind(self):
-        # The first call fixes the timeouts and owner, also once its fresh
-        # entries are gone (a queue record for them may still be due later).
-        table = FlowTable(1)
+        # The first call fixes the timeouts, also once its fresh entries are
+        # gone (a queue record for them may still be due later); the owner
+        # is each entry's own.
+        table = FlowTable(2)
         table.admit([key(1)], [0], 1000, 0, "background")
         table.insert(entry(2), 1)
-        for hard, idle, owner in ((10, 0, "background"), (1000, 5, "background"),
-                                  (1000, 0, "attacker")):
+        for hard, idle in ((10, 0), (1000, 5)):
             with pytest.raises(ValueError, match="fresh entries are"):
-                table.admit([key(3)], [5], hard, idle, owner)
+                table.admit([key(3)], [5], hard, idle, "background")
         assert table.admit([], [], 1000, 0, "background") == []
+        assert table.admit([key(3)], [5], 1000, 0, "attacker") == [0]
+        table.admit([key(4)], [6], 1000, 0, "background")
+        assert table.occupancy(6) == (1, 1)
+        assert [r.owner for r in table.removal_log] == ["background", "attacker"]
 
     @pytest.mark.parametrize("times, keys, error", [
         ([10, 12, 11], [key(5), key(6), key(7)], ClockError),
@@ -1106,3 +1186,126 @@ class TestAdmit:
         with pytest.raises(error):
             self.insert_loop(twin, keys, times, 0, 25)
         assert table_state(table) == table_state(twin)
+
+
+def owner_by_range(k: FlowKey) -> str:
+    """Keys 100 and up are background arrivals, the rest the attacker's."""
+    return "background" if int(k.src_ip.rsplit(".", 1)[1]) >= 100 else "attacker"
+
+
+class TestFreshOwners:
+    """Background arrivals (`admit`) and the attacker's fresh-key runs
+    (`install_run`, with and without a watched key) share one fresh queue;
+    the table must behave as with one `lookup`, and `insert` on a miss, per
+    probe, whichever owner's entries it thaws, evicts or expires."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 8),
+        hard=st.sampled_from((0, 40, 100)),
+        idle=st.sampled_from((0, 25, 60)),
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("admit"), st.lists(st.integers(0, 12), max_size=8)),
+            st.tuples(st.just("probe"), st.integers(0, 30), st.integers(0, 40)),
+            st.tuples(st.just("run"), st.integers(0, 30), st.integers(0, 4),
+                      st.lists(st.integers(0, 15), max_size=8),
+                      st.none() | st.integers(0, 40), st.booleans()),
+        ), max_size=12),
+    )
+    def test_matches_a_probe_loop_and_the_oracle(self, policy, capacity, hard, idle, ops):
+        table, twin = FlowTable(capacity, policy), FlowTable(capacity, policy)
+        oracle = ReplayOracle(capacity, policy)
+        table.admit([], [], hard, idle, "background")  # as a switch's preload
+        now, admitted = 0, 0
+
+        def probed(i):
+            """i < 16 is an attacker key; above, a background key admitted so
+            far, if there is one."""
+            return key(i) if i < 16 or not admitted else key(100 + (i - 16) % admitted)
+
+        def probe(each, k, at_us, hard, idle):
+            """A lookup of `k` on `each`, and an insert on a miss; returns
+            whether it hit and whether the insert found the table full."""
+            if each.lookup(k, at_us):
+                return True, False
+            entry_ = FlowEntry(k, 0, 0, hard, idle, owner_by_range(k))
+            return False, each.insert(entry_, at_us).was_full
+
+        def replay(k, at_us, hard, idle):
+            """`probe` on the twin, checked against the oracle."""
+            hit = oracle.lookup(k, at_us)
+            full = not hit and oracle.insert(k, at_us, hard, idle, owner_by_range(k))[1]
+            assert probe(twin, k, at_us, hard, idle) == (hit, full)
+            return hit, full
+
+        for op in ops:
+            if op[0] == "admit":
+                times = list(itertools.accumulate(op[1], initial=now))[1:]
+                keys = [key(100 + admitted + j) for j in range(len(times))]
+                admitted += len(keys)
+                full = table.admit(keys, times, hard, idle, "background")
+                assert full == TestAdmit.insert_loop(twin, keys, times, hard, idle)
+                assert full == [j for j, (k, t) in enumerate(zip(keys, times))
+                                if oracle.insert(k, t, hard, idle, "background")[1]]
+                now = times[-1] if times else now
+            elif op[0] == "probe":  # a hit on a fresh key thaws it
+                now += op[1]
+                k = probed(op[2])
+                assert probe(table, k, now, hard, idle) == replay(k, now, hard, idle)
+            else:  # a fresh-key run, driven as `SwitchSimulator.send_rounds` does
+                _, dt, gap, run, watch, own_kind = op
+                now += dt
+                h, d = (hard, idle) if own_kind else (hard + 7, idle)
+                if watch is not None:  # live, and a `FlowEntry`, from here on
+                    watch = probed(watch)
+                    assert probe(table, watch, now, hard, idle) == replay(
+                        watch, now, hard, idle)
+                    now += 1
+                keys = [key(i) for i in run]
+                step = gap if watch is None else 2 * gap
+                sent, at_us = 0, now
+                while sent < len(keys):
+                    rounds, full = table.install_run(keys, at_us, gap, math.inf, h, d,
+                                                     owner_by_range, sent, watch)
+                    if rounds:
+                        for j in range(rounds):
+                            assert replay(keys[sent + j], at_us, h, d) == (False, j in full)
+                            if watch is not None:
+                                assert replay(watch, at_us + gap, hard, idle)[0]
+                            at_us += step
+                    else:  # one round, probe by probe
+                        rounds = 1
+                        assert probe(table, keys[sent], at_us, h, d) == replay(
+                            keys[sent], at_us, h, d)
+                        if watch is not None:
+                            assert probe(table, watch, at_us + gap, hard, idle) == (
+                                replay(watch, at_us + gap, hard, idle))
+                        at_us += step
+                    sent += rounds
+                    now = at_us - step + (gap if watch is not None else 0)
+            assert table_state(table) == table_state(twin)
+            assert table.removal_log == twin.removal_log
+        # Flush with new keys so every surviving entry's victim rank shows.
+        for j in range(200, 200 + capacity):
+            assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
+        assert sorted(table.removal_log) == sorted(oracle.removal_log)
+
+    def test_an_admit_batch_expires_attacker_fresh_entries_of_their_owner(self):
+        # Run keys installed at 10, 15 and 20 fall due at 60, 65 and 70 in
+        # one admit batch: the first by a purge at 61, the others and key(100)
+        # (due 80) by the batch itself.
+        table, twin = FlowTable(10), FlowTable(10)
+        table.admit([], [], 0, 50, "background")
+        run = [key(1), key(2), key(3)]
+        assert table.install_run(run, 10, 5, math.inf, 0, 50, owner_by_range) == (3, [])
+        for i, k in enumerate(run):
+            twin.insert(FlowEntry(k, 0, 0, 0, 50, "attacker"), 10 + 5 * i)
+        times, arrivals = [30, 61, 66, 71, 80], [key(100 + j) for j in range(5)]
+        assert table.admit(arrivals, times, 0, 50, "background") == []
+        TestAdmit.insert_loop(twin, arrivals, times, 0, 50)
+        assert table_state(table) == table_state(twin)
+        assert table.removal_log == [(61, key(1), "attacker", EXPIRED),
+                                     (66, key(2), "attacker", EXPIRED),
+                                     (71, key(3), "attacker", EXPIRED),
+                                     (80, key(100), "background", EXPIRED)]

@@ -29,6 +29,9 @@ from flowprobe.netsim import (
     EVENT_BACKGROUND,
     EVENT_PROBE,
     NOISE_MODES,
+    NOISE_NONE,
+    NOISE_TRUNCATED_GAUSSIAN,
+    NOISE_UNIFORM,
     BackgroundWorkload,
     KeySequence,
     LatencyModel,
@@ -582,6 +585,31 @@ class TestDrawRtts:
             assert len(kept._draw_rtts(branches, count, True)) == count
             assert unread._draw_rtts(branches, count, False) == []
             assert kept._latency_rng.getstate() == unread._latency_rng.getstate()
+
+    @pytest.mark.parametrize("noise, tight", [
+        (NOISE_NONE, False), (NOISE_UNIFORM, False),
+        (NOISE_TRUNCATED_GAUSSIAN, False), (NOISE_TRUNCATED_GAUSSIAN, True)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kept_draws_match_a_draw_loop(self, noise, tight, seed):
+        # Tight bands: one rejects most deviates and often takes all 16
+        # tries, and lo == hi rejects every one and clamps after 16.
+        branches = random.Random(seed).choices(
+            [BRANCH_MISS_NOTFULL, BRANCH_MISS_FULL, BRANCH_HIT], k=120)
+        latency = LatencyModel(noise=noise, seed=seed)
+        batch, loop = SwitchSimulator(8, latency=latency), SwitchSimulator(8, latency=latency)
+        if tight:
+            for sim in (batch, loop):
+                sim._gauss = {BRANCH_HIT: (0, 1, 0.5, 5.0), BRANCH_MISS_NOTFULL: (5, 5, 5.0, 1.0),
+                              BRANCH_MISS_FULL: (8000, 10000, 9000.0, 2000 / 6)}
+        for spare in (None, 0.5, None):  # entering without and with a spare deviate
+            for sim in (batch, loop):
+                sim._latency_rng.gauss_next = spare
+            kept = batch._draw_rtts(branches, len(branches), True)
+            assert kept == [loop._draw_rtt(branch) for branch in branches]
+            assert batch._latency_rng.getstate() == loop._latency_rng.getstate()
+        if tight:
+            assert {rtt for rtt, branch in zip(kept, branches)
+                    if branch == BRANCH_MISS_NOTFULL} == {5}
 
     def test_the_default_bands_take_the_skip(self):
         sim = SwitchSimulator(8, latency=LatencyModel(noise="truncated-gaussian"))
