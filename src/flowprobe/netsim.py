@@ -196,11 +196,8 @@ class BackgroundWorkload:
 
 _OCTETS = tuple(map(str, range(256)))
 
-# Per prefix, the keys `KeySequence.keys` has built, key i at position i, and
-# "{prefix}.{j}." per third octet j: a source address is two joined strings,
-# not two integers formatted.
+# Per prefix, the keys `KeySequence.keys` has built, key i at position i.
 _BUILT_KEYS: dict[str, list[FlowKey]] = {}
-_HEADS: dict[str, tuple[str, ...]] = {}
 
 
 class KeySequence:
@@ -215,16 +212,15 @@ class KeySequence:
     prefix, in any switch or session of the process, shares one list of the
     keys `keys` and `next_key` have built: each key is built once. The list
     grows from index 0 only, to the largest `stop` requested contiguously; a
-    request that starts past its end is built and not kept. The 256 address
-    heads a key is built from are likewise built once per prefix.
+    request that starts past its end is built and not kept.
     """
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.index = 0  # of the key `next_key` returns next
-        if prefix not in _HEADS:
-            _HEADS[prefix] = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
-        self._heads = _HEADS[prefix]
+        # "{prefix}.{j}." per third octet j: a source address is two joined
+        # strings, not two integers formatted.
+        self._heads = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
         self._built = _BUILT_KEYS.setdefault(prefix, [])
 
     def key_at(self, i: int) -> FlowKey:
