@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Callable, Optional, Sequence
 
-from .flowtable import FlowKey
+from .flowtable import FIFO, LRU, FlowKey
 from .netsim import (
     ATTACKER_PREFIX,
     KeySequence,
@@ -469,8 +469,7 @@ def check_feasibility(capacity_guess: int,
 
 def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
            time_budget_ms: Optional[float], policy: str,
-           watched: Callable[[list[FlowKey]], Sequence[FlowKey]],
-           budget_fatal: bool, blind_until_full: bool) -> InferenceReport:
+           watched: Callable[[list[FlowKey]], Sequence[FlowKey]]) -> InferenceReport:
     """The detection loop behind `infer_fifo` and `infer_lru`.
 
     Each round probes one fresh key; the first full-table RTT fixes n1.
@@ -478,18 +477,18 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
     any, they go out as one burst that stops at the first miss, which fixes
     n2 and ends the attack (the miss also reinstalls that key). Re-probes
     count toward traffic but not toward the distinct-key budget. Once a
-    round that does not stop the attack ends past `time_budget_ms`, the run
-    raises InfeasibleRate if `budget_fatal`, and is otherwise flagged and
-    keeps going. With `blind_until_full` the rounds before n1 watch
-    nothing, and from the n1 round on `watched` names one key, the same in
-    every round. So both go out as runs: the rounds before n1 as one
-    fresh-key burst that stops at the first full-table RTT, and the rounds
-    after the n1 round as one run of a fresh key, then the watched key,
-    per round, that stops at its first miss. Only a flag can depend on
-    their time, and time only grows, so it is checked once per run: at the
-    end of the run, or as the round that stops the attack begins, when the
-    round before it ends.
+    round that does not stop the attack ends past `time_budget_ms`, an LRU
+    run raises InfeasibleRate, and a FIFO run is flagged and keeps going.
+    Under FIFO the rounds before n1 watch nothing, and from the n1 round on
+    `watched` names one key, the same in every round. So both go out as
+    runs: the rounds before n1 as one fresh-key burst that stops at the
+    first full-table RTT, and the rounds after the n1 round as one run of a
+    fresh key, then the watched key, per round, that stops at its first
+    miss. Only a flag can depend on their time, and time only grows, so it
+    is checked once per run: at the end of the run, or as the round that
+    stops the attack begins, when the round before it ends.
     """
+    budget_fatal, blind_until_full = policy == LRU, policy == FIFO
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
     budget_us = None if time_budget_ms is None else ms_to_us(time_budget_ms)
@@ -571,9 +570,8 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
     round; both end exactly as the rounds one at a time would. A blown
     time budget only sets `timeout_budget_exceeded`.
     """
-    return _infer(session, thresholds, key_budget, time_budget_ms, "FIFO",
-                  lambda keys: keys[:1], budget_fatal=False,
-                  blind_until_full=True)
+    return _infer(session, thresholds, key_budget, time_budget_ms, FIFO,
+                  lambda keys: keys[:1])
 
 
 def infer_lru(session: ProbeSession, thresholds: RttThresholds,
@@ -586,6 +584,5 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     used entries. That traffic is quadratic in the number of inserted keys,
     so a blown time budget raises InfeasibleRate.
     """
-    return _infer(session, thresholds, key_budget, time_budget_ms, "LRU",
-                  lambda keys: keys[:-1], budget_fatal=True,
-                  blind_until_full=False)
+    return _infer(session, thresholds, key_budget, time_budget_ms, LRU,
+                  lambda keys: keys[:-1])

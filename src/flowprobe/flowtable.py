@@ -94,13 +94,6 @@ class RemovalRecord(NamedTuple):
     reason: str  # EVICTED or EXPIRED
 
 
-def _due_after(hard_timeout: int, idle_timeout: int) -> int:
-    """How long after its insert an entry that is never hit falls due: the
-    smaller enabled timeout, or 0 if neither is."""
-    return (min(hard_timeout, idle_timeout) if hard_timeout > 0 and idle_timeout > 0
-            else max(hard_timeout, idle_timeout))
-
-
 class FlowTable:
     """Bounded store of flow entries with deterministic replacement.
 
@@ -116,26 +109,33 @@ class FlowTable:
     order by insertion time, then sequence number.
 
     `admit` and `install_run` append fresh entries: bare `(inserted_at, seq,
-    owner)` values with the table's one pair of timeouts, due in insert
-    order whatever their owner. A deque holds `(inserted_at, seq, key)` per
-    live one; one heap record `(deadline, seq, ())` stands for its head, and
-    is early once that head is gone, as a hit entry's record may be. A
+    owner)` values with the table's `hard_timeout` and `idle_timeout`, set at
+    construction, due in insert order whatever their owner (`insert` keeps
+    each `FlowEntry`'s own timeouts). A deque holds `(inserted_at, seq, key)`
+    per live one; one heap record `(deadline, seq, ())` stands for its head,
+    and is early once that head is gone, as a hit entry's record may be. A
     lookup hit thaws one into its `FlowEntry` in place.
     """
 
-    def __init__(self, capacity: int, policy: str = FIFO):
+    def __init__(self, capacity: int, policy: str = FIFO, hard_timeout: int = 0,
+                 idle_timeout: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
         self.capacity = capacity
         self.policy = policy
+        self.hard_timeout = hard_timeout
+        self.idle_timeout = idle_timeout
         self._entries: OrderedDict[FlowKey, FlowEntry | tuple[int, int, str]] = OrderedDict()
         self.removal_log: list[RemovalRecord] = []
-        # Fresh queue, its (hard, idle), timeout, and record's presence.
+        # Fresh queue, how long after its insert an entry in it falls due
+        # (the smaller enabled timeout, or 0 if neither is), and whether its
+        # head has a heap record.
         self._fresh: deque[tuple[int, int, FlowKey]] = deque()
-        self._fresh_kind: Optional[tuple[int, int]] = None
-        self._fresh_timeout = 0
+        self._fresh_timeout = (min(hard_timeout, idle_timeout)
+                               if hard_timeout > 0 and idle_timeout > 0
+                               else max(hard_timeout, idle_timeout))
         self._queued = False
         self._lru = policy == LRU
         # Latest time any entry's last_access was set; while it differs from
@@ -164,15 +164,7 @@ class FlowTable:
 
     def _as_entry(self, key: FlowKey, value: tuple[int, int, str]) -> FlowEntry:
         at, seq, owner = value
-        return FlowEntry(key, at, at, *self._fresh_kind, owner, seq)
-
-    def _takes_fresh(self, hard_timeout: int, idle_timeout: int) -> bool:
-        """Whether entries with these timeouts can be fresh. The first call
-        fixes the table's pair."""
-        if self._fresh_kind is None:
-            self._fresh_kind = (hard_timeout, idle_timeout)
-            self._fresh_timeout = _due_after(hard_timeout, idle_timeout)
-        return self._fresh_kind == (hard_timeout, idle_timeout)
+        return FlowEntry(key, at, at, self.hard_timeout, self.idle_timeout, owner, seq)
 
     def _queue_fresh(self) -> None:
         """Give the fresh queue's head a heap record if the heap holds none."""
@@ -302,8 +294,7 @@ class FlowTable:
         return (now - start_us) // gap_us
 
     def install_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                    until_us: float, hard_timeout: int, idle_timeout: int,
-                    owner_of: Callable[[FlowKey], str], first: int = 0,
+                    until_us: float, owner_of: Callable[[FlowKey], str], first: int = 0,
                     watch: Optional[FlowKey] = None) -> tuple[int, list[int]]:
         """Answer the leading rounds of `keys[first:]`, which start at
         `start_us` one `gap_us` apart, or two gaps apart given `watch`: round
@@ -311,11 +302,8 @@ class FlowTable:
         `owner_of(key)` exactly as `insert` would, and given `watch` then
         looks up `watch` one `gap_us` later, a hit. Return how many rounds
         were answered and the indexes (from `first`) of the installs that
-        found the table full.
-
-        The installs are fresh entries, as `admit` appends them, unless the
-        table's fresh entries have other timeouts (a call fixes them if no
-        `admit` has); then each is a `FlowEntry` with its own heap record.
+        found the table full. The installs are fresh entries, as `admit`
+        appends them.
 
         The run stops at the first live key; without `watch` once the table
         is full, so it never evicts, and with it at the round whose install
@@ -333,17 +321,15 @@ class FlowTable:
                 or keys[first] in entries or (watch is not None and (
                     gap_us < 1 or watched.__class__ is not FlowEntry))):
             return 0, []
-        fresh = self._fresh if self._takes_fresh(hard_timeout, idle_timeout) else None
-        timeout = _due_after(hard_timeout, idle_timeout)
-        if timeout:
-            until_us = min(until_us, start_us + timeout)
+        if self._fresh_timeout:
+            until_us = min(until_us, start_us + self._fresh_timeout)
         if watch is None:  # at most the free slots: the run never evicts
             count, step = min(len(keys) - first, self.capacity - len(entries)), gap_us
         else:
             count, step = len(keys) - first, 2 * gap_us
         # A round's last time is its last probe's: with `watch`, its lookup's.
         count = self._run_length(count, start_us + step - gap_us, step, until_us)
-        heap, capacity, lru = self._expiry_heap, self.capacity, self._lru
+        fresh, capacity, lru = self._fresh, self.capacity, self._lru
         full: list[int] = []
         seq = before = self._seq
         now = start_us
@@ -356,14 +342,8 @@ class FlowTable:
                 self._evict(now)
                 full.append(seq - before)
             seq += 1
-            if fresh is not None:
-                entries[key] = (now, seq, owner_of(key))
-                fresh.append((now, seq, key))
-            else:
-                entries[key] = FlowEntry(key, now, now, hard_timeout, idle_timeout,
-                                         owner_of(key), seq)
-                if timeout:
-                    heapq.heappush(heap, (now + timeout, seq, key))
+            entries[key] = (now, seq, owner_of(key))
+            fresh.append((now, seq, key))
             now += gap_us
             if watched is not None:
                 watched.last_access = now
@@ -434,20 +414,15 @@ class FlowTable:
         entries[key] = entry
         hard, idle = entry.hard_timeout, entry.idle_timeout
         if hard > 0 or idle > 0:
-            # _due_after(hard, idle), inline on the per-probe path.
+            # The smaller enabled timeout, as `_fresh_timeout` is set.
             timeout = min(hard, idle) if hard > 0 and idle > 0 else max(hard, idle)
             heapq.heappush(heap, (now + timeout, seq, key))
         return result
 
-    def admit(self, keys: Sequence[FlowKey], times: Sequence[int], hard_timeout: int,
-              idle_timeout: int, owner: str) -> list[int]:
-        """Insert `keys[i]` at `times[i]` as fresh entries, exactly as one
-        `insert` per key would; return the indexes of the inserts that found
-        the table full. The first call, or `install_run`'s, fixes the
-        timeouts of every fresh entry; a call with others raises ValueError."""
-        if not self._takes_fresh(hard_timeout, idle_timeout):
-            raise ValueError(f"fresh entries are {self._fresh_kind}, "
-                             f"not {(hard_timeout, idle_timeout)}")
+    def admit(self, keys: Sequence[FlowKey], times: Sequence[int], owner: str) -> list[int]:
+        """Insert `keys[i]` at `times[i]` for `owner` as fresh entries, with
+        the table's timeouts, exactly as one `insert` per key would; return
+        the indexes of the inserts that found the table full."""
         timeout = self._fresh_timeout
         entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
         full: list[int] = []

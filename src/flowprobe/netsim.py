@@ -317,9 +317,9 @@ class SwitchSimulator:
     ):
         self.latency = latency or LatencyModel()
         self.workload = workload or BackgroundWorkload()
-        self.table = FlowTable(capacity, policy)
         self.hard_timeout_us = ms_to_us(hard_timeout_ms)
         self.idle_timeout_us = ms_to_us(idle_timeout_ms)
+        self.table = FlowTable(capacity, policy, self.hard_timeout_us, self.idle_timeout_us)
         self.now_us = 0
         self.events_processed = 0
         self.background_arrivals = 0
@@ -351,8 +351,7 @@ class SwitchSimulator:
         # preloaded entries first, then one per arrival. The preload is one
         # batch at t = 0; a usage past capacity evicts at t = 0, as inserts do.
         usage = self.workload.initial_usage
-        self.table.admit(self._bg_keys.keys(0, usage), [0] * usage, self.hard_timeout_us,
-                         self.idle_timeout_us, OWNER_BACKGROUND)
+        self.table.admit(self._bg_keys.keys(0, usage), [0] * usage, OWNER_BACKGROUND)
 
     # -- latency ---------------------------------------------------------
 
@@ -438,8 +437,7 @@ class SwitchSimulator:
         count = len(times)
         first = self.workload.initial_usage + self.background_arrivals
         keys = self._bg_keys.keys(first, first + count)
-        full = self.table.admit(keys, times, self.hard_timeout_us, self.idle_timeout_us,
-                                OWNER_BACKGROUND)
+        full = self.table.admit(keys, times, OWNER_BACKGROUND)
         self.background_arrivals += count
         self.events_processed += count
         trace = self.trace
@@ -538,8 +536,7 @@ class SwitchSimulator:
                     kept += self._draw_rtts(repeat(BRANCH_HIT, run), run, keep)
             if install and not probes:
                 run, full = self.table.install_run(
-                    keys, at_us, gap_us, self._next_arrival_us, self.hard_timeout_us,
-                    self.idle_timeout_us, self.owner_of, sent, watch)
+                    keys, at_us, gap_us, self._next_arrival_us, self.owner_of, sent, watch)
                 probes = per_round * run
                 if run:
                     branches = answered * run

@@ -374,8 +374,8 @@ class TestPreload:
     def test_matches_an_insert_loop(self, policy, usage, hard, idle):
         # A fresh table of 5: the keys past capacity evict at t = 0.
         keys = [key(i) for i in range(usage)]
-        table, twin = FlowTable(5, policy), FlowTable(5, policy)
-        assert table.admit(keys, [0] * usage, hard, idle, "background") == list(
+        table, twin = FlowTable(5, policy, hard, idle), FlowTable(5, policy)
+        assert table.admit(keys, [0] * usage, "background") == list(
             range(5, usage))
         for k in keys:
             twin.insert(FlowEntry(k, 0, 0, hard, idle, "background"), 0)
@@ -532,8 +532,10 @@ def owner_by_index(k: FlowKey) -> str:
 
 
 class TestInstallRun:
-    def filled(self, policy="FIFO", capacity=6, idle=0):
-        table = FlowTable(capacity=capacity, policy=policy)
+    def filled(self, policy="FIFO", capacity=6, idle=0, fresh=(0, 0)):
+        """key(0), key(1) and key(2), inserted with `idle`, in a table whose
+        fresh entries take the timeouts `fresh`."""
+        table = FlowTable(capacity, policy, *fresh)
         for i in range(3):
             table.insert(entry(i, idle=idle), i)
         return table
@@ -547,10 +549,9 @@ class TestInstallRun:
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("hard, idle", [(0, 0), (500, 0), (0, 400), (500, 400)])
     def test_installs_as_inserts_would(self, policy, hard, idle):
-        table, twin = self.filled(policy), self.filled(policy)
+        table, twin = self.filled(policy, fresh=(hard, idle)), self.filled(policy)
         keys = [key(i) for i in (10, 11, 12)]
-        assert table.install_run(keys, 10, 5, float("inf"), hard, idle,
-                                 owner_by_index) == (3, [])
+        assert table.install_run(keys, 10, 5, float("inf"), owner_by_index) == (3, [])
         self.insert_loop(twin, keys, 10, 5, hard, idle)
         assert table_state(table) == table_state(twin)
         assert [table.entries[k].owner for k in keys] == [
@@ -559,7 +560,7 @@ class TestInstallRun:
     def test_installs_from_the_first_index(self):
         table, twin = self.filled(), self.filled()
         keys = [key(1), key(10), key(11)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0, owner_by_index,
+        assert table.install_run(keys, 10, 5, float("inf"), owner_by_index,
                                  first=1) == (2, [])
         self.insert_loop(twin, keys[1:], 10, 5)
         assert table_state(table) == table_state(twin)
@@ -567,24 +568,21 @@ class TestInstallRun:
     def test_stops_at_the_first_live_key(self):
         table = self.filled()
         keys = [key(10), key(11), key(0), key(12)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0,
-                                 owner_by_index) == (2, [])
+        assert table.install_run(keys, 10, 5, float("inf"), owner_by_index) == (2, [])
         assert key(12) not in table.entries and table._now == 15
 
     def test_a_repeated_key_is_live_by_its_second_send(self):
         table = self.filled()
         keys = [key(10), key(10)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0,
-                                 owner_by_index) == (1, [])
+        assert table.install_run(keys, 10, 5, float("inf"), owner_by_index) == (1, [])
 
     def test_stops_once_the_table_is_full(self):
         table = self.filled(capacity=5)
         keys = [key(i) for i in range(10, 15)]
-        assert table.install_run(keys, 10, 5, float("inf"), 0, 0,
-                                 owner_by_index) == (2, [])
+        assert table.install_run(keys, 10, 5, float("inf"), owner_by_index) == (2, [])
         assert len(table) == 5 and table.removal_log == []
         before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.install_run(keys, 20, 5, float("inf"), 0, 0, owner_by_index,
+        assert table.install_run(keys, 20, 5, float("inf"), owner_by_index,
                                  first=2) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
@@ -593,25 +591,23 @@ class TestInstallRun:
         # Sends at 10, 15, 20, 25, ...
         table = self.filled(capacity=10)
         keys = [key(i) for i in range(10, 16)]
-        assert table.install_run(keys, 10, 5, until_us, 0, 0,
-                                 owner_by_index) == (answered, [])
+        assert table.install_run(keys, 10, 5, until_us, owner_by_index) == (answered, [])
 
     def test_stops_before_the_earliest_deadline(self):
         # key(0)'s idle deadline is 100: an insert at 100 would purge it.
         table = self.filled(idle=100)
         keys = [key(i) for i in range(10, 13)]
-        assert table.install_run(keys, 60, 20, float("inf"), 0, 0,
-                                 owner_by_index) == (2, [])
+        assert table.install_run(keys, 60, 20, float("inf"), owner_by_index) == (2, [])
         assert table._now == 80
 
     @pytest.mark.parametrize("hard, idle, answered", [
         (30, 0, 3), (0, 30, 3), (45, 30, 3), (30, 45, 3), (31, 0, 4)])
     def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
         # The first key installed at 10 is due at 10 + min(timeouts).
-        table = self.filled(capacity=10)
+        table = self.filled(capacity=10, fresh=(hard, idle))
         keys = [key(i) for i in range(10, 16)]
-        assert table.install_run(keys, 10, 10, float("inf"), hard, idle,
-                                 owner_by_index) == (answered, [])
+        assert table.install_run(keys, 10, 10, float("inf"), owner_by_index) == (
+            answered, [])
 
     @pytest.mark.parametrize("start_us, until_us, answered", [
         (10, 10, 0), (10, 11, 3),  # until
@@ -621,8 +617,8 @@ class TestInstallRun:
                                                          answered):
         table = self.filled(idle=100)
         keys = [key(i) for i in range(10, 13)]
-        assert table.install_run(keys, start_us, 0, until_us, 0, 0,
-                                 owner_by_index) == (answered, [])
+        assert table.install_run(keys, start_us, 0, until_us, owner_by_index) == (
+            answered, [])
 
     @pytest.mark.parametrize("start_us, gap_us, first", [
         (1, 5, 0),    # behind the table clock
@@ -633,7 +629,7 @@ class TestInstallRun:
         table = self.filled()
         before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
-                                 float("inf"), 0, 0, owner_by_index, first) == (0, [])
+                                 float("inf"), owner_by_index, first) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
@@ -641,13 +637,11 @@ class TestInstallRun:
     @pytest.mark.parametrize("watch", [None, key(1)])
     def test_installs_fresh_entries_under_one_heap_record(self, policy, ahead, watch,
                                                          monkeypatch):
-        # `ahead` admitted entries fix the fresh timeouts at (500, 400), or
-        # the run does; key(1), a `FlowEntry`, may be watched.
+        # `ahead` admitted entries, then key(1), a `FlowEntry`, which may be
+        # watched; fresh entries take (500, 400).
         def build():
-            table = FlowTable(capacity=40, policy=policy)
-            if ahead:
-                table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, 500, 400,
-                            "background")
+            table = FlowTable(40, policy, 500, 400)
+            table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, "background")
             table.insert(entry(1, 500, 400), 1)
             return table
 
@@ -658,7 +652,7 @@ class TestInstallRun:
         init = FlowEntry.__init__
         monkeypatch.setattr(FlowEntry, "__init__",
                             lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
-        assert table.install_run(keys, 10, 5, math.inf, 500, 400, owner_by_index,
+        assert table.install_run(keys, 10, 5, math.inf, owner_by_index,
                                  watch=watch) == (30, [])
         assert built == [] and len(table._expiry_heap) <= heap + 1
         assert all(type(table._entries[k]) is tuple for k in keys)
@@ -675,39 +669,46 @@ class TestInstallRun:
 
     @pytest.mark.parametrize("watch", [None, key(1)])
     def test_other_timeouts_fall_back_to_flow_entries(self, watch):
-        # The admitted entries fix the fresh timeouts at (0, 400); a run with
-        # (500, 0) installs `FlowEntry`s, each with its own heap record. Five
-        # of eight slots are free; with `watch` two more installs evict the
-        # admitted entries, and the next would evict key(1).
+        # A (0, 400) table holds `FlowEntry`s inserted with (500, 0): each
+        # keeps its own heap record and deadline, and the run's fresh entries
+        # add at most the queue's one record. Five of eight slots are free;
+        # with `watch` two more installs evict key(100) and key(101), and the
+        # next would evict key(1).
         def build():
-            table, oracle = FlowTable(8), ReplayOracle(8, "FIFO")
-            table.admit([key(100), key(101)], [0, 0], 0, 400, "background")
-            table.insert(entry(1, 0, 400), 1)
+            table, oracle = FlowTable(8, "FIFO", 0, 400), ReplayOracle(8, "FIFO")
             for k, at_us, owner in ((key(100), 0, "background"),
                                     (key(101), 0, "background"), (key(1), 1, "attacker")):
-                oracle.insert(k, at_us, 0, 400, owner)
+                table.insert(FlowEntry(k, 0, 0, 500, 0, owner), at_us)
+                oracle.insert(k, at_us, 500, 0, owner)
             return table, oracle
 
         (table, oracle), (twin, _) = build(), build()
         keys = [key(i) for i in range(10, 18)]
         heap = len(table._expiry_heap)
-        rounds, full = table.install_run(keys, 10, 5, math.inf, 500, 0, owner_by_index,
+        rounds, full = table.install_run(keys, 10, 5, math.inf, owner_by_index,
                                          watch=watch)
         assert (rounds, full) == ((5, []) if watch is None else (7, [5, 6]))
-        assert all(type(table._entries[k]) is FlowEntry for k in keys[:rounds])
-        assert len(table._expiry_heap) == heap + rounds
-        assert table._fresh_kind == (0, 400)
+        assert all(type(table._entries[k]) is tuple for k in keys[:rounds])
+        assert len(table._expiry_heap) <= heap + 1
+        records = {(k, seq): deadline for deadline, seq, k in table._expiry_heap if k}
+        own = [e for e in table._entries.values() if type(e) is FlowEntry]
+        assert [e.key for e in own] == ([key(100), key(101), key(1)] if watch is None
+                                        else [key(1)])
+        assert all(records[e.key, e.seq] == e.next_deadline() == e.inserted_at + 500
+                   for e in own)
         if watch is None:
-            self.insert_loop(twin, keys[:rounds], 10, 5, 500, 0)
+            self.insert_loop(twin, keys[:rounds], 10, 5, 0, 400)
         else:
-            TestRoundRun.round_loop(twin, keys[:rounds], watch, 10, 5, 500, 0)
-        assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
+            TestRoundRun.round_loop(twin, keys[:rounds], watch, 10, 5, 0, 400)
+        assert table_state(table) == table_state(twin)
         gap = 5 if watch is None else 10
         for i, k in enumerate(keys[:rounds]):
-            oracle.insert(k, 10 + i * gap, 500, 0, owner_by_index(k))
+            oracle.insert(k, 10 + i * gap, 0, 400, owner_by_index(k))
             if watch is not None:
                 assert oracle.lookup(watch, 10 + i * gap + 5)
-        assert table.occupancy(1000) == twin.occupancy(1000) == oracle.occupancy(1000)
+        # At 480 the run's entries are gone, the `FlowEntry`s not yet.
+        for now in (480, 1000):
+            assert table.occupancy(now) == twin.occupancy(now) == oracle.occupancy(now)
         assert table.removal_log == twin.removal_log
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
@@ -732,7 +733,7 @@ class TestInstallRun:
             self, policy, capacity, steps, start_dt, gap_us, until_dt, hard,
             idle, first, run):
         def build():
-            table = FlowTable(capacity=capacity, policy=policy)
+            table = FlowTable(capacity, policy, hard, idle)
             oracle = ReplayOracle(capacity=capacity, policy=policy)
             now = 0
             for dt, i, h, d in steps:
@@ -749,8 +750,8 @@ class TestInstallRun:
         start_us = now + start_dt
         until_us = start_us + until_dt
         keys = [key(i) for i in run]
-        installed, full = table.install_run(keys, start_us, gap_us, until_us, hard,
-                                            idle, owner_by_index, first)
+        installed, full = table.install_run(keys, start_us, gap_us, until_us,
+                                            owner_by_index, first)
         assert full == []
         sent = keys[first:first + installed]
         self.insert_loop(twin, sent, start_us, gap_us, hard, idle)
@@ -796,34 +797,37 @@ class TestRoundRun:
         return full
 
     @staticmethod
-    def filled(policy="FIFO", capacity=6, ahead=2, idle=0):
-        """`ahead` admitted background entries, then key(0), watched, and
-        key(1), installed at 1 and 2."""
-        table = FlowTable(capacity=capacity, policy=policy)
-        table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, 0, idle,
-                    "background")
-        table.insert(entry(0, idle=idle), 1)
-        table.insert(entry(1, idle=idle), 2)
+    def filled(policy="FIFO", capacity=6, ahead=2, hard=0, idle=0):
+        """A table whose fresh entries take (`hard`, `idle`): `ahead` admitted
+        background entries, then key(0), watched, and key(1), permanent,
+        installed at 1 and 2."""
+        table = FlowTable(capacity, policy, hard, idle)
+        table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, "background")
+        table.insert(entry(0), 1)
+        table.insert(entry(1), 2)
         return table
 
     def run_matches_loop(self, table, twin, keys, start_us, gap_us, until_us=math.inf,
-                         hard=0, idle=0, first=0, watch=key(0)):
-        """Run `install_run` watching `watch` on `table` and the loop on
-        `twin`; assert both end alike and return what `install_run` returned."""
-        rounds, full = table.install_run(keys, start_us, gap_us, until_us, hard, idle,
+                         first=0, watch=key(0)):
+        """Run `install_run` watching `watch` on `table` and the loop, with
+        the table's timeouts, on `twin`; assert both end alike and return
+        what `install_run` returned. The raw heaps differ: the run's fresh
+        entries share the queue's record, the loop pushes one per insert."""
+        rounds, full = table.install_run(keys, start_us, gap_us, until_us,
                                          owner_by_index, first, watch)
         assert full == self.round_loop(twin, keys[first:first + rounds], watch,
-                                       start_us, gap_us, hard, idle)
-        assert table_state(table, raw_heap=True) == table_state(twin, raw_heap=True)
+                                       start_us, gap_us, table.hard_timeout,
+                                       table.idle_timeout)
+        assert table_state(table) == table_state(twin)
         return rounds, full
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("hard, idle", [(0, 0), (500, 0), (0, 400), (500, 400)])
     def test_answers_rounds_as_inserts_and_lookups_would(self, policy, hard, idle):
-        table, twin = self.filled(policy), self.filled(policy)
+        table = self.filled(policy, hard=hard, idle=idle)
+        twin = self.filled(policy, hard=hard, idle=idle)
         keys = [key(i) for i in (10, 11, 12)]
-        assert self.run_matches_loop(table, twin, keys, 10, 5, hard=hard,
-                                     idle=idle) == (3, [2])
+        assert self.run_matches_loop(table, twin, keys, 10, 5) == (3, [2])
         watched = table.entries[key(0)]
         assert watched.last_access == 35 and table._now == 35
         assert table._touched_at == (35 if policy == "LRU" else 30)
@@ -851,7 +855,7 @@ class TestRoundRun:
         assert self.run_matches_loop(table, twin, keys, 10, 5) == (2, [0, 1])
         assert next(iter(table.entries)) == key(0)
         before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.install_run(keys, 30, 5, math.inf, 0, 0, owner_by_index, 2,
+        assert table.install_run(keys, 30, 5, math.inf, owner_by_index, 2,
                                  key(0)) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
@@ -865,7 +869,7 @@ class TestRoundRun:
     def test_answers_nothing_when_the_watched_key_is_absent_or_fresh(self, watch):
         table = self.filled()
         before = copy.deepcopy(table_state(table, raw_heap=True))
-        assert table.install_run([key(10)], 10, 5, math.inf, 0, 0, owner_by_index,
+        assert table.install_run([key(10)], 10, 5, math.inf, owner_by_index,
                                  watch=watch) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
@@ -905,10 +909,11 @@ class TestRoundRun:
     def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
         # The first key, installed at 10, is due at 10 + min(timeouts);
         # installs go out at 10, 20, 30, ..., lookups at 15, 25, 35, ...
-        table, twin = self.filled(capacity=20), self.filled(capacity=20)
+        # Nothing is admitted ahead: it would fall due first.
+        table = self.filled(capacity=20, ahead=0, hard=hard, idle=idle)
+        twin = self.filled(capacity=20, ahead=0, hard=hard, idle=idle)
         keys = [key(i) for i in range(10, 16)]
-        assert self.run_matches_loop(table, twin, keys, 10, 5, hard=hard,
-                                     idle=idle)[0] == answered
+        assert self.run_matches_loop(table, twin, keys, 10, 5)[0] == answered
 
     @pytest.mark.parametrize("start_us, gap_us, first", [
         (1, 5, 0),    # behind the table clock
@@ -920,8 +925,7 @@ class TestRoundRun:
         table = self.filled()
         before = copy.deepcopy(table_state(table, raw_heap=True))
         assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
-                                 math.inf, 0, 0, owner_by_index, first,
-                                 key(0)) == (0, [])
+                                 math.inf, owner_by_index, first, key(0)) == (0, [])
         assert table_state(table, raw_heap=True) == before
 
     @settings(max_examples=400, deadline=None)
@@ -929,7 +933,6 @@ class TestRoundRun:
         policy=st.sampled_from(("FIFO", "LRU")),
         capacity=st.integers(1, 8),
         fresh=st.integers(0, 4),
-        fresh_idle=st.sampled_from((0, 20, 60)),
         steps=st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 7),
                       st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
@@ -945,17 +948,17 @@ class TestRoundRun:
         run=st.lists(st.integers(0, 15), max_size=12),
     )
     def test_matches_a_round_loop_and_the_oracle(
-            self, policy, capacity, fresh, fresh_idle, steps, watch, start_dt,
-            gap_us, until_dt, hard, idle, first, run):
+            self, policy, capacity, fresh, steps, watch, start_dt, gap_us,
+            until_dt, hard, idle, first, run):
         # `fresh` admitted entries go in first, so they sort ahead of the
         # watched key; watch 8 and 9 are admitted keys (fresh, or absent).
         def build():
-            table = FlowTable(capacity=capacity, policy=policy)
+            table = FlowTable(capacity, policy, hard, idle)
             oracle = ReplayOracle(capacity=capacity, policy=policy)
             admitted = [key(100 + j) for j in range(fresh)]
-            table.admit(admitted, [0] * fresh, 0, fresh_idle, "background")
+            table.admit(admitted, [0] * fresh, "background")
             for k in admitted:
-                oracle.insert(k, 0, 0, fresh_idle, "background")
+                oracle.insert(k, 0, hard, idle, "background")
             now = 0
             for dt, i, h, d in steps:
                 now += dt
@@ -972,7 +975,7 @@ class TestRoundRun:
         start_us = now + start_dt
         until_us = start_us + until_dt
         keys = [key(i) for i in run]
-        rounds, full = table.install_run(keys, start_us, gap_us, until_us, hard, idle,
+        rounds, full = table.install_run(keys, start_us, gap_us, until_us,
                                          owner_by_index, first, watched)
         sent = keys[first:first + rounds]
         assert full == self.round_loop(twin, sent, watched, start_us, gap_us, hard, idle)
@@ -1035,7 +1038,7 @@ class TestAdmit:
     )
     def test_matches_an_insert_loop_and_the_oracle(self, policy, capacity, hard,
                                                    idle, ops):
-        table, twin = FlowTable(capacity, policy), FlowTable(capacity, policy)
+        table, twin = FlowTable(capacity, policy, hard, idle), FlowTable(capacity, policy)
         oracle = ReplayOracle(capacity, policy)
         now, admitted = 0, 100
 
@@ -1060,7 +1063,7 @@ class TestAdmit:
                 times = list(itertools.accumulate(op[1], initial=now))[1:]
                 keys = [key(admitted + j) for j in range(len(times))]
                 admitted += len(keys)
-                full = table.admit(keys, times, hard, idle, "background")
+                full = table.admit(keys, times, "background")
                 assert full == self.insert_loop(twin, keys, times, hard, idle)
                 assert full == [j for j, (k, t) in enumerate(zip(keys, times))
                                 if oracle.insert(k, t, hard, idle, "background")[1]]
@@ -1082,9 +1085,9 @@ class TestAdmit:
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
     def test_stores_fresh_entries_with_one_queue_record(self):
-        table = FlowTable(4)
+        table = FlowTable(4, hard_timeout=100)
         keys = [key(i) for i in range(3)]
-        assert table.admit(keys, [0, 5, 5], 100, 0, "background") == []
+        assert table.admit(keys, [0, 5, 5], "background") == []
         assert list(table._entries.values()) == [
             (0, 1, "background"), (5, 2, "background"), (5, 3, "background")]
         assert table._expiry_heap == [(100, 1, ())]
@@ -1097,31 +1100,32 @@ class TestAdmit:
         # and key(3)'s earlier one. key(1) (due 50) and key(3) (due 62)
         # expire, in that order, when key(5) goes in at 62; key(4) (due 70)
         # expires when key(6) goes in at 100.
-        table, twin = FlowTable(10), FlowTable(10)
-        admits = ((table, table.admit), (twin, lambda *a: self.insert_loop(twin, *a)))
+        table, twin = FlowTable(10, idle_timeout=50), FlowTable(10)
+        admits = ((table, lambda keys, times: table.admit(keys, times, "background")),
+                  (twin, lambda keys, times: self.insert_loop(twin, keys, times, 0, 50)))
         for each, admit in admits:
-            admit([key(1)], [0], 0, 50, "background")
+            admit([key(1)], [0])
             each.insert(entry(2, idle=200), 1)
             each.insert(entry(3, idle=60), 2)
-            admit([key(4)], [20], 0, 50, "background")
+            admit([key(4)], [20])
         assert [k for _, _, k in table._expiry_heap] == [(), key(2), key(3)]
         for each, admit in admits:
-            admit([key(5), key(6)], [62, 100], 0, 50, "background")
+            admit([key(5), key(6)], [62, 100])
         assert table_state(table) == table_state(twin)
         assert [r.key for r in table.removal_log] == [key(1), key(3), key(4)]
 
     def test_occupancy_counts_fresh_entries_of_their_owner(self):
         table = FlowTable(4)
-        table.admit([key(1), key(2)], [0, 0], 0, 0, "attacker")
+        table.admit([key(1), key(2)], [0, 0], "attacker")
         table.insert(entry(3, owner="background"), 1)
         assert table.occupancy(1) == (2, 1)
 
     def test_reading_entries_changes_nothing(self):
-        table = FlowTable(4)
+        table = FlowTable(4, idle_timeout=50)
         table.insert(entry(9, idle=50), 0)
         plain = table.entries
         assert plain is table._entries
-        table.admit([key(1), key(2)], [1, 2], 0, 50, "background")
+        table.admit([key(1), key(2)], [1, 2], "background")
         before = copy.deepcopy(table_state(table, raw_heap=True))
         view = table.entries
         assert view is not table._entries and list(view) == [key(9), key(1), key(2)]
@@ -1130,8 +1134,8 @@ class TestAdmit:
         assert type(table._entries[key(1)]) is tuple
 
     def test_a_hit_thaws_in_place(self):
-        table = FlowTable(4, "LRU")
-        table.admit([key(1), key(2), key(3)], [0, 0, 0], 0, 50, "background")
+        table = FlowTable(4, "LRU", idle_timeout=50)
+        table.admit([key(1), key(2), key(3)], [0, 0, 0], "background")
         assert table.lookup(key(2), 10)
         thawed = table._entries[key(2)]
         assert type(thawed) is FlowEntry and thawed.last_access == 10
@@ -1148,7 +1152,7 @@ class TestAdmit:
             each.insert(entry(0), 0)
             each.insert(entry(2), 1)
             assert each.lookup(key(2), 5)
-        table.admit([key(1)], [5], 0, 0, "background")
+        table.admit([key(1)], [5], "background")
         self.insert_loop(twin, [key(1)], [5], 0, 0)
         for each in (table, twin):
             assert each.lookup(key(0), 5)
@@ -1156,18 +1160,14 @@ class TestAdmit:
         assert list(table.entries) == [key(0), key(2), key(1)]
 
     def test_one_table_admits_one_kind(self):
-        # The first call fixes the timeouts, also once its fresh entries are
-        # gone (a queue record for them may still be due later); the owner
-        # is each entry's own.
-        table = FlowTable(2)
-        table.admit([key(1)], [0], 1000, 0, "background")
+        # Every fresh entry takes the table's timeouts; the owner is each
+        # entry's own.
+        table = FlowTable(2, hard_timeout=1000)
+        table.admit([key(1)], [0], "background")
         table.insert(entry(2), 1)
-        for hard, idle in ((10, 0), (1000, 5)):
-            with pytest.raises(ValueError, match="fresh entries are"):
-                table.admit([key(3)], [5], hard, idle, "background")
-        assert table.admit([], [], 1000, 0, "background") == []
-        assert table.admit([key(3)], [5], 1000, 0, "attacker") == [0]
-        table.admit([key(4)], [6], 1000, 0, "background")
+        assert table.admit([], [], "background") == []
+        assert table.admit([key(3)], [5], "attacker") == [0]
+        table.admit([key(4)], [6], "background")
         assert table.occupancy(6) == (1, 1)
         assert [r.owner for r in table.removal_log] == ["background", "attacker"]
 
@@ -1178,11 +1178,11 @@ class TestAdmit:
         ([10, 20, 30], [key(5), key(6), key(5)], DuplicateEntryError),
     ])
     def test_errors_leave_the_state_of_the_insert_loop(self, times, keys, error):
-        table, twin = FlowTable(3), FlowTable(3)
+        table, twin = FlowTable(3, idle_timeout=25), FlowTable(3)
         for each in (table, twin):
             each.insert(entry(1, idle=15), 8)
         with pytest.raises(error):
-            table.admit(keys, times, 0, 25, "background")
+            table.admit(keys, times, "background")
         with pytest.raises(error):
             self.insert_loop(twin, keys, times, 0, 25)
         assert table_state(table) == table_state(twin)
@@ -1210,13 +1210,12 @@ class TestFreshOwners:
             st.tuples(st.just("probe"), st.integers(0, 30), st.integers(0, 40)),
             st.tuples(st.just("run"), st.integers(0, 30), st.integers(0, 4),
                       st.lists(st.integers(0, 15), max_size=8),
-                      st.none() | st.integers(0, 40), st.booleans()),
+                      st.none() | st.integers(0, 40)),
         ), max_size=12),
     )
     def test_matches_a_probe_loop_and_the_oracle(self, policy, capacity, hard, idle, ops):
-        table, twin = FlowTable(capacity, policy), FlowTable(capacity, policy)
+        table, twin = FlowTable(capacity, policy, hard, idle), FlowTable(capacity, policy)
         oracle = ReplayOracle(capacity, policy)
-        table.admit([], [], hard, idle, "background")  # as a switch's preload
         now, admitted = 0, 0
 
         def probed(i):
@@ -1244,7 +1243,7 @@ class TestFreshOwners:
                 times = list(itertools.accumulate(op[1], initial=now))[1:]
                 keys = [key(100 + admitted + j) for j in range(len(times))]
                 admitted += len(keys)
-                full = table.admit(keys, times, hard, idle, "background")
+                full = table.admit(keys, times, "background")
                 assert full == TestAdmit.insert_loop(twin, keys, times, hard, idle)
                 assert full == [j for j, (k, t) in enumerate(zip(keys, times))
                                 if oracle.insert(k, t, hard, idle, "background")[1]]
@@ -1254,9 +1253,8 @@ class TestFreshOwners:
                 k = probed(op[2])
                 assert probe(table, k, now, hard, idle) == replay(k, now, hard, idle)
             else:  # a fresh-key run, driven as `SwitchSimulator.send_rounds` does
-                _, dt, gap, run, watch, own_kind = op
+                _, dt, gap, run, watch = op
                 now += dt
-                h, d = (hard, idle) if own_kind else (hard + 7, idle)
                 if watch is not None:  # live, and a `FlowEntry`, from here on
                     watch = probed(watch)
                     assert probe(table, watch, now, hard, idle) == replay(
@@ -1266,18 +1264,19 @@ class TestFreshOwners:
                 step = gap if watch is None else 2 * gap
                 sent, at_us = 0, now
                 while sent < len(keys):
-                    rounds, full = table.install_run(keys, at_us, gap, math.inf, h, d,
+                    rounds, full = table.install_run(keys, at_us, gap, math.inf,
                                                      owner_by_range, sent, watch)
                     if rounds:
                         for j in range(rounds):
-                            assert replay(keys[sent + j], at_us, h, d) == (False, j in full)
+                            assert replay(keys[sent + j], at_us, hard, idle) == (
+                                False, j in full)
                             if watch is not None:
                                 assert replay(watch, at_us + gap, hard, idle)[0]
                             at_us += step
                     else:  # one round, probe by probe
                         rounds = 1
-                        assert probe(table, keys[sent], at_us, h, d) == replay(
-                            keys[sent], at_us, h, d)
+                        assert probe(table, keys[sent], at_us, hard, idle) == replay(
+                            keys[sent], at_us, hard, idle)
                         if watch is not None:
                             assert probe(table, watch, at_us + gap, hard, idle) == (
                                 replay(watch, at_us + gap, hard, idle))
@@ -1295,14 +1294,13 @@ class TestFreshOwners:
         # Run keys installed at 10, 15 and 20 fall due at 60, 65 and 70 in
         # one admit batch: the first by a purge at 61, the others and key(100)
         # (due 80) by the batch itself.
-        table, twin = FlowTable(10), FlowTable(10)
-        table.admit([], [], 0, 50, "background")
+        table, twin = FlowTable(10, idle_timeout=50), FlowTable(10)
         run = [key(1), key(2), key(3)]
-        assert table.install_run(run, 10, 5, math.inf, 0, 50, owner_by_range) == (3, [])
+        assert table.install_run(run, 10, 5, math.inf, owner_by_range) == (3, [])
         for i, k in enumerate(run):
             twin.insert(FlowEntry(k, 0, 0, 0, 50, "attacker"), 10 + 5 * i)
         times, arrivals = [30, 61, 66, 71, 80], [key(100 + j) for j in range(5)]
-        assert table.admit(arrivals, times, 0, 50, "background") == []
+        assert table.admit(arrivals, times, "background") == []
         TestAdmit.insert_loop(twin, arrivals, times, 0, 50)
         assert table_state(table) == table_state(twin)
         assert table.removal_log == [(61, key(1), "attacker", EXPIRED),
