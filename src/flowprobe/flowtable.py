@@ -44,30 +44,14 @@ class FlowKey(NamedTuple):
 
 @dataclass(slots=True)
 class FlowEntry:
-    """One installed rule.
-
-    Timestamps and timeouts are in microseconds of virtual time. A timeout
-    of 0 means disabled (the entry is permanent with respect to that timer).
-    """
+    """One installed rule. Timestamps are in microseconds of virtual time;
+    its hard and idle timeouts are its table's."""
 
     key: FlowKey
     inserted_at: int = 0
     last_access: int = 0
-    hard_timeout: int = 0
-    idle_timeout: int = 0
     owner: str = OWNER_ATTACKER
     seq: int = field(default=0, compare=False)
-
-    def next_deadline(self) -> Optional[int]:
-        """Time from which this entry is expired, or None if it never is."""
-        deadline = None
-        if self.hard_timeout > 0:
-            deadline = self.inserted_at + self.hard_timeout
-        if self.idle_timeout > 0:
-            idle_deadline = self.last_access + self.idle_timeout
-            if deadline is None or idle_deadline < deadline:
-                deadline = idle_deadline
-        return deadline
 
 
 class InsertResult(NamedTuple):
@@ -108,13 +92,14 @@ class FlowTable:
     the entry to the back; entries touched in the same microsecond still
     order by insertion time, then sequence number.
 
+    Every entry takes the table's `hard_timeout` and `idle_timeout`, set at
+    construction. `insert` stores a `FlowEntry` with its own heap record.
     `admit` and `install_run` append fresh entries: bare `(inserted_at, seq,
-    owner)` values with the table's `hard_timeout` and `idle_timeout`, set at
-    construction, due in insert order whatever their owner (`insert` keeps
-    each `FlowEntry`'s own timeouts). A deque holds `(inserted_at, seq, key)`
-    per live one; one heap record `(deadline, seq, ())` stands for its head,
-    and is early once that head is gone, as a hit entry's record may be. A
-    lookup hit thaws one into its `FlowEntry` in place.
+    owner)` values, due in insert order whatever their owner. A deque holds
+    `(inserted_at, seq, key)` per live one; one heap record `(deadline, seq,
+    ())` stands for its head, and is early once that head is gone, as a hit
+    entry's record may be. A lookup hit thaws one into its `FlowEntry` in
+    place.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO, hard_timeout: int = 0,
@@ -129,13 +114,13 @@ class FlowTable:
         self.idle_timeout = idle_timeout
         self._entries: OrderedDict[FlowKey, FlowEntry | tuple[int, int, str]] = OrderedDict()
         self.removal_log: list[RemovalRecord] = []
-        # Fresh queue, how long after its insert an entry in it falls due
-        # (the smaller enabled timeout, or 0 if neither is), and whether its
-        # head has a heap record.
+        # How long after its insert an entry never hit falls due (the smaller
+        # enabled timeout, or 0 if neither is), the fresh queue, and whether
+        # its head has a heap record.
+        self._timeout = (min(hard_timeout, idle_timeout)
+                         if hard_timeout > 0 and idle_timeout > 0
+                         else max(hard_timeout, idle_timeout))
         self._fresh: deque[tuple[int, int, FlowKey]] = deque()
-        self._fresh_timeout = (min(hard_timeout, idle_timeout)
-                               if hard_timeout > 0 and idle_timeout > 0
-                               else max(hard_timeout, idle_timeout))
         self._queued = False
         self._lru = policy == LRU
         # Latest time any entry's last_access was set; while it differs from
@@ -164,13 +149,13 @@ class FlowTable:
 
     def _as_entry(self, key: FlowKey, value: tuple[int, int, str]) -> FlowEntry:
         at, seq, owner = value
-        return FlowEntry(key, at, at, self.hard_timeout, self.idle_timeout, owner, seq)
+        return FlowEntry(key, at, at, owner, seq)
 
     def _queue_fresh(self) -> None:
         """Give the fresh queue's head a heap record if the heap holds none."""
-        if self._fresh and self._fresh_timeout and not self._queued:
+        if self._fresh and self._timeout and not self._queued:
             at, seq, _ = self._fresh[0]
-            heapq.heappush(self._expiry_heap, (at + self._fresh_timeout, seq, ()))
+            heapq.heappush(self._expiry_heap, (at + self._timeout, seq, ()))
             self._queued = True
 
     def purge_expired(self, now: int) -> list[FlowKey]:
@@ -197,8 +182,8 @@ class FlowTable:
             # An entry never hit since its insert is due at this record's
             # deadline, which has passed; only a hit entry's is recomputed.
             deadline = (now if entry.last_access == entry.inserted_at
-                        else entry.next_deadline())  # finite: it is in the heap
-            if deadline <= now:  # type: ignore[operator]
+                        else self._deadline(entry))
+            if deadline <= now:
                 del entries[key]
                 self.removal_log.append(
                     tuple.__new__(RemovalRecord, (now, key, entry.owner, EXPIRED)))
@@ -207,6 +192,13 @@ class FlowTable:
                 # Hits moved the idle deadline forward since the push.
                 heapq.heappush(heap, (deadline, seq, key))
         return removed
+
+    def _deadline(self, entry: FlowEntry) -> int:
+        """Time from which `entry`, in a table with a timeout, is expired."""
+        hard, idle = self.hard_timeout, self.idle_timeout
+        if hard and (not idle or entry.inserted_at + hard < entry.last_access + idle):
+            return entry.inserted_at + hard
+        return entry.last_access + idle
 
     def lookup(self, key: FlowKey, now: int) -> bool:
         """Return True on hit. A hit refreshes the entry's last-access time.
@@ -235,8 +227,8 @@ class FlowTable:
         except AttributeError:  # thaw it in place, with a heap record; hit again
             entry = self._entries[key] = self._as_entry(key, entry)
             self._fresh.remove((entry.inserted_at, entry.seq, key))
-            if self._fresh_timeout:
-                heapq.heappush(heap, (entry.next_deadline(), entry.seq, key))
+            if self._timeout:
+                heapq.heappush(heap, (entry.inserted_at + self._timeout, entry.seq, key))
             return self.lookup(key, now)
         return True
 
@@ -321,8 +313,8 @@ class FlowTable:
                 or keys[first] in entries or (watch is not None and (
                     gap_us < 1 or watched.__class__ is not FlowEntry))):
             return 0, []
-        if self._fresh_timeout:
-            until_us = min(until_us, start_us + self._fresh_timeout)
+        if self._timeout:
+            until_us = min(until_us, start_us + self._timeout)
         if watch is None:  # at most the free slots: the run never evicts
             count, step = min(len(keys) - first, self.capacity - len(entries)), gap_us
         else:
@@ -384,8 +376,9 @@ class FlowTable:
         self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, owner, EVICTED)))
         return key
 
-    def insert(self, entry: FlowEntry, now: int) -> InsertResult:
-        """Install `entry` at `now`, evicting one victim if the table is full.
+    def insert(self, key: FlowKey, now: int, owner: str = OWNER_ATTACKER) -> InsertResult:
+        """Install `key` for `owner` at `now` as a `FlowEntry` with its own
+        heap record, evicting one victim if the table is full.
 
         The caller is expected to have observed a miss first; inserting over
         a live key raises DuplicateEntryError (a simulator bug, not a domain
@@ -399,7 +392,6 @@ class FlowTable:
         if heap and heap[0][0] <= now:
             self.purge_expired(now)
         entries = self._entries
-        key = entry.key
         if key in entries:
             raise DuplicateEntryError(f"live entry already installed for {key}")
 
@@ -408,22 +400,20 @@ class FlowTable:
         else:
             result = _NOT_FULL
 
-        self._seq += 1
-        seq = entry.seq = self._seq
-        entry.inserted_at = entry.last_access = self._touched_at = now
-        entries[key] = entry
-        hard, idle = entry.hard_timeout, entry.idle_timeout
-        if hard > 0 or idle > 0:
-            # The smaller enabled timeout, as `_fresh_timeout` is set.
-            timeout = min(hard, idle) if hard > 0 and idle > 0 else max(hard, idle)
-            heapq.heappush(heap, (now + timeout, seq, key))
+        self._seq = seq = self._seq + 1
+        self._touched_at = now
+        # FlowEntry(key, inserted_at, last_access, owner, seq), positional,
+        # which the generated __init__ binds fastest.
+        entries[key] = FlowEntry(key, now, now, owner, seq)
+        if self._timeout:
+            heapq.heappush(heap, (now + self._timeout, seq, key))
         return result
 
     def admit(self, keys: Sequence[FlowKey], times: Sequence[int], owner: str) -> list[int]:
-        """Insert `keys[i]` at `times[i]` for `owner` as fresh entries, with
-        the table's timeouts, exactly as one `insert` per key would; return
-        the indexes of the inserts that found the table full."""
-        timeout = self._fresh_timeout
+        """Insert `keys[i]` at `times[i]` for `owner` as fresh entries,
+        exactly as one `insert` per key would; return the indexes of the
+        inserts that found the table full."""
+        timeout = self._timeout
         entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
         full: list[int] = []
         # No fresh entry falls due before `fresh_due` (`now` bounds an empty

@@ -24,7 +24,6 @@ from .flowtable import (
     FIFO,
     OWNER_ATTACKER,
     OWNER_BACKGROUND,
-    FlowEntry,
     FlowKey,
     FlowTable,
     Occupancy,
@@ -224,15 +223,7 @@ class KeySequence:
         self._built = _BUILT_KEYS.setdefault(prefix, [])
 
     def key_at(self, i: int) -> FlowKey:
-        block, rest = divmod(i, 1 << 16)
-        # FlowKey(src_ip, dst_ip, src_mac, dst_mac), built without the
-        # NamedTuple's Python-level __new__.
-        return tuple.__new__(FlowKey, (
-            self._heads[rest >> 8] + _OCTETS[rest & 255],
-            "10.0.0.1" if block == 0 else f"10.{200 + block}.0.1",
-            "02:00:00:00:00:01",
-            "02:00:00:00:00:02",
-        ))
+        return self._build(i, i + 1)[0]
 
     def keys(self, start: int, stop: int) -> list[FlowKey]:
         """`[key_at(i) for i in range(start, stop)]`, from the shared list."""
@@ -245,6 +236,8 @@ class KeySequence:
         return built[start:stop]
 
     def _build(self, start: int, stop: int) -> list[FlowKey]:
+        # FlowKey(src_ip, dst_ip, src_mac, dst_mac), built without the
+        # NamedTuple's Python-level __new__.
         heads, new = self._heads, tuple.__new__
         return [new(FlowKey, (
             heads[i >> 8 & 255] + _OCTETS[i & 255],
@@ -317,9 +310,8 @@ class SwitchSimulator:
     ):
         self.latency = latency or LatencyModel()
         self.workload = workload or BackgroundWorkload()
-        self.hard_timeout_us = ms_to_us(hard_timeout_ms)
-        self.idle_timeout_us = ms_to_us(idle_timeout_ms)
-        self.table = FlowTable(capacity, policy, self.hard_timeout_us, self.idle_timeout_us)
+        self.table = FlowTable(capacity, policy, ms_to_us(hard_timeout_ms),
+                               ms_to_us(idle_timeout_ms))
         self.now_us = 0
         self.events_processed = 0
         self.background_arrivals = 0
@@ -449,17 +441,6 @@ class SwitchSimulator:
             trace += [SimEvent(at, EVENT_BACKGROUND, key, OWNER_BACKGROUND, branch, rtt)
                       for at, key, branch, rtt in zip(times, keys, branches, rtts)]
 
-    # -- core packet path --------------------------------------------------
-
-    def _install(self, key: FlowKey, now_us: int, owner: str) -> str:
-        """Install `key` for `owner`; return the miss branch it took."""
-        # FlowEntry(key, inserted_at, last_access, hard_timeout, idle_timeout,
-        # owner): positional, which the generated __init__ binds fastest.
-        entry = FlowEntry(key, 0, 0, self.hard_timeout_us, self.idle_timeout_us, owner)
-        if self.table.insert(entry, now_us).was_full:
-            return BRANCH_MISS_FULL
-        return BRANCH_MISS_NOTFULL
-
     # -- public surface ----------------------------------------------------
 
     def owner_of(self, key: FlowKey) -> str:
@@ -479,14 +460,15 @@ class SwitchSimulator:
             branch = BRANCH_HIT
         else:
             owner = self.owner_of(key)
-            branch = self._install(key, at_us, owner)
+            branch = (BRANCH_MISS_FULL if self.table.insert(key, at_us, owner).was_full
+                      else BRANCH_MISS_NOTFULL)
         rtt = self._draw_rtt(branch)
         self.now_us = at_us
         self.events_processed += 1
         if self.trace is not None:
             self.trace.append(SimEvent(at_us, EVENT_PROBE, key,
                                        owner or self.owner_of(key), branch, rtt))
-        # RttSample(time_us, key, rtt_us, branch), built as `key_at` builds keys.
+        # RttSample(time_us, key, rtt_us, branch), built as `_build` builds keys.
         return tuple.__new__(RttSample, (at_us, key, rtt, branch))
 
     def send_rounds(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,

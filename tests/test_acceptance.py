@@ -28,7 +28,7 @@ from flowprobe.experiments import (
     run_suite,
     write_sweep_csv,
 )
-from flowprobe.flowtable import FlowEntry, FlowKey, FlowTable
+from flowprobe.flowtable import FlowKey, FlowTable
 from flowprobe.netsim import (
     BackgroundWorkload,
     LatencyModel,
@@ -282,13 +282,16 @@ def test_criterion_9_policy_oracle_equivalence():
         return FlowKey(f"10.9.{i >> 8 & 255}.{i & 255}", "10.0.0.1",
                        "02:00:00:00:00:01", "02:00:00:00:00:02")
 
+    # Per policy, one table per timeout pair: hard only, idle only,
+    # hard < idle and idle < hard.
+    pairs = ((1500, 0), (0, 800), (1500, 3000), (6000, 800))
     divergences = 0
     events = 0
     for policy in ("FIFO", "LRU"):
-        for seed in (11, 12):
+        for seed, (hard, idle) in enumerate(pairs, start=11):
             rng = random.Random(seed)
             capacity = rng.randint(6, 20)
-            table = FlowTable(capacity=capacity, policy=policy)
+            table = FlowTable(capacity, policy, hard, idle)
             oracle = ReplayOracle(capacity=capacity, policy=policy)
             now = 0
             for _ in range(10_000):
@@ -300,12 +303,7 @@ def test_criterion_9_policy_oracle_equivalence():
                     divergences += 1
                     continue
                 if not hit and rng.random() < 0.8:
-                    hard = rng.choice((0, 0, 1500, 6000))
-                    idle = rng.choice((0, 0, 800, 3000))
-                    result = table.insert(
-                        FlowEntry(key=key(i), hard_timeout=hard,
-                                  idle_timeout=idle), now
-                    )
+                    result = table.insert(key(i), now)
                     expected, expected_full = oracle.insert(
                         key(i), now, hard=hard, idle=idle
                     )

@@ -29,8 +29,12 @@ def key(i: int) -> FlowKey:
                    "02:00:00:00:00:01", "02:00:00:00:00:02")
 
 
-def entry(i: int, hard: int = 0, idle: int = 0, owner: str = "attacker") -> FlowEntry:
-    return FlowEntry(key=key(i), hard_timeout=hard, idle_timeout=idle, owner=owner)
+def next_deadline(table: FlowTable, e: FlowEntry):
+    """Time from which `e`, live in `table`, is expired under the table's
+    timeouts, or None if it never is."""
+    hard, idle = table.hard_timeout, table.idle_timeout
+    return min([t for t, on in ((e.inserted_at + hard, hard), (e.last_access + idle, idle))
+                if on], default=None)
 
 
 class TestFlowKey:
@@ -57,33 +61,33 @@ class TestLookup:
 
     def test_immediate_relookup_hits(self):
         table = FlowTable(capacity=4)
-        table.insert(entry(1), 0)
+        table.insert(key(1), 0)
         assert table.lookup(key(1), 1) is True
 
     def test_idle_expiry_misses(self):
         # Hand replay: inserted at 0 with idle 5000 ms, probed at 6000 ms;
         # 6000 - 0 >= 5000 so the entry is gone.
-        table = FlowTable(capacity=4)
-        table.insert(entry(1, idle=5000 * MS), 0)
+        table = FlowTable(capacity=4, idle_timeout=5000 * MS)
+        table.insert(key(1), 0)
         assert table.lookup(key(1), 6000 * MS) is False
 
     def test_hit_refreshes_idle_timer(self):
-        table = FlowTable(capacity=4)
-        table.insert(entry(1, idle=5000 * MS), 0)
+        table = FlowTable(capacity=4, idle_timeout=5000 * MS)
+        table.insert(key(1), 0)
         assert table.lookup(key(1), 4000 * MS) is True
         assert table.lookup(key(1), 8500 * MS) is True  # 4500 ms since refresh
         assert table.lookup(key(1), 14000 * MS) is False
 
     def test_hard_expiry_ignores_refreshes(self):
-        table = FlowTable(capacity=4)
-        table.insert(entry(1, hard=1000 * MS), 0)
+        table = FlowTable(capacity=4, hard_timeout=1000 * MS)
+        table.insert(key(1), 0)
         for t in range(100, 1000, 100):
             assert table.lookup(key(1), t * MS) is True
         assert table.lookup(key(1), 1000 * MS) is False
 
     def test_clock_must_not_go_backwards(self):
         table = FlowTable(capacity=4)
-        table.insert(entry(1), 100)
+        table.insert(key(1), 100)
         with pytest.raises(ClockError):
             table.lookup(key(1), 50)
 
@@ -91,72 +95,73 @@ class TestLookup:
 class TestInsert:
     def test_under_capacity(self):
         table = FlowTable(capacity=2)
-        result = table.insert(entry(1), 0)
+        result = table.insert(key(1), 0)
         assert result.evicted is None and not result.was_full
 
     def test_fifo_evicts_oldest(self):
         table = FlowTable(capacity=3, policy="FIFO")
         for i in (1, 2, 3):
-            table.insert(entry(i), i)
-        result = table.insert(entry(4), 10)
+            table.insert(key(i), i)
+        result = table.insert(key(4), 10)
         assert result.was_full and result.evicted == key(1)
 
     def test_fifo_hit_does_not_reorder(self):
         table = FlowTable(capacity=3, policy="FIFO")
         for i in (1, 2, 3):
-            table.insert(entry(i), i)
+            table.insert(key(i), i)
         table.lookup(key(1), 5)  # refresh must not protect k1 under FIFO
-        assert table.insert(entry(4), 10).evicted == key(1)
+        assert table.insert(key(4), 10).evicted == key(1)
 
     def test_lru_evicts_least_recent(self):
         table = FlowTable(capacity=3, policy="LRU")
         for i in (1, 2, 3):
-            table.insert(entry(i), i)
+            table.insert(key(i), i)
         table.lookup(key(1), 5)
-        assert table.insert(entry(4), 10).evicted == key(2)
+        assert table.insert(key(4), 10).evicted == key(2)
 
     def test_lru_tie_on_last_access_prefers_older_insert(self):
         # k1 inserted before k2; both end up with last_access == 5.
         table = FlowTable(capacity=2, policy="LRU")
-        table.insert(entry(1), 0)
-        table.insert(entry(2), 5)
+        table.insert(key(1), 0)
+        table.insert(key(2), 5)
         table.lookup(key(1), 5)
-        assert table.insert(entry(3), 6).evicted == key(1)
+        assert table.insert(key(3), 6).evicted == key(1)
 
     def test_lru_tie_all_equal_uses_insert_sequence(self):
         table = FlowTable(capacity=3, policy="LRU")
         for i in (1, 2, 3):
-            table.insert(entry(i), 0)
-        assert table.insert(entry(4), 0).evicted == key(1)
+            table.insert(key(i), 0)
+        assert table.insert(key(4), 0).evicted == key(1)
 
     def test_duplicate_insert_rejected(self):
         table = FlowTable(capacity=2)
-        table.insert(entry(1), 0)
+        table.insert(key(1), 0)
         with pytest.raises(DuplicateEntryError):
-            table.insert(entry(1), 1)
+            table.insert(key(1), 1)
 
     @pytest.mark.parametrize("due", [False, True])
     def test_clock_must_not_go_backwards(self, due):
         # Without a due expiry record insert checks the clock itself; with
         # one it purges first. No public call leaves a record due behind
         # the clock, so plant a stale one (seq 0 matches no entry).
-        table = FlowTable(capacity=2)
-        table.insert(entry(1, idle=100 * MS), 50)
+        table = FlowTable(capacity=2, idle_timeout=100 * MS)
+        table.insert(key(1), 50)
         if due:
             heapq.heappush(table._expiry_heap, (10, 0, key(9)))
         before = copy.deepcopy(table_state(table, raw_heap=True))
         with pytest.raises(ClockError):
-            table.insert(entry(2), 40)
+            table.insert(key(2), 40)
         assert table_state(table, raw_heap=True) == before
 
     def test_reinstall_after_expiry_gets_fresh_position(self):
-        # k1 expires, is reinstalled, and must then be newest, not oldest.
-        table = FlowTable(capacity=2, policy="FIFO")
-        table.insert(entry(1, idle=10 * MS), 0)
-        table.insert(entry(2), 5 * MS)
-        assert table.lookup(key(1), 20 * MS) is False
-        table.insert(entry(1), 20 * MS)
-        assert table.insert(entry(3), 21 * MS).evicted == key(2)
+        # k1 expires at 10 ms, k2 at 15 ms; k1 is reinstalled at 12 ms and
+        # must then be newest, not oldest.
+        table = FlowTable(capacity=2, policy="FIFO", idle_timeout=10 * MS)
+        table.insert(key(1), 0)
+        table.insert(key(2), 5 * MS)
+        assert table.lookup(key(1), 12 * MS) is False
+        table.insert(key(1), 12 * MS)
+        assert table.insert(key(3), 13 * MS).evicted == key(2)
 
 
 class TestOccupancy:
@@ -167,25 +172,25 @@ class TestOccupancy:
     def test_counts_by_owner(self):
         table = FlowTable(capacity=100)
         for i in range(5):
-            table.insert(entry(i, owner="attacker"), i)
+            table.insert(key(i), i, "attacker")
         for i in range(5, 8):
-            table.insert(entry(i, owner="background"), i)
+            table.insert(key(i), i, "background")
         assert table.occupancy(10) == (5, 3)
 
     def test_hard_timeout_empties_table(self):
         # Hand replay: five entries with hard 1000 ms, queried at 2000 ms.
-        table = FlowTable(capacity=100)
+        table = FlowTable(capacity=100, hard_timeout=1000 * MS)
         for i in range(5):
-            table.insert(entry(i, hard=1000 * MS, owner="background"), 0)
+            table.insert(key(i), 0, "background")
         assert table.occupancy(2000 * MS) == (0, 0)
         assert [r.reason for r in table.removal_log] == [EXPIRED] * 5
 
 
 class TestPurge:
     def test_purge_is_idempotent(self):
-        table = FlowTable(capacity=8)
+        table = FlowTable(capacity=8, idle_timeout=100 * MS)
         for i in range(4):
-            table.insert(entry(i, idle=100 * MS), 0)
+            table.insert(key(i), 0)
         first = table.purge_expired(150 * MS)
         assert sorted(k.src_ip for k in first) == sorted(key(i).src_ip for i in range(4))
         snapshot = dict(table.entries)
@@ -193,16 +198,16 @@ class TestPurge:
         assert table.entries == snapshot
 
     def test_hits_leave_one_heap_record(self):
-        table = FlowTable(capacity=4)
-        table.insert(entry(1, idle=1000 * MS), 0)
+        table = FlowTable(capacity=4, idle_timeout=1000 * MS)
+        table.insert(key(1), 0)
         for t in range(1, 10_001):
             assert table.lookup(key(1), t * MS // 10) is True
         assert len(table._expiry_heap) == 1
 
     def test_frequent_access_prevents_idle_expiry(self):
-        table = FlowTable(capacity=4)
         idle = 1000 * MS
-        table.insert(entry(1, idle=idle), 0)
+        table = FlowTable(capacity=4, idle_timeout=idle)
+        table.insert(key(1), 0)
         t = 0
         for _ in range(200):
             t += idle - 1
@@ -217,7 +222,7 @@ class TestRecordDeadlineExpiry:
     @pytest.mark.parametrize("hard, idle", [(0, 300), (400, 0), (400, 300),
                                             (300, 400)])
     def test_matches_the_oracle(self, policy, hard, idle):
-        table = FlowTable(capacity=16, policy=policy)
+        table = FlowTable(16, policy, hard, idle)
         oracle = ReplayOracle(capacity=16, policy=policy)
         # Entry i is inserted at 10 * i; 0-3 are never looked up, 4-7 only in
         # their insert microsecond (last_access unchanged), 8-11 hit 150 us
@@ -235,7 +240,7 @@ class TestRecordDeadlineExpiry:
                     assert table.lookup(key(i), now) is True
                     assert oracle.lookup(key(i), now) is True
                 else:
-                    table.insert(entry(i, hard, idle), now)
+                    table.insert(key(i), now)
                     oracle.insert(key(i), now, hard, idle)
             assert sorted(table.purge_expired(now)) == sorted(oracle.purge(now))
             assert set(table.entries) == set(oracle.entries)
@@ -251,7 +256,9 @@ class TestOracleEquivalence:
     def test_random_trace_matches_oracle(self, policy, seed):
         rng = random.Random(seed)
         capacity = rng.randint(4, 24)
-        table = FlowTable(capacity=capacity, policy=policy)
+        hard = rng.choice((0, 0, 900, 4000))
+        idle = rng.choice((0, 0, 700, 2500))
+        table = FlowTable(capacity, policy, hard, idle)
         oracle = ReplayOracle(capacity=capacity, policy=policy)
         now = 0
         evictions = []
@@ -264,9 +271,7 @@ class TestOracleEquivalence:
                 f"lookup divergence at step {step}"
             )
             if not hit and rng.random() < 0.8:
-                hard = rng.choice((0, 0, 900, 4000))
-                idle = rng.choice((0, 0, 700, 2500))
-                result = table.insert(entry(i, hard=hard, idle=idle), now)
+                result = table.insert(key(i), now)
                 expected, expected_full = oracle.insert(
                     key(i), now, hard=hard, idle=idle
                 )
@@ -286,30 +291,30 @@ class TestOracleEquivalence:
     @settings(max_examples=1500, deadline=None)
     @given(
         capacity=st.integers(1, 6),
+        hard=st.sampled_from((0, 0, 15, 60)),  # hard timeout, us
+        idle=st.sampled_from((0, 0, 5, 30)),   # idle timeout, us
         steps=st.lists(
             st.tuples(
                 st.sampled_from((0, 0, 0, 1, 2, 7, 40)),  # time step, us
                 st.integers(0, 9),                        # key index
                 st.booleans(),                            # install on a miss
-                st.sampled_from((0, 0, 15, 60)),          # hard timeout, us
-                st.sampled_from((0, 0, 5, 30)),           # idle timeout, us
             ),
             max_size=60,
         ),
     )
-    def test_generated_trace_matches_oracle(self, policy, capacity, steps):
+    def test_generated_trace_matches_oracle(self, policy, capacity, hard, idle, steps):
         # Small tables, tiny key space and frequent zero time steps make
         # same-microsecond ties, expiries and reinstalls the common case.
-        table = FlowTable(capacity=capacity, policy=policy)
+        table = FlowTable(capacity, policy, hard, idle)
         oracle = ReplayOracle(capacity=capacity, policy=policy)
         now = 0
-        for step, (dt, i, install, hard, idle) in enumerate(steps):
+        for step, (dt, i, install) in enumerate(steps):
             now += dt
             owner = "background" if i % 3 == 0 else "attacker"
             hit = table.lookup(key(i), now)
             assert hit == oracle.lookup(key(i), now), f"hit at step {step}"
             if not hit and install:
-                result = table.insert(entry(i, hard, idle, owner), now)
+                result = table.insert(key(i), now, owner)
                 expected, expected_full = oracle.insert(
                     key(i), now, hard=hard, idle=idle, owner=owner
                 )
@@ -320,31 +325,33 @@ class TestOracleEquivalence:
             )
         # Flush with fresh keys so every surviving entry's victim rank shows.
         for j in range(100, 100 + capacity):
-            assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
+            assert table.insert(key(j), now).evicted == oracle.insert(
+                key(j), now, hard, idle)[0]
         # Expiries that share a timestamp may be logged in any order.
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_occupancy_never_exceeds_capacity(self, policy):
         rng = random.Random(99)
-        table = FlowTable(capacity=6, policy=policy)
+        table = FlowTable(6, policy, idle_timeout=rng.choice((0, 40)))
         now = 0
         for _ in range(5_000):
             now += rng.randint(0, 20)
             i = rng.randint(0, 30)
             if not table.lookup(key(i), now):
-                table.insert(entry(i, idle=rng.choice((0, 40))), now)
+                table.insert(key(i), now)
             assert len(table) <= 6
 
 
 def table_state(table, raw_heap=False):
     """What twin tables agree on when they hold the same entries, whatever
-    internal form holds them: each entry's fields (seq too) in victim order,
-    each one's next deadline, the removal log, the sequence counter and both
-    clocks. The raw expiry heap is added only if `raw_heap` (a table checked
-    against its own earlier state). Also asserts that every live entry with
-    a finite timeout is covered by a heap record at or before its deadline:
-    its own, or the fresh queue's for a fresh entry."""
+    internal form holds them: the table's timeouts, each entry's fields (seq
+    too) in victim order, each one's next deadline, the removal log, the
+    sequence counter and both clocks. The raw expiry heap is added only if
+    `raw_heap` (a table checked against its own earlier state). Also
+    asserts that every live entry with a finite timeout is covered by a heap
+    record at or before its deadline: its own, or the fresh queue's for a
+    fresh entry."""
     entries = table.entries
     own, queue = {}, math.inf
     for deadline, seq, k in table._expiry_heap:
@@ -353,12 +360,13 @@ def table_state(table, raw_heap=False):
         else:
             queue = min(queue, deadline)
     for k, e in entries.items():
-        deadline = e.next_deadline()
+        deadline = next_deadline(table, e)
         fresh = type(table._entries[k]) is tuple
         assert deadline is None or min(own.get((k, e.seq), math.inf),
                                        queue if fresh else math.inf) <= deadline
-    return ([(e.key, e.inserted_at, e.last_access, e.hard_timeout, e.idle_timeout,
-              e.owner, e.seq, e.next_deadline()) for e in entries.values()],
+    return (table.hard_timeout, table.idle_timeout,
+            [(e.key, e.inserted_at, e.last_access, e.owner, e.seq, next_deadline(table, e))
+             for e in entries.values()],
             table.removal_log, table._seq, table._touched_at, table._now,
             *([list(table._expiry_heap)] if raw_heap else []))
 
@@ -374,25 +382,25 @@ class TestPreload:
     def test_matches_an_insert_loop(self, policy, usage, hard, idle):
         # A fresh table of 5: the keys past capacity evict at t = 0.
         keys = [key(i) for i in range(usage)]
-        table, twin = FlowTable(5, policy, hard, idle), FlowTable(5, policy)
+        table, twin = FlowTable(5, policy, hard, idle), FlowTable(5, policy, hard, idle)
         assert table.admit(keys, [0] * usage, "background") == list(
             range(5, usage))
         for k in keys:
-            twin.insert(FlowEntry(k, 0, 0, hard, idle, "background"), 0)
+            twin.insert(k, 0, "background")
         assert table_state(table) == table_state(twin)
         # Both go on alike: a hit at t = 0, then inserts that evict and expire.
         for each in (table, twin):
             each.lookup(key(0), 0)
             for i, t in enumerate((0, 150, 250, 400, 700), start=10):
-                each.insert(entry(i, hard, idle), t)
+                each.insert(key(i), t)
         assert table_state(table) == table_state(twin)
 
 
 class TestTouchRun:
     def filled(self, policy="LRU", idle=0):
-        table = FlowTable(capacity=4, policy=policy)
+        table = FlowTable(4, policy, idle_timeout=idle)
         for i in range(3):
-            table.insert(entry(i, idle=idle), i)
+            table.insert(key(i), i)
         return table
 
     def test_answers_hits_as_lookups_would(self):
@@ -487,25 +495,23 @@ class TestTouchRun:
     @given(
         policy=st.sampled_from(("FIFO", "LRU")),
         capacity=st.integers(1, 6),
-        steps=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 7),
-                      st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
-            max_size=20,
-        ),
+        hard=st.sampled_from((0, 0, 40)),
+        idle=st.sampled_from((0, 0, 25)),
+        steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=20),
         start_dt=st.integers(0, 3),
         gap_us=st.integers(0, 4),
         until_dt=st.integers(0, 60),
         run=st.lists(st.integers(0, 7), max_size=20),
     )
-    def test_matches_a_lookup_loop(self, policy, capacity, steps, start_dt,
+    def test_matches_a_lookup_loop(self, policy, capacity, hard, idle, steps, start_dt,
                                    gap_us, until_dt, run):
         def build():
-            table = FlowTable(capacity=capacity, policy=policy)
+            table = FlowTable(capacity, policy, hard, idle)
             now = 0
-            for dt, i, hard, idle in steps:
+            for dt, i in steps:
                 now += dt
                 if not table.lookup(key(i), now):
-                    table.insert(entry(i, hard, idle), now)
+                    table.insert(key(i), now)
             return table, now
 
         table, now = build()
@@ -532,27 +538,28 @@ def owner_by_index(k: FlowKey) -> str:
 
 
 class TestInstallRun:
-    def filled(self, policy="FIFO", capacity=6, idle=0, fresh=(0, 0)):
-        """key(0), key(1) and key(2), inserted with `idle`, in a table whose
-        fresh entries take the timeouts `fresh`."""
-        table = FlowTable(capacity, policy, *fresh)
+    def filled(self, policy="FIFO", capacity=6, hard=0, idle=0):
+        """key(0), key(1) and key(2), inserted at 0, 1 and 2 in a table with
+        the timeouts `hard` and `idle`."""
+        table = FlowTable(capacity, policy, hard, idle)
         for i in range(3):
-            table.insert(entry(i, idle=idle), i)
+            table.insert(key(i), i)
         return table
 
-    def insert_loop(self, table, keys, start_us, gap_us, hard=0, idle=0):
+    def insert_loop(self, table, keys, start_us, gap_us):
         for i, k in enumerate(keys):
             at_us = start_us + i * gap_us
             assert not table.lookup(k, at_us)
-            table.insert(FlowEntry(k, 0, 0, hard, idle, owner_by_index(k)), at_us)
+            table.insert(k, at_us, owner_by_index(k))
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("hard, idle", [(0, 0), (500, 0), (0, 400), (500, 400)])
     def test_installs_as_inserts_would(self, policy, hard, idle):
-        table, twin = self.filled(policy, fresh=(hard, idle)), self.filled(policy)
+        table, twin = self.filled(policy, hard=hard, idle=idle), self.filled(
+            policy, hard=hard, idle=idle)
         keys = [key(i) for i in (10, 11, 12)]
         assert table.install_run(keys, 10, 5, float("inf"), owner_by_index) == (3, [])
-        self.insert_loop(twin, keys, 10, 5, hard, idle)
+        self.insert_loop(twin, keys, 10, 5)
         assert table_state(table) == table_state(twin)
         assert [table.entries[k].owner for k in keys] == [
             "attacker", "attacker", "background"]
@@ -604,7 +611,8 @@ class TestInstallRun:
         (30, 0, 3), (0, 30, 3), (45, 30, 3), (30, 45, 3), (31, 0, 4)])
     def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
         # The first key installed at 10 is due at 10 + min(timeouts).
-        table = self.filled(capacity=10, fresh=(hard, idle))
+        # Nothing is inserted ahead: it would fall due first.
+        table = FlowTable(10, "FIFO", hard, idle)
         keys = [key(i) for i in range(10, 16)]
         assert table.install_run(keys, 10, 10, float("inf"), owner_by_index) == (
             answered, [])
@@ -642,7 +650,7 @@ class TestInstallRun:
         def build():
             table = FlowTable(40, policy, 500, 400)
             table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, "background")
-            table.insert(entry(1, 500, 400), 1)
+            table.insert(key(1), 1)
             return table
 
         table, twin = build(), build()
@@ -657,9 +665,9 @@ class TestInstallRun:
         assert built == [] and len(table._expiry_heap) <= heap + 1
         assert all(type(table._entries[k]) is tuple for k in keys)
         if watch is None:
-            self.insert_loop(twin, keys, 10, 5, 500, 400)
+            self.insert_loop(twin, keys, 10, 5)
         else:
-            TestRoundRun.round_loop(twin, keys, watch, 10, 5, 500, 400)
+            TestRoundRun.round_loop(twin, keys, watch, 10, 5)
         assert table_state(table) == table_state(twin)
         # They fall due alike, the admitted ones first.
         for each in (table, twin):
@@ -668,24 +676,27 @@ class TestInstallRun:
             31 + ahead)
 
     @pytest.mark.parametrize("watch", [None, key(1)])
-    def test_other_timeouts_fall_back_to_flow_entries(self, watch):
-        # A (0, 400) table holds `FlowEntry`s inserted with (500, 0): each
-        # keeps its own heap record and deadline, and the run's fresh entries
-        # add at most the queue's one record. Five of eight slots are free;
-        # with `watch` two more installs evict key(100) and key(101), and the
-        # next would evict key(1).
+    def test_hit_flow_entries_keep_their_own_records(self, watch):
+        # A (0, 400) table holds three `FlowEntry`s, inserted at 0, 0 and 1
+        # and hit at 100: each keeps its own heap record, early at its insert
+        # deadline, and the run's fresh entries add at most the queue's one
+        # record. Five of eight slots are free; with `watch` two more
+        # installs evict key(100) and key(101), and the next would evict
+        # key(1).
         def build():
             table, oracle = FlowTable(8, "FIFO", 0, 400), ReplayOracle(8, "FIFO")
             for k, at_us, owner in ((key(100), 0, "background"),
                                     (key(101), 0, "background"), (key(1), 1, "attacker")):
-                table.insert(FlowEntry(k, 0, 0, 500, 0, owner), at_us)
-                oracle.insert(k, at_us, 500, 0, owner)
+                table.insert(k, at_us, owner)
+                oracle.insert(k, at_us, 0, 400, owner)
+            for k in (key(100), key(101), key(1)):
+                assert table.lookup(k, 100) and oracle.lookup(k, 100)
             return table, oracle
 
         (table, oracle), (twin, _) = build(), build()
         keys = [key(i) for i in range(10, 18)]
         heap = len(table._expiry_heap)
-        rounds, full = table.install_run(keys, 10, 5, math.inf, owner_by_index,
+        rounds, full = table.install_run(keys, 110, 5, math.inf, owner_by_index,
                                          watch=watch)
         assert (rounds, full) == ((5, []) if watch is None else (7, [5, 6]))
         assert all(type(table._entries[k]) is tuple for k in keys[:rounds])
@@ -694,20 +705,22 @@ class TestInstallRun:
         own = [e for e in table._entries.values() if type(e) is FlowEntry]
         assert [e.key for e in own] == ([key(100), key(101), key(1)] if watch is None
                                         else [key(1)])
-        assert all(records[e.key, e.seq] == e.next_deadline() == e.inserted_at + 500
+        assert all(records[e.key, e.seq] == e.inserted_at + 400 < next_deadline(table, e)
                    for e in own)
         if watch is None:
-            self.insert_loop(twin, keys[:rounds], 10, 5, 0, 400)
+            self.insert_loop(twin, keys[:rounds], 110, 5)
         else:
-            TestRoundRun.round_loop(twin, keys[:rounds], watch, 10, 5, 0, 400)
+            TestRoundRun.round_loop(twin, keys[:rounds], watch, 110, 5)
         assert table_state(table) == table_state(twin)
         gap = 5 if watch is None else 10
         for i, k in enumerate(keys[:rounds]):
-            oracle.insert(k, 10 + i * gap, 0, 400, owner_by_index(k))
+            oracle.insert(k, 110 + i * gap, 0, 400, owner_by_index(k))
             if watch is not None:
-                assert oracle.lookup(watch, 10 + i * gap + 5)
-        # At 480 the run's entries are gone, the `FlowEntry`s not yet.
-        for now in (480, 1000):
+                assert oracle.lookup(watch, 110 + i * gap + 5)
+        # At 505 the early records have been re-pushed and key(100) and
+        # key(101) are gone at 500; the run's entries are not yet, nor is
+        # a watched key(1).
+        for now in (505, 1000):
             assert table.occupancy(now) == twin.occupancy(now) == oracle.occupancy(now)
         assert table.removal_log == twin.removal_log
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
@@ -716,11 +729,7 @@ class TestInstallRun:
     @given(
         policy=st.sampled_from(("FIFO", "LRU")),
         capacity=st.integers(1, 8),
-        steps=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 7),
-                      st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
-            max_size=12,
-        ),
+        steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=12),
         start_dt=st.integers(0, 3),
         gap_us=st.integers(0, 4),
         until_dt=st.integers(0, 60),
@@ -736,13 +745,13 @@ class TestInstallRun:
             table = FlowTable(capacity, policy, hard, idle)
             oracle = ReplayOracle(capacity=capacity, policy=policy)
             now = 0
-            for dt, i, h, d in steps:
+            for dt, i in steps:
                 now += dt
                 hit = table.lookup(key(i), now)
                 assert hit == oracle.lookup(key(i), now)
                 if not hit:
-                    table.insert(entry(i, h, d, owner_by_index(key(i))), now)
-                    oracle.insert(key(i), now, h, d, owner_by_index(key(i)))
+                    table.insert(key(i), now, owner_by_index(key(i)))
+                    oracle.insert(key(i), now, hard, idle, owner_by_index(key(i)))
             return table, oracle, now
 
         table, oracle, now = build()
@@ -754,7 +763,7 @@ class TestInstallRun:
                                             owner_by_index, first)
         assert full == []
         sent = keys[first:first + installed]
-        self.insert_loop(twin, sent, start_us, gap_us, hard, idle)
+        self.insert_loop(twin, sent, start_us, gap_us)
         for i, k in enumerate(sent):
             at_us = start_us + i * gap_us
             assert not oracle.lookup(k, at_us)
@@ -773,7 +782,8 @@ class TestInstallRun:
         # Flush with fresh keys so every surviving entry's victim rank shows.
         end_us = max(now, start_us + (installed - 1) * gap_us)
         for j in range(100, 100 + capacity):
-            assert table.insert(entry(j), end_us).evicted == oracle.insert(key(j), end_us)[0]
+            assert table.insert(key(j), end_us).evicted == oracle.insert(
+                key(j), end_us, hard, idle)[0]
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
 
@@ -783,41 +793,39 @@ class TestRoundRun:
     a `lookup` of the watched key, per round."""
 
     @staticmethod
-    def round_loop(table, keys, watch, start_us, gap_us, hard=0, idle=0):
+    def round_loop(table, keys, watch, start_us, gap_us):
         """The loop `install_run(..., watch=watch)` stands for; returns the indexes of the
         inserts that found the table full."""
         full = []
         for i, k in enumerate(keys):
             at_us = start_us + 2 * i * gap_us
             assert not table.lookup(k, at_us)
-            entry_ = FlowEntry(k, 0, 0, hard, idle, owner_by_index(k))
-            if table.insert(entry_, at_us).was_full:
+            if table.insert(k, at_us, owner_by_index(k)).was_full:
                 full.append(i)
             assert table.lookup(watch, at_us + gap_us)
         return full
 
     @staticmethod
     def filled(policy="FIFO", capacity=6, ahead=2, hard=0, idle=0):
-        """A table whose fresh entries take (`hard`, `idle`): `ahead` admitted
-        background entries, then key(0), watched, and key(1), permanent,
-        installed at 1 and 2."""
+        """A table with the timeouts (`hard`, `idle`): `ahead` admitted
+        background entries, then key(0), watched, and key(1), inserted at 1
+        and 2."""
         table = FlowTable(capacity, policy, hard, idle)
         table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, "background")
-        table.insert(entry(0), 1)
-        table.insert(entry(1), 2)
+        table.insert(key(0), 1)
+        table.insert(key(1), 2)
         return table
 
     def run_matches_loop(self, table, twin, keys, start_us, gap_us, until_us=math.inf,
                          first=0, watch=key(0)):
-        """Run `install_run` watching `watch` on `table` and the loop, with
-        the table's timeouts, on `twin`; assert both end alike and return
-        what `install_run` returned. The raw heaps differ: the run's fresh
-        entries share the queue's record, the loop pushes one per insert."""
+        """Run `install_run` watching `watch` on `table` and the loop on
+        `twin`; assert both end alike and return what `install_run`
+        returned. The raw heaps differ: the run's fresh entries share the
+        queue's record, the loop pushes one per insert."""
         rounds, full = table.install_run(keys, start_us, gap_us, until_us,
                                          owner_by_index, first, watch)
         assert full == self.round_loop(twin, keys[first:first + rounds], watch,
-                                       start_us, gap_us, table.hard_timeout,
-                                       table.idle_timeout)
+                                       start_us, gap_us)
         assert table_state(table) == table_state(twin)
         return rounds, full
 
@@ -907,11 +915,13 @@ class TestRoundRun:
         (0, 25, 2),   # due at 35, round 2's lookup time
         (45, 25, 2), (0, 26, 3), (0, 0, 6)])
     def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
-        # The first key, installed at 10, is due at 10 + min(timeouts);
-        # installs go out at 10, 20, 30, ..., lookups at 15, 25, 35, ...
-        # Nothing is admitted ahead: it would fall due first.
-        table = self.filled(capacity=20, ahead=0, hard=hard, idle=idle)
-        twin = self.filled(capacity=20, ahead=0, hard=hard, idle=idle)
+        # The first key, installed at 10, is due at 10 + min(timeouts), as
+        # is the watched key, inserted at 10 with nothing ahead: an entry
+        # inserted earlier would fall due first. Installs go out at 10, 20,
+        # 30, ..., lookups at 15, 25, 35, ...
+        table, twin = (FlowTable(20, "FIFO", hard, idle) for _ in range(2))
+        for each in (table, twin):
+            each.insert(key(0), 10)
         keys = [key(i) for i in range(10, 16)]
         assert self.run_matches_loop(table, twin, keys, 10, 5)[0] == answered
 
@@ -933,11 +943,7 @@ class TestRoundRun:
         policy=st.sampled_from(("FIFO", "LRU")),
         capacity=st.integers(1, 8),
         fresh=st.integers(0, 4),
-        steps=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 7),
-                      st.sampled_from((0, 0, 40)), st.sampled_from((0, 0, 25))),
-            max_size=12,
-        ),
+        steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=12),
         watch=st.integers(0, 9),
         start_dt=st.integers(0, 3),
         gap_us=st.integers(0, 4),
@@ -960,13 +966,13 @@ class TestRoundRun:
             for k in admitted:
                 oracle.insert(k, 0, hard, idle, "background")
             now = 0
-            for dt, i, h, d in steps:
+            for dt, i in steps:
                 now += dt
                 hit = table.lookup(key(i), now)
                 assert hit == oracle.lookup(key(i), now)
                 if not hit:
-                    table.insert(entry(i, h, d, owner_by_index(key(i))), now)
-                    oracle.insert(key(i), now, h, d, owner_by_index(key(i)))
+                    table.insert(key(i), now, owner_by_index(key(i)))
+                    oracle.insert(key(i), now, hard, idle, owner_by_index(key(i)))
             return table, oracle, now
 
         table, oracle, now = build()
@@ -978,7 +984,7 @@ class TestRoundRun:
         rounds, full = table.install_run(keys, start_us, gap_us, until_us,
                                          owner_by_index, first, watched)
         sent = keys[first:first + rounds]
-        assert full == self.round_loop(twin, sent, watched, start_us, gap_us, hard, idle)
+        assert full == self.round_loop(twin, sent, watched, start_us, gap_us)
         assert table_state(table) == table_state(twin)
         oracle_full = []
         for i, k in enumerate(sent):
@@ -1005,7 +1011,8 @@ class TestRoundRun:
         # Flush with new keys so every surviving entry's victim rank shows.
         end_us = max(now, start_us + (2 * rounds - 1) * gap_us)
         for j in range(200, 200 + capacity):
-            assert table.insert(entry(j), end_us).evicted == oracle.insert(key(j), end_us)[0]
+            assert table.insert(key(j), end_us).evicted == oracle.insert(
+                key(j), end_us, hard, idle)[0]
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
 
@@ -1014,11 +1021,11 @@ class TestAdmit:
     `insert` per key, whatever is done with them afterwards."""
 
     @staticmethod
-    def insert_loop(table, keys, times, hard, idle, owner="background"):
+    def insert_loop(table, keys, times, owner="background"):
         """The loop `admit` stands for; returns the indexes that found the
         table full."""
         return [i for i, (k, t) in enumerate(zip(keys, times))
-                if table.insert(FlowEntry(k, 0, 0, hard, idle, owner), t).was_full]
+                if table.insert(k, t, owner).was_full]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1028,8 +1035,7 @@ class TestAdmit:
         idle=st.sampled_from((0, 25, 60)),
         ops=st.lists(st.one_of(
             st.tuples(st.just("probe"), st.integers(0, 30),
-                      st.one_of(st.integers(0, 7), st.integers(100, 125)),
-                      st.sampled_from((0, 0, 30)), st.sampled_from((0, 0, 20))),
+                      st.one_of(st.integers(0, 7), st.integers(100, 125))),
             st.tuples(st.just("admit"), st.lists(st.integers(0, 12), max_size=10)),
             st.tuples(st.just("run"), st.integers(1, 30), st.integers(1, 4),
                       st.lists(st.one_of(st.integers(0, 7), st.integers(100, 125)),
@@ -1038,7 +1044,7 @@ class TestAdmit:
     )
     def test_matches_an_insert_loop_and_the_oracle(self, policy, capacity, hard,
                                                    idle, ops):
-        table, twin = FlowTable(capacity, policy, hard, idle), FlowTable(capacity, policy)
+        table, twin = (FlowTable(capacity, policy, hard, idle) for _ in range(2))
         oracle = ReplayOracle(capacity, policy)
         now, admitted = 0, 100
 
@@ -1050,21 +1056,21 @@ class TestAdmit:
 
         for op in ops:
             if op[0] == "probe":  # a miss installs an attacker entry
-                _, dt, i, h, d = op
+                _, dt, i = op
                 now += dt
                 k = probed(i)
                 hit = table.lookup(k, now)
                 assert hit == twin.lookup(k, now) == oracle.lookup(k, now)
                 if not hit:
                     for each in (table, twin):
-                        each.insert(FlowEntry(k, 0, 0, h, d, "attacker"), now)
-                    oracle.insert(k, now, h, d, "attacker")
+                        each.insert(k, now, "attacker")
+                    oracle.insert(k, now, hard, idle, "attacker")
             elif op[0] == "admit":
                 times = list(itertools.accumulate(op[1], initial=now))[1:]
                 keys = [key(admitted + j) for j in range(len(times))]
                 admitted += len(keys)
                 full = table.admit(keys, times, "background")
-                assert full == self.insert_loop(twin, keys, times, hard, idle)
+                assert full == self.insert_loop(twin, keys, times)
                 assert full == [j for j, (k, t) in enumerate(zip(keys, times))
                                 if oracle.insert(k, t, hard, idle, "background")[1]]
                 now = times[-1] if times else now
@@ -1081,7 +1087,8 @@ class TestAdmit:
             assert table.removal_log == twin.removal_log
         # Flush with new keys so every surviving entry's victim rank shows.
         for j in range(200, 200 + capacity):
-            assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
+            assert table.insert(key(j), now).evicted == oracle.insert(
+                key(j), now, hard, idle)[0]
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
     def test_stores_fresh_entries_with_one_queue_record(self):
@@ -1096,33 +1103,36 @@ class TestAdmit:
         assert table.purge_expired(105) == keys
 
     def test_a_due_record_below_the_queue_record_expires_in_order(self):
-        # The heap holds the queue record on top, then key(2)'s late record
-        # and key(3)'s earlier one. key(1) (due 50) and key(3) (due 62)
-        # expire, in that order, when key(5) goes in at 62; key(4) (due 70)
-        # expires when key(6) goes in at 100.
-        table, twin = FlowTable(10, idle_timeout=50), FlowTable(10)
+        # The heap holds the queue record on top, then the records of key(2)
+        # and key(3), early once each is hit. key(1) (due 50) and key(3)
+        # (hit at 12, due 62) expire, in that order, when key(5) goes in at
+        # 62, and key(2) (hit at 40, due 90) gets its record back; key(4)
+        # (due 70) and key(2) expire when key(6) goes in at 100.
+        table, twin = FlowTable(10, idle_timeout=50), FlowTable(10, idle_timeout=50)
         admits = ((table, lambda keys, times: table.admit(keys, times, "background")),
-                  (twin, lambda keys, times: self.insert_loop(twin, keys, times, 0, 50)))
+                  (twin, lambda keys, times: self.insert_loop(twin, keys, times)))
         for each, admit in admits:
             admit([key(1)], [0])
-            each.insert(entry(2, idle=200), 1)
-            each.insert(entry(3, idle=60), 2)
+            each.insert(key(2), 1)
+            each.insert(key(3), 2)
+            assert each.lookup(key(3), 12)
             admit([key(4)], [20])
+            assert each.lookup(key(2), 40)
         assert [k for _, _, k in table._expiry_heap] == [(), key(2), key(3)]
         for each, admit in admits:
             admit([key(5), key(6)], [62, 100])
         assert table_state(table) == table_state(twin)
-        assert [r.key for r in table.removal_log] == [key(1), key(3), key(4)]
+        assert [r.key for r in table.removal_log] == [key(1), key(3), key(4), key(2)]
 
     def test_occupancy_counts_fresh_entries_of_their_owner(self):
         table = FlowTable(4)
         table.admit([key(1), key(2)], [0, 0], "attacker")
-        table.insert(entry(3, owner="background"), 1)
+        table.insert(key(3), 1, "background")
         assert table.occupancy(1) == (2, 1)
 
     def test_reading_entries_changes_nothing(self):
         table = FlowTable(4, idle_timeout=50)
-        table.insert(entry(9, idle=50), 0)
+        table.insert(key(9), 0)
         plain = table.entries
         assert plain is table._entries
         table.admit([key(1), key(2)], [1, 2], "background")
@@ -1149,11 +1159,11 @@ class TestAdmit:
         # 5, and key(0) was inserted first.
         table, twin = FlowTable(3, "LRU"), FlowTable(3, "LRU")
         for each in (table, twin):
-            each.insert(entry(0), 0)
-            each.insert(entry(2), 1)
+            each.insert(key(0), 0)
+            each.insert(key(2), 1)
             assert each.lookup(key(2), 5)
         table.admit([key(1)], [5], "background")
-        self.insert_loop(twin, [key(1)], [5], 0, 0)
+        self.insert_loop(twin, [key(1)], [5])
         for each in (table, twin):
             assert each.lookup(key(0), 5)
         assert table_state(table) == table_state(twin)
@@ -1164,7 +1174,7 @@ class TestAdmit:
         # entry's own.
         table = FlowTable(2, hard_timeout=1000)
         table.admit([key(1)], [0], "background")
-        table.insert(entry(2), 1)
+        table.insert(key(2), 1)
         assert table.admit([], [], "background") == []
         assert table.admit([key(3)], [5], "attacker") == [0]
         table.admit([key(4)], [6], "background")
@@ -1178,13 +1188,13 @@ class TestAdmit:
         ([10, 20, 30], [key(5), key(6), key(5)], DuplicateEntryError),
     ])
     def test_errors_leave_the_state_of_the_insert_loop(self, times, keys, error):
-        table, twin = FlowTable(3, idle_timeout=25), FlowTable(3)
+        table, twin = FlowTable(3, idle_timeout=25), FlowTable(3, idle_timeout=25)
         for each in (table, twin):
-            each.insert(entry(1, idle=15), 8)
+            each.insert(key(1), 8)
         with pytest.raises(error):
             table.admit(keys, times, "background")
         with pytest.raises(error):
-            self.insert_loop(twin, keys, times, 0, 25)
+            self.insert_loop(twin, keys, times)
         assert table_state(table) == table_state(twin)
 
 
@@ -1214,7 +1224,7 @@ class TestFreshOwners:
         ), max_size=12),
     )
     def test_matches_a_probe_loop_and_the_oracle(self, policy, capacity, hard, idle, ops):
-        table, twin = FlowTable(capacity, policy, hard, idle), FlowTable(capacity, policy)
+        table, twin = (FlowTable(capacity, policy, hard, idle) for _ in range(2))
         oracle = ReplayOracle(capacity, policy)
         now, admitted = 0, 0
 
@@ -1223,19 +1233,18 @@ class TestFreshOwners:
             far, if there is one."""
             return key(i) if i < 16 or not admitted else key(100 + (i - 16) % admitted)
 
-        def probe(each, k, at_us, hard, idle):
+        def probe(each, k, at_us):
             """A lookup of `k` on `each`, and an insert on a miss; returns
             whether it hit and whether the insert found the table full."""
             if each.lookup(k, at_us):
                 return True, False
-            entry_ = FlowEntry(k, 0, 0, hard, idle, owner_by_range(k))
-            return False, each.insert(entry_, at_us).was_full
+            return False, each.insert(k, at_us, owner_by_range(k)).was_full
 
-        def replay(k, at_us, hard, idle):
+        def replay(k, at_us):
             """`probe` on the twin, checked against the oracle."""
             hit = oracle.lookup(k, at_us)
             full = not hit and oracle.insert(k, at_us, hard, idle, owner_by_range(k))[1]
-            assert probe(twin, k, at_us, hard, idle) == (hit, full)
+            assert probe(twin, k, at_us) == (hit, full)
             return hit, full
 
         for op in ops:
@@ -1244,21 +1253,20 @@ class TestFreshOwners:
                 keys = [key(100 + admitted + j) for j in range(len(times))]
                 admitted += len(keys)
                 full = table.admit(keys, times, "background")
-                assert full == TestAdmit.insert_loop(twin, keys, times, hard, idle)
+                assert full == TestAdmit.insert_loop(twin, keys, times)
                 assert full == [j for j, (k, t) in enumerate(zip(keys, times))
                                 if oracle.insert(k, t, hard, idle, "background")[1]]
                 now = times[-1] if times else now
             elif op[0] == "probe":  # a hit on a fresh key thaws it
                 now += op[1]
                 k = probed(op[2])
-                assert probe(table, k, now, hard, idle) == replay(k, now, hard, idle)
+                assert probe(table, k, now) == replay(k, now)
             else:  # a fresh-key run, driven as `SwitchSimulator.send_rounds` does
                 _, dt, gap, run, watch = op
                 now += dt
                 if watch is not None:  # live, and a `FlowEntry`, from here on
                     watch = probed(watch)
-                    assert probe(table, watch, now, hard, idle) == replay(
-                        watch, now, hard, idle)
+                    assert probe(table, watch, now) == replay(watch, now)
                     now += 1
                 keys = [key(i) for i in run]
                 step = gap if watch is None else 2 * gap
@@ -1268,18 +1276,16 @@ class TestFreshOwners:
                                                      owner_by_range, sent, watch)
                     if rounds:
                         for j in range(rounds):
-                            assert replay(keys[sent + j], at_us, hard, idle) == (
-                                False, j in full)
+                            assert replay(keys[sent + j], at_us) == (False, j in full)
                             if watch is not None:
-                                assert replay(watch, at_us + gap, hard, idle)[0]
+                                assert replay(watch, at_us + gap)[0]
                             at_us += step
                     else:  # one round, probe by probe
                         rounds = 1
-                        assert probe(table, keys[sent], at_us, hard, idle) == replay(
-                            keys[sent], at_us, hard, idle)
+                        assert probe(table, keys[sent], at_us) == replay(keys[sent], at_us)
                         if watch is not None:
-                            assert probe(table, watch, at_us + gap, hard, idle) == (
-                                replay(watch, at_us + gap, hard, idle))
+                            assert probe(table, watch, at_us + gap) == replay(
+                                watch, at_us + gap)
                         at_us += step
                     sent += rounds
                     now = at_us - step + (gap if watch is not None else 0)
@@ -1287,23 +1293,56 @@ class TestFreshOwners:
             assert table.removal_log == twin.removal_log
         # Flush with new keys so every surviving entry's victim rank shows.
         for j in range(200, 200 + capacity):
-            assert table.insert(entry(j), now).evicted == oracle.insert(key(j), now)[0]
+            assert table.insert(key(j), now).evicted == oracle.insert(
+                key(j), now, hard, idle)[0]
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
     def test_an_admit_batch_expires_attacker_fresh_entries_of_their_owner(self):
         # Run keys installed at 10, 15 and 20 fall due at 60, 65 and 70 in
         # one admit batch: the first by a purge at 61, the others and key(100)
         # (due 80) by the batch itself.
-        table, twin = FlowTable(10, idle_timeout=50), FlowTable(10)
+        table, twin = FlowTable(10, idle_timeout=50), FlowTable(10, idle_timeout=50)
         run = [key(1), key(2), key(3)]
         assert table.install_run(run, 10, 5, math.inf, owner_by_range) == (3, [])
         for i, k in enumerate(run):
-            twin.insert(FlowEntry(k, 0, 0, 0, 50, "attacker"), 10 + 5 * i)
+            twin.insert(k, 10 + 5 * i, "attacker")
         times, arrivals = [30, 61, 66, 71, 80], [key(100 + j) for j in range(5)]
         assert table.admit(arrivals, times, "background") == []
-        TestAdmit.insert_loop(twin, arrivals, times, 0, 50)
+        TestAdmit.insert_loop(twin, arrivals, times)
         assert table_state(table) == table_state(twin)
         assert table.removal_log == [(61, key(1), "attacker", EXPIRED),
                                      (66, key(2), "attacker", EXPIRED),
                                      (71, key(3), "attacker", EXPIRED),
                                      (80, key(100), "background", EXPIRED)]
+
+
+class TestTableTimeouts:
+    """Every entry takes its table's timeouts, however it was installed."""
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("hard, idle, due", [
+        (0, 0, None), (500, 0, 510), (0, 400, 650), (500, 400, 510), (400, 500, 410)])
+    def test_inserted_and_admitted_entries_fall_due_together(self, policy, hard, idle,
+                                                             due):
+        # key(1) by `insert` and key(2) by `admit`, both at 10, both hit at
+        # 100 and 250.
+        table, oracle = FlowTable(4, policy, hard, idle), ReplayOracle(4, policy)
+        table.insert(key(1), 10, "background")
+        assert table.admit([key(2)], [10], "background") == []
+        for k in (key(1), key(2)):
+            oracle.insert(k, 10, hard, idle, "background")
+
+        def seen():
+            view = table.entries
+            return [(view[k].inserted_at, view[k].last_access, view[k].owner)
+                    for k in (key(1), key(2))]
+
+        assert seen() == [(10, 10, "background")] * 2
+        for t in (100, 250):
+            for k in (key(1), key(2)):
+                assert table.lookup(k, t) and oracle.lookup(k, t)
+        assert seen() == [(10, 250, "background")] * 2
+        for now in range(251, 1200):
+            assert sorted(table.purge_expired(now)) == sorted(oracle.purge(now))
+        assert table.removal_log == sorted(oracle.removal_log)
+        assert [r.time for r in table.removal_log] == ([] if due is None else [due] * 2)

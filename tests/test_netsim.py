@@ -15,7 +15,6 @@ from flowprobe.flowtable import (
     EXPIRED,
     OWNER_ATTACKER,
     OWNER_BACKGROUND,
-    FlowEntry,
     FlowKey,
     FlowTable,
     RemovalRecord,
@@ -251,7 +250,8 @@ def step_arrivals(sim, up_to_us):
     while sim._next_arrival_us <= up_to_us:
         at = sim._next_arrival_us
         key = keys.key_at(sim.workload.initial_usage + sim.background_arrivals)
-        branch = sim._install(key, at, OWNER_BACKGROUND)
+        branch = (BRANCH_MISS_FULL if sim.table.insert(key, at, OWNER_BACKGROUND).was_full
+                  else BRANCH_MISS_NOTFULL)
         rtt = sim._draw_rtt(branch)
         sim.background_arrivals += 1
         sim.events_processed += 1
@@ -334,11 +334,10 @@ class TestPreload:
         # A usage past capacity evicts at t = 0, as one insert per key does.
         sim = SwitchSimulator(6, hard_timeout_ms=hard_ms, idle_timeout_ms=idle_ms,
                               workload=BackgroundWorkload(initial_usage=usage))
-        twin = FlowTable(6)
+        twin = FlowTable(6, hard_timeout=ms_to_us(hard_ms), idle_timeout=ms_to_us(idle_ms))
         keys = [KeySequence(BACKGROUND_PREFIX).key_at(i) for i in range(usage)]
         for key in keys:
-            twin.insert(FlowEntry(key, 0, 0, ms_to_us(hard_ms), ms_to_us(idle_ms),
-                                  OWNER_BACKGROUND), 0)
+            twin.insert(key, 0, OWNER_BACKGROUND)
         assert table_state(sim.table) == table_state(twin)
         assert list(sim.table.entries) == keys[-6:]
         assert sim.table.removal_log == [
@@ -709,7 +708,7 @@ class TestOracleReplay:
         assert sim_state(sim) == sim_state(stepped)
 
         oracle = ReplayOracle(capacity, policy)
-        hard, idle = sim.hard_timeout_us, sim.idle_timeout_us
+        hard, idle = sim.table.hard_timeout, sim.table.idle_timeout
         victims = [oracle.insert(background.key_at(i), 0, hard, idle,
                                  OWNER_BACKGROUND)[0] for i in range(usage)]
         branches = []
