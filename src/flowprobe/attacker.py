@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Callable, Optional, Sequence
 
-from .flowtable import FIFO, LRU, FlowKey
+from .flowtable import FIFO, LRU
 from .netsim import (
     ATTACKER_PREFIX,
     KeySequence,
@@ -198,10 +198,10 @@ class ProbeSession:
         self.probes_sent = 0
         self._keys = KeySequence(ATTACKER_PREFIX)
 
-    def fresh_key(self) -> FlowKey:
+    def fresh_key(self) -> int:
         return self._keys.next_key()
 
-    def probe(self, key: FlowKey) -> RttSample:
+    def probe(self, key: int) -> RttSample:
         sample = self.sim.send_probe(key, self.now_us)
         self.now_us += self.send_gap_us
         self.probes_sent += 1
@@ -209,8 +209,8 @@ class ProbeSession:
 
     def probe_fresh(self, count: int, stop_rtt_us: float,
                     gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
-                    watch: Optional[FlowKey] = None,
-                    ) -> tuple[list[FlowKey], Optional[RttSample]]:
+                    watch: Optional[int] = None,
+                    ) -> tuple[list[int], Optional[RttSample]]:
         """Probe up to `count` fresh keys `gap_us` apart (default: back to
         back), each followed one gap later by a probe of `watch` if it is
         given, as `SwitchSimulator.send_rounds` sends them: the run stops
@@ -218,32 +218,23 @@ class ProbeSession:
         `stop_rtt_us`. Each probe's RTT is appended to `rtts` if it is
         given. Return the keys sent and the stopping sample (or None).
 
-        The keys are built in blocks that double in size, and only the keys
-        sent are consumed: the next `fresh_key()` is the first one unsent.
-        The cursor ends one send gap after the last probe sent.
+        Only the keys sent are consumed: the next `fresh_key()` is the first
+        one unsent. The cursor ends one send gap after the last probe sent.
         """
         if gap_us is None:
             gap_us = self.send_gap_us
         per_key = 1 if watch is None else 2  # probes
         fresh = self._keys
-        sent_keys: list[FlowKey] = []
-        block, stop = 256, None
-        at_us = self.now_us
-        while stop is None and len(sent_keys) < count:
-            first = fresh.index
-            keys = fresh.keys(first, first + min(block, count - len(sent_keys)))
-            sent, stop = self.sim.send_rounds(keys, at_us, gap_us, stop_rtt_us, watch,
-                                              rtts)
-            fresh.index = first + sent
-            sent_keys += keys[:sent]
-            at_us += per_key * sent * gap_us
-            block *= 2
-        if sent_keys:
-            self.now_us = at_us - gap_us + self.send_gap_us
-            self.probes_sent += per_key * len(sent_keys)
-        return sent_keys, stop
+        keys = fresh.keys(fresh.index, fresh.index + count)
+        sent, stop = self.sim.send_rounds(keys, self.now_us, gap_us, stop_rtt_us, watch,
+                                          rtts)
+        fresh.index += sent
+        if sent:
+            self.now_us += (per_key * sent - 1) * gap_us + self.send_gap_us
+            self.probes_sent += per_key * sent
+        return list(keys[:sent]), stop
 
-    def probe_burst(self, keys: Sequence[FlowKey], stop_rtt_us: float,
+    def probe_burst(self, keys: Sequence[int], stop_rtt_us: float,
                     gap_us: Optional[int] = None) -> Optional[RttSample]:
         """Probe `keys` `gap_us` apart (default: back to back), as that many
         `probe` calls with waits between them would, up to and including the
@@ -469,7 +460,7 @@ def check_feasibility(capacity_guess: int,
 
 def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
            time_budget_ms: Optional[float], policy: str,
-           watched: Callable[[list[FlowKey]], Sequence[FlowKey]]) -> InferenceReport:
+           watched: Callable[[list[int]], Sequence[int]]) -> InferenceReport:
     """The detection loop behind `infer_fifo` and `infer_lru`.
 
     Each round probes one fresh key; the first full-table RTT fixes n1.
@@ -495,7 +486,7 @@ def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
     start_us = session.now_us
     probes_before = session.probes_sent
 
-    keys: list[FlowKey] = []
+    keys: list[int] = []
     n1: Optional[int] = None
     budget_exceeded = False
     while len(keys) < key_budget:

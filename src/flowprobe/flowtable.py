@@ -12,7 +12,7 @@ import heapq
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 FIFO = "FIFO"
 LRU = "LRU"
@@ -34,7 +34,9 @@ class ClockError(Exception):
 
 
 class FlowKey(NamedTuple):
-    """Exact-match header tuple identifying one flow."""
+    """Exact-match header tuple identifying one flow: the display form of a
+    simulator's int flow key, via `flow_key`. A table takes any hashable
+    key."""
 
     src_ip: str
     dst_ip: str
@@ -47,7 +49,7 @@ class FlowEntry:
     """One installed rule. Timestamps are in microseconds of virtual time;
     its hard and idle timeouts are its table's."""
 
-    key: FlowKey
+    key: Hashable
     inserted_at: int = 0
     last_access: int = 0
     owner: str = OWNER_ATTACKER
@@ -55,7 +57,7 @@ class FlowEntry:
 
 
 class InsertResult(NamedTuple):
-    evicted: Optional[FlowKey]
+    evicted: Optional[Hashable]
     was_full: bool
 
 
@@ -73,7 +75,7 @@ class Occupancy(NamedTuple):
 
 class RemovalRecord(NamedTuple):
     time: int
-    key: FlowKey
+    key: Hashable
     owner: str
     reason: str  # EVICTED or EXPIRED
 
@@ -96,10 +98,11 @@ class FlowTable:
     construction. `insert` stores a `FlowEntry` with its own heap record.
     `admit` and `install_run` append fresh entries: bare `(inserted_at, seq,
     owner)` values, due in insert order whatever their owner. A deque holds
-    `(inserted_at, seq, key)` per live one; one heap record `(deadline, seq,
-    ())` stands for its head, and is early once that head is gone, as a hit
-    entry's record may be. A lookup hit thaws one into its `FlowEntry` in
-    place.
+    `(inserted_at, seq, key)` per live one; one heap record `(deadline, seq)`
+    stands for its head, and is early once that head is gone, as a hit
+    entry's record may be. It sorts before any `(deadline, seq, key)` record
+    it ties with, so the heap never compares keys. A lookup hit thaws one
+    into its `FlowEntry` in place.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO, hard_timeout: int = 0,
@@ -112,7 +115,7 @@ class FlowTable:
         self.policy = policy
         self.hard_timeout = hard_timeout
         self.idle_timeout = idle_timeout
-        self._entries: OrderedDict[FlowKey, FlowEntry | tuple[int, int, str]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, FlowEntry | tuple[int, int, str]] = OrderedDict()
         self.removal_log: list[RemovalRecord] = []
         # How long after its insert an entry never hit falls due (the smaller
         # enabled timeout, or 0 if neither is), the fresh queue, and whether
@@ -120,19 +123,20 @@ class FlowTable:
         self._timeout = (min(hard_timeout, idle_timeout)
                          if hard_timeout > 0 and idle_timeout > 0
                          else max(hard_timeout, idle_timeout))
-        self._fresh: deque[tuple[int, int, FlowKey]] = deque()
+        self._fresh: deque[tuple[int, int, Hashable]] = deque()
         self._queued = False
         self._lru = policy == LRU
         # Latest time any entry's last_access was set; while it differs from
         # `now`, a refreshed LRU entry is the sole one touched at `now`.
         self._touched_at = -1
         # Lazy min-heap of (deadline, seq, key): one record per live entry
-        # with a finite timeout, pushed at insert. A hit only moves an
+        # with a finite timeout, pushed at insert, and the fresh queue's
+        # (deadline, seq) for the fresh entries. A hit only moves an
         # entry's true deadline later, so a record's deadline never exceeds
         # it; hits leave the heap alone, and purge_expired re-pushes a
         # popped record whose entry is still live at its current deadline.
         # Permanent entries never enter the heap.
-        self._expiry_heap: list[tuple[int, int, FlowKey]] = []
+        self._expiry_heap: list[tuple] = []
         self._seq = 0
         self._now = 0
 
@@ -140,14 +144,14 @@ class FlowTable:
         return len(self._entries)
 
     @property
-    def entries(self) -> OrderedDict[FlowKey, FlowEntry]:
+    def entries(self) -> OrderedDict[Hashable, FlowEntry]:
         """The live entries in victim order, each as a `FlowEntry`."""
         if not self._fresh:
             return self._entries
         return OrderedDict((key, self._as_entry(key, value) if value.__class__ is tuple
                             else value) for key, value in self._entries.items())
 
-    def _as_entry(self, key: FlowKey, value: tuple[int, int, str]) -> FlowEntry:
+    def _as_entry(self, key: Hashable, value: tuple[int, int, str]) -> FlowEntry:
         at, seq, owner = value
         return FlowEntry(key, at, at, owner, seq)
 
@@ -155,27 +159,28 @@ class FlowTable:
         """Give the fresh queue's head a heap record if the heap holds none."""
         if self._fresh and self._timeout and not self._queued:
             at, seq, _ = self._fresh[0]
-            heapq.heappush(self._expiry_heap, (at + self._timeout, seq, ()))
+            heapq.heappush(self._expiry_heap, (at + self._timeout, seq))
             self._queued = True
 
-    def purge_expired(self, now: int) -> list[FlowKey]:
+    def purge_expired(self, now: int) -> list[Hashable]:
         """Remove every entry expired at `now`. Idempotent for a fixed `now`."""
         if now < self._now:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
-        removed: list[FlowKey] = []
+        removed: list[Hashable] = []
         heap, entries, fresh = self._expiry_heap, self._entries, self._fresh
         while heap and heap[0][0] <= now:
-            _, seq, key = heapq.heappop(heap)
-            if not key:  # the fresh queue's record, early unless it is its head's
+            record = heapq.heappop(heap)
+            if len(record) < 3:  # the fresh queue's, early unless it is its head's
                 self._queued = False
-                if fresh and fresh[0][1] == seq:
+                if fresh and fresh[0][1] == record[1]:
                     key = fresh.popleft()[2]
                     self.removal_log.append(tuple.__new__(
                         RemovalRecord, (now, key, entries.pop(key)[2], EXPIRED)))
                     removed.append(key)
                 self._queue_fresh()
                 continue
+            _, seq, key = record
             entry = entries.get(key)
             if entry.__class__ is not FlowEntry or entry.seq != seq:
                 continue  # stale heap record for a replaced/removed entry
@@ -200,7 +205,7 @@ class FlowTable:
             return entry.inserted_at + hard
         return entry.last_access + idle
 
-    def lookup(self, key: FlowKey, now: int) -> bool:
+    def lookup(self, key: Hashable, now: int) -> bool:
         """Return True on hit. A hit refreshes the entry's last-access time.
 
         Under FIFO the refresh only feeds the idle timer; eviction order is
@@ -247,7 +252,7 @@ class FlowTable:
             count = -int((start_us - until_us) // gap_us)
         return count
 
-    def touch_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
+    def touch_run(self, keys: Sequence[Hashable], start_us: int, gap_us: int,
                   until_us: float, first: int = 0) -> int:
         """Answer the leading hits of `keys[first:]`, looked up at `start_us`,
         `start_us + gap_us`, ...; return how many were answered.
@@ -285,9 +290,9 @@ class FlowTable:
             self._touched_at = self._now
         return (now - start_us) // gap_us
 
-    def install_run(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                    until_us: float, owner_of: Callable[[FlowKey], str], first: int = 0,
-                    watch: Optional[FlowKey] = None) -> tuple[int, list[int]]:
+    def install_run(self, keys: Sequence[Hashable], start_us: int, gap_us: int,
+                    until_us: float, owner_of: Callable[[Hashable], str], first: int = 0,
+                    watch: Optional[Hashable] = None) -> tuple[int, list[int]]:
         """Answer the leading rounds of `keys[first:]`, which start at
         `start_us` one `gap_us` apart, or two gaps apart given `watch`: round
         i installs the absent `keys[first + i]`, missed at its start, for
@@ -364,7 +369,7 @@ class FlowTable:
         for key in reversed(later):
             self._entries.move_to_end(key)
 
-    def _evict(self, now: int) -> FlowKey:
+    def _evict(self, now: int) -> Hashable:
         """Evict the next victim at `now` and return its key."""
         key, victim = self._entries.popitem(last=False)
         if victim.__class__ is FlowEntry:
@@ -376,7 +381,7 @@ class FlowTable:
         self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, owner, EVICTED)))
         return key
 
-    def insert(self, key: FlowKey, now: int, owner: str = OWNER_ATTACKER) -> InsertResult:
+    def insert(self, key: Hashable, now: int, owner: str = OWNER_ATTACKER) -> InsertResult:
         """Install `key` for `owner` at `now` as a `FlowEntry` with its own
         heap record, evicting one victim if the table is full.
 
@@ -409,7 +414,7 @@ class FlowTable:
             heapq.heappush(heap, (now + self._timeout, seq, key))
         return result
 
-    def admit(self, keys: Sequence[FlowKey], times: Sequence[int], owner: str) -> list[int]:
+    def admit(self, keys: Sequence[Hashable], times: Sequence[int], owner: str) -> list[int]:
         """Insert `keys[i]` at `times[i]` for `owner` as fresh entries,
         exactly as one `insert` per key would; return the indexes of the
         inserts that found the table full."""
@@ -455,7 +460,8 @@ class FlowTable:
         """The earliest deadline in the heap but the queue record's, which
         may be heap[0]; then the next is one of its children."""
         heap = self._expiry_heap
-        return (heap[0] if heap and heap[0][2] else min(heap[1:3], default=(math.inf,)))[0]
+        return (heap[0] if heap and len(heap[0]) == 3
+                else min(heap[1:3], default=(math.inf,)))[0]
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""

@@ -193,68 +193,46 @@ class BackgroundWorkload:
             raise ValueError("initial_usage must be >= 0")
 
 
-_OCTETS = tuple(map(str, range(256)))
-
-# Per prefix, the keys `KeySequence.keys` has built, key i at position i.
-_BUILT_KEYS: dict[str, list[FlowKey]] = {}
-
-
 class KeySequence:
-    """Deterministic generator of distinct FlowKeys under one /16 prefix.
+    """Deterministic generator of distinct flow keys under one /16 prefix.
 
-    Index i maps to src_ip {prefix}.{i>>8 & 255}.{i & 255}; indexes past the
-    /16 roll into the dst_ip octets, so the sequence never repeats. Owner
-    prefixes are disjoint, which keeps attacker and background key spaces
-    disjoint by construction.
-
-    A key is a pure function of (prefix, index), so every sequence of one
-    prefix, in any switch or session of the process, shares one list of the
-    keys `keys` and `next_key` have built: each key is built once. The list
-    grows from index 0 only, to the largest `stop` requested contiguously; a
-    request that starts past its end is built and not kept.
+    Key i of prefix "a.b" is the int `(a << 8 | b) << 32 | i`, for
+    0 <= i < 2**32: the prefix's base plus the index. Owner prefixes are
+    disjoint, which keeps attacker and background key spaces disjoint by
+    construction. `flow_key` gives a key's header tuple.
     """
 
     def __init__(self, prefix: str):
-        self.prefix = prefix
+        a, b = map(int, prefix.split("."))
+        self.base = (a << 8 | b) << 32
         self.index = 0  # of the key `next_key` returns next
-        # "{prefix}.{j}." per third octet j: a source address is two joined
-        # strings, not two integers formatted.
-        self._heads = tuple(f"{prefix}.{octet}." for octet in _OCTETS)
-        self._built = _BUILT_KEYS.setdefault(prefix, [])
 
-    def key_at(self, i: int) -> FlowKey:
-        return self._build(i, i + 1)[0]
+    def key_at(self, i: int) -> int:
+        return self.base + i
 
-    def keys(self, start: int, stop: int) -> list[FlowKey]:
-        """`[key_at(i) for i in range(start, stop)]`, from the shared list."""
-        built = self._built
-        end = len(built)
-        if stop > end:
-            if start > end:
-                return self._build(start, stop)
-            built += self._build(end, stop)
-        return built[start:stop]
+    def keys(self, start: int, stop: int) -> range:
+        """`key_at(i)` for i in `range(start, stop)`."""
+        return range(self.base + start, self.base + stop)
 
-    def _build(self, start: int, stop: int) -> list[FlowKey]:
-        # FlowKey(src_ip, dst_ip, src_mac, dst_mac), built without the
-        # NamedTuple's Python-level __new__.
-        heads, new = self._heads, tuple.__new__
-        return [new(FlowKey, (
-            heads[i >> 8 & 255] + _OCTETS[i & 255],
-            "10.0.0.1" if i < 1 << 16 else f"10.{200 + (i >> 16)}.0.1",
-            "02:00:00:00:00:01",
-            "02:00:00:00:00:02",
-        )) for i in range(start, stop)]
-
-    def next_key(self) -> FlowKey:
-        key = self.keys(self.index, self.index + 1)[0]
+    def next_key(self) -> int:
+        key = self.base + self.index
         self.index += 1
         return key
 
 
+def flow_key(key: int) -> FlowKey:
+    """The header tuple of `key`, key i of prefix "a.b": src_ip
+    a.b.{i >> 8 & 255}.{i & 255}, and indexes past the /16 roll into the
+    dst_ip octets."""
+    prefix, i = key >> 32, key & 0xFFFFFFFF
+    return FlowKey(f"{prefix >> 8}.{prefix & 255}.{i >> 8 & 255}.{i & 255}",
+                   "10.0.0.1" if i < 1 << 16 else f"10.{200 + (i >> 16)}.0.1",
+                   "02:00:00:00:00:01", "02:00:00:00:00:02")
+
+
 ATTACKER_PREFIX = "10.1"
 BACKGROUND_PREFIX = "10.2"
-_BACKGROUND_HEAD = BACKGROUND_PREFIX + "."  # how every background src_ip starts
+_BACKGROUND_ID = KeySequence(BACKGROUND_PREFIX).base >> 32  # a background key's top bits
 
 
 class RttSample(NamedTuple):
@@ -266,7 +244,7 @@ class RttSample(NamedTuple):
     """
 
     time_us: int
-    key: FlowKey
+    key: int
     rtt_us: int
     branch: str
 
@@ -274,7 +252,7 @@ class RttSample(NamedTuple):
 class SimEvent(NamedTuple):
     time_us: int
     kind: str  # EVENT_PROBE | EVENT_BACKGROUND
-    key: Optional[FlowKey]
+    key: Optional[int]
     owner: str
     branch: str
     rtt_us: int
@@ -443,11 +421,10 @@ class SwitchSimulator:
 
     # -- public surface ----------------------------------------------------
 
-    def owner_of(self, key: FlowKey) -> str:
-        return (OWNER_BACKGROUND if key.src_ip.startswith(_BACKGROUND_HEAD)
-                else OWNER_ATTACKER)
+    def owner_of(self, key: int) -> str:
+        return OWNER_BACKGROUND if key >> 32 == _BACKGROUND_ID else OWNER_ATTACKER
 
-    def send_probe(self, key: FlowKey, at_us: int) -> RttSample:
+    def send_probe(self, key: int, at_us: int) -> RttSample:
         """Deliver one packet at `at_us` and return its observed RTT."""
         if at_us < self.now_us:
             raise ValueError(f"probe time {at_us} precedes simulator time {self.now_us}")
@@ -468,11 +445,12 @@ class SwitchSimulator:
         if self.trace is not None:
             self.trace.append(SimEvent(at_us, EVENT_PROBE, key,
                                        owner or self.owner_of(key), branch, rtt))
-        # RttSample(time_us, key, rtt_us, branch), built as `_build` builds keys.
+        # RttSample(time_us, key, rtt_us, branch), built without the NamedTuple's
+        # Python-level __new__.
         return tuple.__new__(RttSample, (at_us, key, rtt, branch))
 
-    def send_rounds(self, keys: Sequence[FlowKey], start_us: int, gap_us: int,
-                    stop_rtt_us: float, watch: Optional[FlowKey] = None,
+    def send_rounds(self, keys: Sequence[int], start_us: int, gap_us: int,
+                    stop_rtt_us: float, watch: Optional[int] = None,
                     rtts: Optional[list[int]] = None,
                     ) -> tuple[int, Optional[RttSample]]:
         """Send one round per key from `start_us`, one `gap_us` apart, or

@@ -31,9 +31,7 @@ from flowprobe.attacker import (
     measure_hard_timeout,
     measure_idle_timeout,
 )
-from flowprobe import netsim
 from flowprobe.netsim import (
-    ATTACKER_PREFIX,
     BRANCH_MISS_FULL,
     EVENT_PROBE,
     NOISE_MODES,
@@ -123,17 +121,6 @@ class TestBootstrap:
                                         latency=latency, seed=seed))
         with pytest.raises(AttackError, match="ts1_ms=100.0 ms"):
             bootstrap_thresholds(session, BootstrapParams(ts2_ms=0.1))
-
-    def test_a_first_run_builds_its_keys_into_the_shared_list(self, monkeypatch):
-        # The pin is the session's first key, from next_key, so the fillers
-        # after it extend the attacker list rather than start past its end.
-        # The list also holds the unsent rest of the last run's keys.
-        monkeypatch.setattr(netsim, "_BUILT_KEYS", {})
-        session = ProbeSession(make_sim(capacity=100, usage=25))
-        bootstrap_thresholds(session, BootstrapParams())
-        built, keys = netsim._BUILT_KEYS[ATTACKER_PREFIX], session._keys
-        assert len(built) >= keys.index > 75
-        assert built == [keys.key_at(i) for i in range(len(built))]
 
     def test_filler_budget_exhaustion(self):
         session = ProbeSession(make_sim(capacity=1000))

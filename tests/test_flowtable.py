@@ -354,9 +354,9 @@ def table_state(table, raw_heap=False):
     fresh entry."""
     entries = table.entries
     own, queue = {}, math.inf
-    for deadline, seq, k in table._expiry_heap:
+    for deadline, seq, *k in table._expiry_heap:
         if k:
-            own[k, seq] = min(own.get((k, seq), math.inf), deadline)
+            own[k[0], seq] = min(own.get((k[0], seq), math.inf), deadline)
         else:
             queue = min(queue, deadline)
     for k, e in entries.items():
@@ -701,7 +701,7 @@ class TestInstallRun:
         assert (rounds, full) == ((5, []) if watch is None else (7, [5, 6]))
         assert all(type(table._entries[k]) is tuple for k in keys[:rounds])
         assert len(table._expiry_heap) <= heap + 1
-        records = {(k, seq): deadline for deadline, seq, k in table._expiry_heap if k}
+        records = {(k[0], seq): deadline for deadline, seq, *k in table._expiry_heap if k}
         own = [e for e in table._entries.values() if type(e) is FlowEntry]
         assert [e.key for e in own] == ([key(100), key(101), key(1)] if watch is None
                                         else [key(1)])
@@ -1097,7 +1097,7 @@ class TestAdmit:
         assert table.admit(keys, [0, 5, 5], "background") == []
         assert list(table._entries.values()) == [
             (0, 1, "background"), (5, 2, "background"), (5, 3, "background")]
-        assert table._expiry_heap == [(100, 1, ())]
+        assert table._expiry_heap == [(100, 1)]
         assert [e.inserted_at for e in table.entries.values()] == [0, 5, 5]
         assert table.occupancy(99) == (0, 3)
         assert table.purge_expired(105) == keys
@@ -1118,11 +1118,32 @@ class TestAdmit:
             assert each.lookup(key(3), 12)
             admit([key(4)], [20])
             assert each.lookup(key(2), 40)
-        assert [k for _, _, k in table._expiry_heap] == [(), key(2), key(3)]
+        assert [k for _, _, *k in table._expiry_heap] == [[], [key(2)], [key(3)]]
         for each, admit in admits:
             admit([key(5), key(6)], [62, 100])
         assert table_state(table) == table_state(twin)
         assert [r.key for r in table.removal_log] == [key(1), key(3), key(4), key(2)]
+
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_a_thaw_at_the_queue_records_deadline_with_int_keys(self, policy):
+        # The hit at 0 thaws key 0, the fresh queue's head, so its record
+        # ties with the queue record on (deadline, seq): the heap must never
+        # order the int key against the queue record, nor take key 0, which
+        # is falsy, for the queue record.
+        table, oracle = FlowTable(4, policy, idle_timeout=300), ReplayOracle(4, policy)
+
+        def admit(keys, times):
+            table.admit(keys, times, "background")
+            for k, at in zip(keys, times):
+                oracle.insert(k, at, 0, 300, "background")
+
+        admit([0, 1], [0, 0])
+        assert table.lookup(0, 0) and oracle.lookup(0, 0)
+        admit([2], [5])
+        assert table._expiry_heap == [(300, 1), (300, 1, 0)]
+        assert table.purge_expired(300) == oracle.purge(300) == [0, 1]
+        assert table.purge_expired(305) == oracle.purge(305) == [2]
+        assert table.removal_log == oracle.removal_log
 
     def test_occupancy_counts_fresh_entries_of_their_owner(self):
         table = FlowTable(4)

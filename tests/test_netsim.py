@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowprobe import netsim
 from flowprobe.flowtable import (
     EVICTED,
     EXPIRED,
@@ -36,6 +35,7 @@ from flowprobe.netsim import (
     LatencyModel,
     SimEvent,
     SwitchSimulator,
+    flow_key,
     ms_to_us,
     skip_threshold,
     truncated_gauss,
@@ -729,6 +729,13 @@ class TestOracleReplay:
         assert sorted(log) == sorted(oracle.removal_log)
         assert sim.ground_truth().occupancy == oracle.occupancy(sim.now_us)
 
+    def test_a_hit_on_the_preload_at_time_zero(self):
+        # The hit thaws the preloaded key, the fresh queue's head, at t = 0,
+        # and its heap record ties with the queue record on (deadline, seq).
+        self.test_matches_the_oracle.hypothesis.inner_test(
+            self, policy="FIFO", capacity=1, usage=1, rate=0.0, hard_ms=0.0,
+            idle_ms=0.3, seed=0, probes=[(False, 0, 0)])
+
 
 class TestEvictionAudit:
     def test_attacker_count_changes_are_accounted_for(self):
@@ -801,9 +808,11 @@ class TestKeySpaces:
     ])
     def test_key_at_is_pinned(self, i, src_ip, dst_ip):
         key = KeySequence("10.1").key_at(i)
-        assert type(key) is FlowKey
-        assert key == FlowKey(src_ip, dst_ip, "02:00:00:00:00:01",
-                              "02:00:00:00:00:02")
+        assert key == (10 << 8 | 1) << 32 | i
+        header = flow_key(key)
+        assert type(header) is FlowKey
+        assert header == FlowKey(src_ip, dst_ip, "02:00:00:00:00:01",
+                                 "02:00:00:00:00:02")
 
     @pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (9, 3), (0, 600),
                                              (65_530, 65_542),
@@ -811,65 +820,77 @@ class TestKeySpaces:
     def test_keys_match_key_at(self, start, stop):
         seq = KeySequence(BACKGROUND_PREFIX)
         keys = seq.keys(start, stop)
-        assert keys == [seq.key_at(i) for i in range(start, stop)]
-        assert all(type(key) is FlowKey for key in keys)
+        assert list(keys) == [seq.key_at(i) for i in range(start, stop)]
+        assert all(type(key) is int for key in keys)
 
     def test_keys_distinct_past_a_full_slash16(self):
         seq = KeySequence("10.1")
         sample_indexes = [0, 1, 65_535, 65_536, 70_000, 131_072]
         keys = [seq.key_at(i) for i in sample_indexes]
         assert len(set(keys)) == len(keys)
+        assert len(set(map(flow_key, keys))) == len(keys)
+
+    def test_next_key_walks_key_at(self):
+        seq = KeySequence(ATTACKER_PREFIX)
+        assert [seq.next_key() for _ in range(3)] == [seq.key_at(i) for i in range(3)]
+        seq.index = 70_000
+        assert seq.next_key() == seq.key_at(70_000) and seq.index == 70_001
+
+    # The attacker, the background and lru-churn's four tenant prefixes.
+    PREFIXES = (ATTACKER_PREFIX, BACKGROUND_PREFIX, "10.10", "10.11", "10.12", "10.13")
+    INDEXES = (0, 255, 256, 65_535, 65_536, 70_000)
+
+    def test_flow_key_is_injective(self):
+        headers = set()
+        for prefix in self.PREFIXES:
+            for i in self.INDEXES:
+                header = flow_key(KeySequence(prefix).key_at(i))
+                assert header.src_ip.startswith(prefix + ".")
+                headers.add(header)
+        assert len(headers) == len(self.PREFIXES) * len(self.INDEXES)
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    def test_owner_of_is_background_exactly_for_the_background_prefix(self, prefix):
+        sim = SwitchSimulator(capacity=4)
+        seq = KeySequence(prefix)
+        owner = OWNER_BACKGROUND if prefix == BACKGROUND_PREFIX else OWNER_ATTACKER
+        assert {sim.owner_of(seq.key_at(i)) for i in self.INDEXES} == {owner}
+        assert sim.owner_of(seq.key_at(2**32 - 1)) == owner
+
+    def test_background_and_attacker_ranges_never_overlap(self):
+        # Every index below 2**32 keeps its prefix's top bits.
+        attacker = KeySequence(ATTACKER_PREFIX).keys(0, 2**32)
+        background = KeySequence(BACKGROUND_PREFIX).keys(0, 2**32)
+        assert attacker[-1] < background[0]
+        assert {key >> 32 for key in (attacker[0], attacker[-1])} == {10 << 8 | 1}
+        assert {key >> 32 for key in (background[0], background[-1])} == {10 << 8 | 2}
 
 
 class TestSharedKeys:
-    """`KeySequence.keys` shares one list of built keys per prefix."""
+    """Every `KeySequence` of one prefix gives the same keys."""
 
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(netsim, "_BUILT_KEYS", {})
-
-    # Starts on a coarse grid, so that requests often overlap the list's end.
+    # Starts on a coarse grid, so that requests often overlap.
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 60).map(lambda i: 20 * i),
                               st.integers(0, 300)), max_size=12))
     @example([(False, 0, 50), (True, 20, 100)])
     def test_any_request_order_gives_key_at(self, requests):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(netsim, "_BUILT_KEYS", {})
-            pair = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
-            for second, start, length in requests:
-                keys = pair[second].keys(start, start + length)
-                assert keys == [pair[0].key_at(i) for i in range(start, start + length)]
+        pair = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
+        for second, start, length in requests:
+            keys = pair[second].keys(start, start + length)
+            assert list(keys) == [pair[0].key_at(i) for i in range(start, start + length)]
 
     def test_requests_across_a_full_slash16_give_key_at(self):
         a, b = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
         for seq, start, stop in [(a, 0, 65_530), (b, 65_530, 65_542), (a, 65_540, 65_541),
                                  (b, 65_500, 65_600), (a, 65_530, 65_542)]:
-            assert seq.keys(start, stop) == [seq.key_at(i) for i in range(start, stop)]
-        assert len(netsim._BUILT_KEYS[ATTACKER_PREFIX]) == 65_600
-
-    def test_sequences_of_one_prefix_return_the_same_objects(self):
-        a, b = KeySequence(ATTACKER_PREFIX), KeySequence(ATTACKER_PREFIX)
-        first = a.keys(0, 300)
-        second = b.keys(100, 400)
-        assert all(x is y for x, y in zip(first[100:], second))
-        first.clear()  # a caller's list is its own
-        assert all(x is y for x, y in zip(a.keys(0, 400), b.keys(0, 400)))
+            assert list(seq.keys(start, stop)) == [seq.key_at(i) for i in range(start, stop)]
 
     def test_prefixes_share_no_entry(self):
         attacker = KeySequence(ATTACKER_PREFIX).keys(0, 600)
         background = KeySequence(BACKGROUND_PREFIX).keys(0, 600)
-        assert all(key.src_ip.startswith(ATTACKER_PREFIX + ".") for key in attacker)
-        assert all(key.src_ip.startswith(BACKGROUND_PREFIX + ".") for key in background)
+        assert all(flow_key(key).src_ip.startswith(ATTACKER_PREFIX + ".")
+                   for key in attacker)
+        assert all(flow_key(key).src_ip.startswith(BACKGROUND_PREFIX + ".")
+                   for key in background)
         assert not set(attacker) & set(background)
-        assert not set(map(id, attacker)) & set(map(id, background))
-        assert set(netsim._BUILT_KEYS) == {ATTACKER_PREFIX, BACKGROUND_PREFIX}
-
-    def test_a_request_past_the_end_is_not_kept(self):
-        seq = KeySequence(BACKGROUND_PREFIX)
-        seq.keys(0, 10)
-        assert seq.keys(131_070, 131_074) == [seq.key_at(i) for i in range(131_070, 131_074)]
-        assert seq.keys(11, 20) == [seq.key_at(i) for i in range(11, 20)]
-        assert len(netsim._BUILT_KEYS[BACKGROUND_PREFIX]) == 10
-        seq.keys(10, 20)  # starts at the end: extends it
-        assert len(netsim._BUILT_KEYS[BACKGROUND_PREFIX]) == 20
