@@ -8,9 +8,8 @@ identical table states.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
@@ -46,8 +45,9 @@ class FlowKey(NamedTuple):
 
 @dataclass(slots=True)
 class FlowEntry:
-    """One installed rule. Timestamps are in microseconds of virtual time;
-    its hard and idle timeouts are its table's."""
+    """A copy of one installed rule, as `FlowTable.entries` gives it.
+    Timestamps are in microseconds of virtual time; its hard and idle
+    timeouts are its table's."""
 
     key: Hashable
     inserted_at: int = 0
@@ -88,21 +88,19 @@ class FlowTable:
     insertion time, then by insertion sequence number, so the victim is
     always unique.
 
-    One ordered dict is kept in victim order for both policies: its first
-    key is the next victim. An insert appends, since the new entry sorts
-    last under either rule. FIFO never reorders the dict. An LRU hit moves
-    the entry to the back; entries touched in the same microsecond still
-    order by insertion time, then sequence number.
+    Two ordered dicts hold the live entries, `_born` in insertion order and
+    `_used` in access order, and map each key to one mutable record
+    `[inserted_at, seq, owner, last_access]`. An insert appends to both;
+    every hit sets the record's last access and moves its key to the back
+    of `_used`, under either policy (LRU entries touched in one microsecond
+    still order by insertion). FIFO's victim is `_born`'s head, LRU's
+    `_used`'s.
 
-    Every entry takes the table's `hard_timeout` and `idle_timeout`, set at
-    construction. `insert` stores a `FlowEntry` with its own heap record.
-    `admit` and `install_run` append fresh entries: bare `(inserted_at, seq,
-    owner)` values, due in insert order whatever their owner. A deque holds
-    `(inserted_at, seq, key)` per live one; one heap record `(deadline, seq)`
-    stands for its head, and is early once that head is gone, as a hit
-    entry's record may be. It sorts before any `(deadline, seq, key)` record
-    it ties with, so the heap never compares keys. A lookup hit thaws one
-    into its `FlowEntry` in place.
+    Every entry takes the table's `hard_timeout` and `idle_timeout`, so hard
+    deadlines rise along `_born` and idle deadlines along `_used`, and only
+    a head can fall due next. `_hard_due` and `_idle_due` are at or below
+    their head's deadline (a hit only moves a deadline later), and `_due` is
+    the smaller; a timer's heads are removed only once its own due passes.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO, hard_timeout: int = 0,
@@ -115,95 +113,71 @@ class FlowTable:
         self.policy = policy
         self.hard_timeout = hard_timeout
         self.idle_timeout = idle_timeout
-        self._entries: OrderedDict[Hashable, FlowEntry | tuple[int, int, str]] = OrderedDict()
-        self.removal_log: list[RemovalRecord] = []
-        # How long after its insert an entry never hit falls due (the smaller
-        # enabled timeout, or 0 if neither is), the fresh queue, and whether
-        # its head has a heap record.
-        self._timeout = (min(hard_timeout, idle_timeout)
-                         if hard_timeout > 0 and idle_timeout > 0
-                         else max(hard_timeout, idle_timeout))
-        self._fresh: deque[tuple[int, int, Hashable]] = deque()
-        self._queued = False
+        self._born: OrderedDict[Hashable, list] = OrderedDict()
+        self._used: OrderedDict[Hashable, list] = OrderedDict()
         self._lru = policy == LRU
+        self._victims, self._others = ((self._used, self._born) if self._lru
+                                       else (self._born, self._used))
+        self.removal_log: list[RemovalRecord] = []
         # Latest time any entry's last_access was set; while it differs from
         # `now`, a refreshed LRU entry is the sole one touched at `now`.
         self._touched_at = -1
-        # Lazy min-heap of (deadline, seq, key): one record per live entry
-        # with a finite timeout, pushed at insert, and the fresh queue's
-        # (deadline, seq) for the fresh entries. A hit only moves an
-        # entry's true deadline later, so a record's deadline never exceeds
-        # it; hits leave the heap alone, and purge_expired re-pushes a
-        # popped record whose entry is still live at its current deadline.
-        # Permanent entries never enter the heap.
-        self._expiry_heap: list[tuple] = []
+        # Lower bounds on the next deadline of each enabled timer, from the
+        # empty table at time 0; a disabled timer is never due.
+        self._hard_due = hard_timeout or math.inf
+        self._idle_due = idle_timeout or math.inf
+        self._due = min(self._hard_due, self._idle_due)
         self._seq = 0
         self._now = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._born)
 
     @property
     def entries(self) -> OrderedDict[Hashable, FlowEntry]:
-        """The live entries in victim order, each as a `FlowEntry`."""
-        if not self._fresh:
-            return self._entries
-        return OrderedDict((key, self._as_entry(key, value) if value.__class__ is tuple
-                            else value) for key, value in self._entries.items())
-
-    def _as_entry(self, key: Hashable, value: tuple[int, int, str]) -> FlowEntry:
-        at, seq, owner = value
-        return FlowEntry(key, at, at, owner, seq)
-
-    def _queue_fresh(self) -> None:
-        """Give the fresh queue's head a heap record if the heap holds none."""
-        if self._fresh and self._timeout and not self._queued:
-            at, seq, _ = self._fresh[0]
-            heapq.heappush(self._expiry_heap, (at + self._timeout, seq))
-            self._queued = True
+        """A copy of the live entries in victim order, each as a `FlowEntry`."""
+        return OrderedDict((key, FlowEntry(key, at, last, owner, seq))
+                           for key, (at, seq, owner, last) in self._victims.items())
 
     def purge_expired(self, now: int) -> list[Hashable]:
         """Remove every entry expired at `now`. Idempotent for a fixed `now`."""
         if now < self._now:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
-        removed: list[Hashable] = []
-        heap, entries, fresh = self._expiry_heap, self._entries, self._fresh
-        while heap and heap[0][0] <= now:
-            record = heapq.heappop(heap)
-            if len(record) < 3:  # the fresh queue's, early unless it is its head's
-                self._queued = False
-                if fresh and fresh[0][1] == record[1]:
-                    key = fresh.popleft()[2]
-                    self.removal_log.append(tuple.__new__(
-                        RemovalRecord, (now, key, entries.pop(key)[2], EXPIRED)))
-                    removed.append(key)
-                self._queue_fresh()
-                continue
-            _, seq, key = record
-            entry = entries.get(key)
-            if entry.__class__ is not FlowEntry or entry.seq != seq:
-                continue  # stale heap record for a replaced/removed entry
-            # An entry never hit since its insert is due at this record's
-            # deadline, which has passed; only a hit entry's is recomputed.
-            deadline = (now if entry.last_access == entry.inserted_at
-                        else self._deadline(entry))
-            if deadline <= now:
-                del entries[key]
-                self.removal_log.append(
-                    tuple.__new__(RemovalRecord, (now, key, entry.owner, EXPIRED)))
-                removed.append(key)
-            else:
-                # Hits moved the idle deadline forward since the push.
-                heapq.heappush(heap, (deadline, seq, key))
-        return removed
+        start = len(self.removal_log)
+        if self._due <= now:
+            self._expire(now)
+        return [record.key for record in self.removal_log[start:]]
 
-    def _deadline(self, entry: FlowEntry) -> int:
-        """Time from which `entry`, in a table with a timeout, is expired."""
+    def _expire(self, now: int) -> None:
+        """Remove the entries due at `now` of each timer whose due has
+        passed, and refresh `_due`."""
+        if self._hard_due <= now:
+            self._hard_due = self._expire_head(self._born, 0, self.hard_timeout, now)
+        if self._idle_due <= now:
+            self._idle_due = self._expire_head(self._used, 3, self.idle_timeout, now)
+        hard_due, idle_due = self._hard_due, self._idle_due
+        self._due = hard_due if hard_due < idle_due else idle_due
+
+    def _expire_head(self, order: OrderedDict, field: int, timeout: int,
+                     now: int) -> float:
+        """Remove the heads of `order` due at `now`, at `record[field] +
+        timeout`, and return the next head's deadline. Once the table is
+        empty, every later entry goes in at `now` or after, so each enabled
+        timer's due becomes its timeout after `now`."""
+        born, used, log = self._born, self._used, self.removal_log
+        while order:
+            key = next(iter(order))
+            record = order[key]
+            if record[field] + timeout > now:
+                return record[field] + timeout
+            del born[key], used[key]
+            # RemovalRecord(time, key, owner, reason), built as InsertResult is.
+            log.append(tuple.__new__(RemovalRecord, (now, key, record[2], EXPIRED)))
         hard, idle = self.hard_timeout, self.idle_timeout
-        if hard and (not idle or entry.inserted_at + hard < entry.last_access + idle):
-            return entry.inserted_at + hard
-        return entry.last_access + idle
+        self._hard_due = now + hard if hard else math.inf
+        self._idle_due = now + idle if idle else math.inf
+        return now + timeout
 
     def lookup(self, key: Hashable, now: int) -> bool:
         """Return True on hit. A hit refreshes the entry's last-access time.
@@ -211,40 +185,30 @@ class FlowTable:
         Under FIFO the refresh only feeds the idle timer; eviction order is
         insertion order regardless of accesses.
         """
-        # Hot path: skip the purge machinery unless something can expire now.
         if now < self._now:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
-        heap = self._expiry_heap
-        if heap and heap[0][0] <= now:
-            self.purge_expired(now)
-        entry = self._entries.get(key)
-        if entry is None:
+        if self._due <= now:
+            self._expire(now)
+        record = self._used.get(key)
+        if record is None:
             return False
-        try:  # only reading `last_access` of a fresh entry (a tuple) raises
-            if entry.last_access != now:
-                entry.last_access = now
-                if self._lru:
-                    self._entries.move_to_end(key)
-                    if self._touched_at == now:
-                        self._order_tail(entry, now)
-                    self._touched_at = now
-        except AttributeError:  # thaw it in place, with a heap record; hit again
-            entry = self._entries[key] = self._as_entry(key, entry)
-            self._fresh.remove((entry.inserted_at, entry.seq, key))
-            if self._timeout:
-                heapq.heappush(heap, (entry.inserted_at + self._timeout, entry.seq, key))
-            return self.lookup(key, now)
+        if record[3] != now:
+            record[3] = now
+            self._used.move_to_end(key)
+            if self._lru:
+                if self._touched_at == now:
+                    self._order_tail(record[1], now)
+                self._touched_at = now
         return True
 
     def _run_length(self, count: int, start_us: int, gap_us: int,
                     until_us: float) -> int:
         """How many of the `count` send times `start_us`, `start_us + gap_us`,
-        ... fall before `until_us` and the earliest expiry deadline, where a
-        lookup or insert could purge."""
-        heap = self._expiry_heap
-        if heap and heap[0][0] < until_us:
-            until_us = heap[0][0]
+        ... fall before `until_us` and `_due`, where a lookup or insert could
+        purge."""
+        if self._due < until_us:
+            until_us = self._due
         if start_us >= until_us:
             return 0
         # Compared on the integer side: `start_us` may lie past float range.
@@ -258,35 +222,32 @@ class FlowTable:
         `start_us + gap_us`, ...; return how many were answered.
 
         Each answered key is handled exactly as a hitting `lookup` at its
-        time would handle it. The run stops at the first missing or fresh
-        key (a lookup thaws it) and before the first time at or after
-        `until_us` or the earliest expiry deadline, where a lookup could
-        purge. It answers nothing when `gap_us < 1` or `start_us` is not
-        after the latest LRU touch, where a hit could tie with another
-        touched in the same microsecond, or when `start_us` is before the
-        table's clock, which `lookup` rejects; a run that cannot answer its
-        first key costs O(1).
+        time would handle it. The run stops at the first missing key and
+        before the first time at or after `until_us` or `_due`, where a
+        lookup could purge. It answers nothing when `gap_us < 1` or
+        `start_us` is not after the latest LRU touch, where a hit could tie
+        with another touched in the same microsecond, or when `start_us` is
+        before the table's clock, which `lookup` rejects; a run that cannot
+        answer its first key costs O(1).
         """
         if gap_us < 1 or start_us <= self._touched_at or start_us < self._now:
             return 0
-        entries = self._entries
+        used = self._used
         count = self._run_length(len(keys) - first, start_us, gap_us, until_us)
-        if count <= 0 or entries.get(keys[first]).__class__ is not FlowEntry:
+        if count <= 0 or keys[first] not in used:
             return 0
-        get = entries.get
-        move_to_end = entries.move_to_end
-        lru = self._lru
+        get = used.get
+        move_to_end = used.move_to_end
         now = start_us
         for key in keys[first:first + count]:
             try:
-                get(key).last_access = now
-            except AttributeError:  # absent (None) or fresh (a tuple)
+                get(key)[3] = now
+            except TypeError:  # absent: `get` gave None
                 break
-            if lru:
-                move_to_end(key)
+            move_to_end(key)
             now += gap_us
         self._now = now - gap_us
-        if lru:
+        if self._lru:
             self._touched_at = self._now
         return (now - start_us) // gap_us
 
@@ -299,173 +260,125 @@ class FlowTable:
         `owner_of(key)` exactly as `insert` would, and given `watch` then
         looks up `watch` one `gap_us` later, a hit. Return how many rounds
         were answered and the indexes (from `first`) of the installs that
-        found the table full. The installs are fresh entries, as `admit`
-        appends them.
+        found the table full.
 
         The run stops at the first live key; without `watch` once the table
         is full, so it never evicts, and with it at the round whose install
         would evict `watch`. It stops before the first time at or after
-        `until_us`, the earliest expiry deadline and its own first entry's
-        deadline, so nothing falls due inside it. Without `watch` a gap of 0
-        installs every key at `start_us`. It answers nothing when `gap_us < 0`,
-        when `watch` is given but absent or fresh (a lookup thaws it) or
-        `gap_us < 1`, or when `start_us` is before the table's clock; a run
-        that cannot answer its first round costs O(1).
+        `until_us` or `_due`, which no deadline of a live or later entry
+        precedes. Without `watch` a gap of 0 installs every key at `start_us`. It
+        answers nothing when `gap_us < 0`, when `watch` is given but absent
+        or `gap_us < 1`, or when `start_us` is before the table's clock; a
+        run that cannot answer its first round costs O(1).
         """
-        entries = self._entries
-        watched = entries.get(watch)  # None without `watch`
+        born, used = self._born, self._used
+        watched = used.get(watch)  # None without `watch`
         if (gap_us < 0 or start_us < self._now or first >= len(keys)
-                or keys[first] in entries or (watch is not None and (
-                    gap_us < 1 or watched.__class__ is not FlowEntry))):
+                or keys[first] in born or (watch is not None and (
+                    gap_us < 1 or watched is None))):
             return 0, []
-        if self._timeout:
-            until_us = min(until_us, start_us + self._timeout)
         if watch is None:  # at most the free slots: the run never evicts
-            count, step = min(len(keys) - first, self.capacity - len(entries)), gap_us
+            count, step = min(len(keys) - first, self.capacity - len(born)), gap_us
         else:
             count, step = len(keys) - first, 2 * gap_us
         # A round's last time is its last probe's: with `watch`, its lookup's.
         count = self._run_length(count, start_us + step - gap_us, step, until_us)
-        fresh, capacity, lru = self._fresh, self.capacity, self._lru
+        capacity, victims = self.capacity, self._victims
         full: list[int] = []
         seq = before = self._seq
         now = start_us
         for key in keys[first:first + count]:
-            if key in entries:
+            if key in born:
                 break
-            if len(entries) >= capacity:  # only with `watch`
-                if next(iter(entries)) == watch:
+            if len(born) >= capacity:  # only with `watch`
+                if next(iter(victims)) == watch:
                     break
                 self._evict(now)
                 full.append(seq - before)
             seq += 1
-            entries[key] = (now, seq, owner_of(key))
-            fresh.append((now, seq, key))
+            born[key] = used[key] = [now, seq, owner_of(key), now]
             now += gap_us
             if watched is not None:
-                watched.last_access = now
-                if lru:
-                    entries.move_to_end(watch)
+                watched[3] = now
+                used.move_to_end(watch)
                 now += gap_us
         if seq > before:
             self._seq = seq
             self._now = now - gap_us
             # An insert touches at its time; only an LRU hit does at its own.
-            self._touched_at = self._now if lru else now - step
-            self._queue_fresh()
+            self._touched_at = self._now if self._lru else now - step
         return seq - before, full
 
-    def _order_tail(self, entry: FlowEntry, now: int) -> None:
-        """Move entries touched at `now` and inserted after `entry` behind it."""
-        rank = (entry.inserted_at, entry.seq)
+    def _order_tail(self, seq: int, now: int) -> None:
+        """Move the entries touched at `now` and inserted after entry `seq` behind it."""
         later = []
-        tail = reversed(self._entries.items())
-        next(tail)  # `entry` itself
-        for key, other in tail:
-            other = self._as_entry(key, other) if other.__class__ is tuple else other
-            if other.last_access != now or (other.inserted_at, other.seq) < rank:
+        tail = reversed(self._used.items())
+        next(tail)  # entry `seq` itself
+        for key, record in tail:
+            if record[3] != now or record[1] < seq:
                 break
             later.append(key)
         for key in reversed(later):
-            self._entries.move_to_end(key)
+            self._used.move_to_end(key)
 
     def _evict(self, now: int) -> Hashable:
         """Evict the next victim at `now` and return its key."""
-        key, victim = self._entries.popitem(last=False)
-        if victim.__class__ is FlowEntry:
-            owner = victim.owner
-        else:  # a fresh entry, the fresh queue's head
-            self._fresh.popleft()
-            owner = victim[2]
-        # RemovalRecord(time, key, owner, reason), built as InsertResult is.
-        self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, owner, EVICTED)))
+        key, record = self._victims.popitem(last=False)
+        del self._others[key]
+        self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, record[2], EVICTED)))
         return key
 
     def insert(self, key: Hashable, now: int, owner: str = OWNER_ATTACKER) -> InsertResult:
-        """Install `key` for `owner` at `now` as a `FlowEntry` with its own
-        heap record, evicting one victim if the table is full.
+        """Install `key` for `owner` at `now`, evicting one victim if the
+        table is full.
 
         The caller is expected to have observed a miss first; inserting over
         a live key raises DuplicateEntryError (a simulator bug, not a domain
         outcome).
         """
-        # As in `lookup`: skip the purge unless something can expire now.
         if now < self._now:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
-        heap = self._expiry_heap
-        if heap and heap[0][0] <= now:
-            self.purge_expired(now)
-        entries = self._entries
-        if key in entries:
+        if self._due <= now:
+            self._expire(now)
+        born = self._born
+        if key in born:
             raise DuplicateEntryError(f"live entry already installed for {key}")
-
-        if len(entries) >= self.capacity:
-            result = tuple.__new__(InsertResult, (self._evict(now), True))
-        else:
-            result = _NOT_FULL
-
+        result = (tuple.__new__(InsertResult, (self._evict(now), True))
+                  if len(born) >= self.capacity else _NOT_FULL)
         self._seq = seq = self._seq + 1
         self._touched_at = now
-        # FlowEntry(key, inserted_at, last_access, owner, seq), positional,
-        # which the generated __init__ binds fastest.
-        entries[key] = FlowEntry(key, now, now, owner, seq)
-        if self._timeout:
-            heapq.heappush(heap, (now + self._timeout, seq, key))
+        born[key] = self._used[key] = [now, seq, owner, now]
         return result
 
     def admit(self, keys: Sequence[Hashable], times: Sequence[int], owner: str) -> list[int]:
-        """Insert `keys[i]` at `times[i]` for `owner` as fresh entries,
-        exactly as one `insert` per key would; return the indexes of the
-        inserts that found the table full."""
-        timeout = self._timeout
-        entries, fresh, heap = self._entries, self._fresh, self._expiry_heap
+        """Insert `keys[i]` at `times[i]` for `owner`, exactly as one
+        `insert` per key would; return the indexes of the inserts that found
+        the table full."""
+        born, used = self._born, self._used
+        capacity = self.capacity
         full: list[int] = []
-        # No fresh entry falls due before `fresh_due` (`now` bounds an empty
-        # queue's next entry), no other before `other_due`; both start at
-        # the heap's top, and a purge makes them exact. Between purges, due
-        # fresh entries expire here, leaving the queue record early.
-        fresh_due = other_due = heap[0][0] if heap else math.inf
+        due = self._due  # only `_expire` moves it
         for i, key in enumerate(keys):
             now = times[i]
             if now < self._now:
                 raise ClockError(f"clock went backwards: {now} < {self._now}")
             self._now = now
-            if now >= fresh_due or now >= other_due:
-                if now >= other_due:
-                    self.purge_expired(now)
-                    other_due = self._other_due()
-                elif timeout:
-                    while fresh and fresh[0][0] + timeout <= now:
-                        gone = fresh.popleft()[2]
-                        self.removal_log.append(tuple.__new__(
-                            RemovalRecord, (now, gone, entries.pop(gone)[2], EXPIRED)))
-                fresh_due = ((fresh[0][0] if fresh else now) + timeout if timeout
-                             else math.inf)
-            if key in entries:
+            if due <= now:
+                self._expire(now)
+                due = self._due
+            if key in born:
                 raise DuplicateEntryError(f"live entry already installed for {key}")
-            if len(entries) >= self.capacity:
+            if len(born) >= capacity:
                 self._evict(now)
                 full.append(i)
             self._seq = seq = self._seq + 1
             self._touched_at = now
-            entries[key] = (now, seq, owner)
-            fresh.append((now, seq, key))
-            if timeout and not self._queued:  # `key` heads the fresh queue
-                self._queue_fresh()
-                fresh_due = now + timeout
+            born[key] = used[key] = [now, seq, owner, now]
         return full
-
-    def _other_due(self) -> float:
-        """The earliest deadline in the heap but the queue record's, which
-        may be heap[0]; then the next is one of its children."""
-        heap = self._expiry_heap
-        return (heap[0] if heap and len(heap[0]) == 3
-                else min(heap[1:3], default=(math.inf,)))[0]
 
     def occupancy(self, now: int) -> Occupancy:
         """Live entry counts per owner after purging expirations at `now`."""
         self.purge_expired(now)
-        attacker = sum((value.owner if value.__class__ is FlowEntry else value[2])
-                       == OWNER_ATTACKER for value in self._entries.values())
-        return Occupancy(attacker, len(self._entries) - attacker)
+        attacker = sum(record[2] == OWNER_ATTACKER for record in self._born.values())
+        return Occupancy(attacker, len(self._born) - attacker)

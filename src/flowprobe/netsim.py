@@ -197,9 +197,10 @@ class KeySequence:
     """Deterministic generator of distinct flow keys under one /16 prefix.
 
     Key i of prefix "a.b" is the int `(a << 8 | b) << 32 | i`, for
-    0 <= i < 2**32: the prefix's base plus the index. Owner prefixes are
-    disjoint, which keeps attacker and background key spaces disjoint by
-    construction. `flow_key` gives a key's header tuple.
+    0 <= i < 2**32: the prefix's base plus the index. Any other index
+    raises ValueError, since its key would lie in another prefix's range.
+    Owner prefixes are disjoint, which keeps attacker and background key
+    spaces disjoint by construction. `flow_key` gives a key's header tuple.
     """
 
     def __init__(self, prefix: str):
@@ -208,16 +209,22 @@ class KeySequence:
         self.index = 0  # of the key `next_key` returns next
 
     def key_at(self, i: int) -> int:
+        if not 0 <= i < 1 << 32:
+            raise ValueError(f"key index {i} is outside [0, 2**32)")
         return self.base + i
 
     def keys(self, start: int, stop: int) -> range:
         """`key_at(i)` for i in `range(start, stop)`."""
+        if start < stop and not (0 <= start and stop <= 1 << 32):
+            raise ValueError(f"key indexes [{start}, {stop}) are outside [0, 2**32)")
         return range(self.base + start, self.base + stop)
 
     def next_key(self) -> int:
-        key = self.base + self.index
-        self.index += 1
-        return key
+        i = self.index
+        if not 0 <= i < 1 << 32:
+            raise ValueError(f"key index {i} is outside [0, 2**32)")
+        self.index = i + 1
+        return self.base + i
 
 
 def flow_key(key: int) -> FlowKey:

@@ -3,7 +3,6 @@
 import copy
 import itertools
 import math
-import heapq
 import random
 
 import pytest
@@ -141,17 +140,17 @@ class TestInsert:
 
     @pytest.mark.parametrize("due", [False, True])
     def test_clock_must_not_go_backwards(self, due):
-        # Without a due expiry record insert checks the clock itself; with
-        # one it purges first. No public call leaves a record due behind
-        # the clock, so plant a stale one (seq 0 matches no entry).
+        # The clock is checked before a due purge could run. No public call
+        # leaves a due behind the clock, so plant an early one: still at or
+        # below key(1)'s deadline.
         table = FlowTable(capacity=2, idle_timeout=100 * MS)
         table.insert(key(1), 50)
         if due:
-            heapq.heappush(table._expiry_heap, (10, 0, key(9)))
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+            table._idle_due = table._due = 10
+        before = copy.deepcopy(table_state(table, raw=True))
         with pytest.raises(ClockError):
             table.insert(key(2), 40)
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     def test_reinstall_after_expiry_gets_fresh_position(self):
         # k1 expires at 10 ms, k2 at 15 ms; k1 is reinstalled at 12 ms and
@@ -197,12 +196,18 @@ class TestPurge:
         assert table.purge_expired(150 * MS) == []
         assert table.entries == snapshot
 
-    def test_hits_leave_one_heap_record(self):
+    def test_hits_leave_the_due_alone(self, monkeypatch):
+        # Hits every 0.1 ms up to 1000 ms: the idle due, 1000 ms, passes
+        # only at the last one, which looks at the head once.
         table = FlowTable(capacity=4, idle_timeout=1000 * MS)
         table.insert(key(1), 0)
+        calls = []
+        expire_head = table._expire_head
+        monkeypatch.setattr(table, "_expire_head",
+                            lambda *args: calls.append(args[-1]) or expire_head(*args))
         for t in range(1, 10_001):
             assert table.lookup(key(1), t * MS // 10) is True
-        assert len(table._expiry_heap) == 1
+        assert calls == [1000 * MS] and table._due == 999_900 + 1000 * MS
 
     def test_frequent_access_prevents_idle_expiry(self):
         idle = 1000 * MS
@@ -215,8 +220,8 @@ class TestPurge:
 
 
 class TestRecordDeadlineExpiry:
-    """purge_expired expires an entry never hit since its insert straight
-    from its heap record, and recomputes the deadline of a hit one."""
+    """purge_expired expires entries never hit, hit only in their insert
+    microsecond and hit later, each at its own deadline."""
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("hard, idle", [(0, 300), (400, 0), (400, 300),
@@ -343,32 +348,31 @@ class TestOracleEquivalence:
             assert len(table) <= 6
 
 
-def table_state(table, raw_heap=False):
-    """What twin tables agree on when they hold the same entries, whatever
-    internal form holds them: the table's timeouts, each entry's fields (seq
-    too) in victim order, each one's next deadline, the removal log, the
-    sequence counter and both clocks. The raw expiry heap is added only if
-    `raw_heap` (a table checked against its own earlier state). Also
-    asserts that every live entry with a finite timeout is covered by a heap
-    record at or before its deadline: its own, or the fresh queue's for a
-    fresh entry."""
+def table_state(table, raw=False):
+    """What twin tables agree on when they hold the same entries: the
+    table's timeouts, each entry's fields (seq too) in victim order, each
+    one's next deadline, the removal log, the sequence counter and both
+    clocks. The access order and the dues are added only if `raw` (a table
+    checked against its own earlier state). Also asserts the two orders'
+    invariants: both hold the same records, `_born` in insertion order and
+    `_used` in access order, and each enabled timer's due is at or below
+    every live entry's deadline under it."""
     entries = table.entries
-    own, queue = {}, math.inf
-    for deadline, seq, *k in table._expiry_heap:
-        if k:
-            own[k[0], seq] = min(own.get((k[0], seq), math.inf), deadline)
-        else:
-            queue = min(queue, deadline)
-    for k, e in entries.items():
-        deadline = next_deadline(table, e)
-        fresh = type(table._entries[k]) is tuple
-        assert deadline is None or min(own.get((k, e.seq), math.inf),
-                                       queue if fresh else math.inf) <= deadline
-    return (table.hard_timeout, table.idle_timeout,
+    hard, idle = table.hard_timeout, table.idle_timeout
+    born, used = table._born, table._used
+    assert born.keys() == used.keys() and all(born[k] is used[k] for k in born)
+    seqs = [record[1] for record in born.values()]
+    accesses = [record[3] for record in used.values()]
+    assert seqs == sorted(seqs) and accesses == sorted(accesses)
+    for e in entries.values():
+        assert not hard or table._hard_due <= e.inserted_at + hard
+        assert not idle or table._idle_due <= e.last_access + idle
+    assert table._due == min(table._hard_due, table._idle_due)
+    return (hard, idle,
             [(e.key, e.inserted_at, e.last_access, e.owner, e.seq, next_deadline(table, e))
              for e in entries.values()],
             table.removal_log, table._seq, table._touched_at, table._now,
-            *([list(table._expiry_heap)] if raw_heap else []))
+            *([list(used), table._hard_due, table._idle_due] if raw else []))
 
 
 class TestPreload:
@@ -446,9 +450,9 @@ class TestTouchRun:
     @pytest.mark.parametrize("until_us", [10, 9, 0, -7])
     def test_until_at_or_before_start_answers_nothing(self, until_us):
         table = self.filled()
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.touch_run([key(0), key(1)] * 5, 10, 5, until_us) == 0
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     def test_stops_before_a_deadline_on_a_send_time(self):
         # key(0)'s idle deadline, 100, is the fourth send time, 40 + 3*20,
@@ -456,9 +460,9 @@ class TestTouchRun:
         table = self.filled(idle=100)
         assert table.touch_run([key(1)] * 50, 40, 20, 200) == 3
         assert key(0) in table.entries and table._now == 80
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.touch_run([key(1)] * 50, 100, 20, 200) == 0
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     @pytest.mark.parametrize("policy, start_us, gap_us, touched", [
         ("LRU", 2, 5, 0),    # the microsecond of the last touch (an insert)
@@ -468,11 +472,11 @@ class TestTouchRun:
     ])
     def test_guards(self, policy, start_us, gap_us, touched):
         table = self.filled(policy)
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.touch_run([key(2), key(0), key(1)], start_us, gap_us,
                                float("inf")) == touched
         if not touched:
-            assert table_state(table, raw_heap=True) == before
+            assert table_state(table, raw=True) == before
 
     def test_answers_from_the_first_index(self):
         table, twin = self.filled(), self.filled()
@@ -481,9 +485,9 @@ class TestTouchRun:
         assert twin.lookup(key(0), 10) and twin.lookup(key(1), 15)
         assert table_state(table) == table_state(twin)
         # keys[0] is live but keys[first] is not: nothing is answered.
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.touch_run([key(0), key(7)], 30, 5, float("inf"), first=1) == 0
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     def test_fifo_hits_leave_the_order_and_touch_time(self):
         table = self.filled("FIFO")
@@ -527,9 +531,8 @@ class TestTouchRun:
         if guarded and touched < len(keys):
             # The run is maximal: the next key misses or could interleave.
             at_us = start_us + touched * gap_us
-            heap = twin._expiry_heap
             assert (keys[touched] not in twin.entries or at_us >= until_us
-                    or (heap and at_us >= heap[0][0]))
+                    or at_us >= twin._due)
 
 
 def owner_by_index(k: FlowKey) -> str:
@@ -588,10 +591,10 @@ class TestInstallRun:
         keys = [key(i) for i in range(10, 15)]
         assert table.install_run(keys, 10, 5, float("inf"), owner_by_index) == (2, [])
         assert len(table) == 5 and table.removal_log == []
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.install_run(keys, 20, 5, float("inf"), owner_by_index,
                                  first=2) == (0, [])
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     @pytest.mark.parametrize("until_us, answered", [(25, 3), (26, 4)])
     def test_stops_before_until(self, until_us, answered):
@@ -610,12 +613,25 @@ class TestInstallRun:
     @pytest.mark.parametrize("hard, idle, answered", [
         (30, 0, 3), (0, 30, 3), (45, 30, 3), (30, 45, 3), (31, 0, 4)])
     def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
-        # The first key installed at 10 is due at 10 + min(timeouts).
-        # Nothing is inserted ahead: it would fall due first.
+        # The first key, installed at 0 into a table built at 0, is due at
+        # min(timeouts), the table's due. Installs go out at 0, 10, 20, ...
         table = FlowTable(10, "FIFO", hard, idle)
         keys = [key(i) for i in range(10, 16)]
-        assert table.install_run(keys, 10, 10, float("inf"), owner_by_index) == (
+        assert table.install_run(keys, 0, 10, float("inf"), owner_by_index) == (
             answered, [])
+
+    @pytest.mark.parametrize("hard, idle", [(30, 0), (0, 30), (30, 45), (45, 30)])
+    def test_stops_before_the_due_the_purge_that_emptied_the_table_set(self, hard, idle):
+        # key(1), in at 0, expires at 30 and leaves the table empty: both
+        # dues become 30 plus their timeouts, at or below the deadline of
+        # any entry it takes later. A run from 40 stops before 60, ahead of
+        # its own first deadline, 40 + min(timeouts).
+        table = FlowTable(10, "FIFO", hard, idle)
+        table.insert(key(1), 0)
+        assert table.purge_expired(30) == [key(1)]
+        assert table._due == 60
+        keys = [key(i) for i in range(10, 16)]
+        assert table.install_run(keys, 40, 10, math.inf, owner_by_index) == (2, [])
 
     @pytest.mark.parametrize("start_us, until_us, answered", [
         (10, 10, 0), (10, 11, 3),  # until
@@ -635,18 +651,17 @@ class TestInstallRun:
     ])
     def test_guards(self, start_us, gap_us, first):
         table = self.filled()
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
                                  float("inf"), owner_by_index, first) == (0, [])
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     @pytest.mark.parametrize("ahead", [0, 5])
     @pytest.mark.parametrize("watch", [None, key(1)])
-    def test_installs_fresh_entries_under_one_heap_record(self, policy, ahead, watch,
-                                                         monkeypatch):
-        # `ahead` admitted entries, then key(1), a `FlowEntry`, which may be
-        # watched; fresh entries take (500, 400).
+    def test_run_entries_fall_due_as_inserted_ones(self, policy, ahead, watch):
+        # `ahead` admitted entries, then key(1), which may be watched; every
+        # entry takes (500, 400).
         def build():
             table = FlowTable(40, policy, 500, 400)
             table.admit([key(100 + j) for j in range(ahead)], [0] * ahead, "background")
@@ -655,15 +670,8 @@ class TestInstallRun:
 
         table, twin = build(), build()
         keys = [key(i) for i in range(10, 40)]
-        heap = len(table._expiry_heap)
-        built = []
-        init = FlowEntry.__init__
-        monkeypatch.setattr(FlowEntry, "__init__",
-                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
         assert table.install_run(keys, 10, 5, math.inf, owner_by_index,
                                  watch=watch) == (30, [])
-        assert built == [] and len(table._expiry_heap) <= heap + 1
-        assert all(type(table._entries[k]) is tuple for k in keys)
         if watch is None:
             self.insert_loop(twin, keys, 10, 5)
         else:
@@ -677,12 +685,10 @@ class TestInstallRun:
 
     @pytest.mark.parametrize("watch", [None, key(1)])
     def test_hit_flow_entries_keep_their_own_records(self, watch):
-        # A (0, 400) table holds three `FlowEntry`s, inserted at 0, 0 and 1
-        # and hit at 100: each keeps its own heap record, early at its insert
-        # deadline, and the run's fresh entries add at most the queue's one
-        # record. Five of eight slots are free; with `watch` two more
-        # installs evict key(100) and key(101), and the next would evict
-        # key(1).
+        # A (0, 400) table holds three entries, inserted at 0, 0 and 1 and
+        # hit at 100, so the idle due, 400, is early for each. Five of eight
+        # slots are free; with `watch` two more installs evict key(100) and
+        # key(101), and the next would evict key(1).
         def build():
             table, oracle = FlowTable(8, "FIFO", 0, 400), ReplayOracle(8, "FIFO")
             for k, at_us, owner in ((key(100), 0, "background"),
@@ -695,18 +701,14 @@ class TestInstallRun:
 
         (table, oracle), (twin, _) = build(), build()
         keys = [key(i) for i in range(10, 18)]
-        heap = len(table._expiry_heap)
+        assert table._due == 400
         rounds, full = table.install_run(keys, 110, 5, math.inf, owner_by_index,
                                          watch=watch)
         assert (rounds, full) == ((5, []) if watch is None else (7, [5, 6]))
-        assert all(type(table._entries[k]) is tuple for k in keys[:rounds])
-        assert len(table._expiry_heap) <= heap + 1
-        records = {(k[0], seq): deadline for deadline, seq, *k in table._expiry_heap if k}
-        own = [e for e in table._entries.values() if type(e) is FlowEntry]
-        assert [e.key for e in own] == ([key(100), key(101), key(1)] if watch is None
-                                        else [key(1)])
-        assert all(records[e.key, e.seq] == e.inserted_at + 400 < next_deadline(table, e)
-                   for e in own)
+        ahead = [k for k in table.entries if k not in keys]
+        assert ahead == ([key(100), key(101), key(1)] if watch is None else [key(1)])
+        assert table._due == 400 < min(next_deadline(table, table.entries[k])
+                                       for k in ahead)
         if watch is None:
             self.insert_loop(twin, keys[:rounds], 110, 5)
         else:
@@ -717,8 +719,8 @@ class TestInstallRun:
             oracle.insert(k, 110 + i * gap, 0, 400, owner_by_index(k))
             if watch is not None:
                 assert oracle.lookup(watch, 110 + i * gap + 5)
-        # At 505 the early records have been re-pushed and key(100) and
-        # key(101) are gone at 500; the run's entries are not yet, nor is
+        # At 505 the due has moved past 400 and key(100) and key(101) are
+        # gone at 500; the run's entries are not yet, nor is
         # a watched key(1).
         for now in (505, 1000):
             assert table.occupancy(now) == twin.occupancy(now) == oracle.occupancy(now)
@@ -773,12 +775,9 @@ class TestInstallRun:
             # The run is maximal: the next key is live, the table is full, or
             # the next send could purge or meet an arrival.
             at_us = start_us + installed * gap_us
-            heap = twin._expiry_heap
-            timeout = min(t for t in (hard, idle, math.inf) if t > 0)
             assert (keys[first + installed] in twin.entries
                     or len(twin) >= capacity or at_us >= until_us
-                    or (heap and at_us >= heap[0][0])
-                    or at_us >= start_us + timeout)
+                    or at_us >= twin._due)
         # Flush with fresh keys so every surviving entry's victim rank shows.
         end_us = max(now, start_us + (installed - 1) * gap_us)
         for j in range(100, 100 + capacity):
@@ -820,8 +819,7 @@ class TestRoundRun:
                          first=0, watch=key(0)):
         """Run `install_run` watching `watch` on `table` and the loop on
         `twin`; assert both end alike and return what `install_run`
-        returned. The raw heaps differ: the run's fresh entries share the
-        queue's record, the loop pushes one per insert."""
+        returned."""
         rounds, full = table.install_run(keys, start_us, gap_us, until_us,
                                          owner_by_index, first, watch)
         assert full == self.round_loop(twin, keys[first:first + rounds], watch,
@@ -862,10 +860,10 @@ class TestRoundRun:
         keys = [key(i) for i in range(10, 15)]
         assert self.run_matches_loop(table, twin, keys, 10, 5) == (2, [0, 1])
         assert next(iter(table.entries)) == key(0)
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.install_run(keys, 30, 5, math.inf, owner_by_index, 2,
                                  key(0)) == (0, [])
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     def test_the_watched_key_at_the_head_of_a_table_with_room(self):
         table, twin = self.filled(ahead=0), self.filled(ahead=0)
@@ -873,13 +871,17 @@ class TestRoundRun:
         assert self.run_matches_loop(table, twin, keys, 10, 5) == (4, [])
         assert table.removal_log == []
 
-    @pytest.mark.parametrize("watch", [key(9), key(100)], ids=["absent", "fresh"])
-    def test_answers_nothing_when_the_watched_key_is_absent_or_fresh(self, watch):
+    def test_answers_nothing_when_the_watched_key_is_absent(self):
         table = self.filled()
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.install_run([key(10)], 10, 5, math.inf, owner_by_index,
-                                 watch=watch) == (0, [])
-        assert table_state(table, raw_heap=True) == before
+                                 watch=key(9)) == (0, [])
+        assert table_state(table, raw=True) == before
+
+    def test_an_admitted_watched_key_is_an_ordinary_entry(self):
+        table, twin = self.filled(), self.filled()
+        assert self.run_matches_loop(table, twin, [key(10)], 10, 5,
+                                     watch=key(100)) == (1, [])
 
     def test_stops_at_the_first_live_key(self):
         table, twin = self.filled(), self.filled()
@@ -911,19 +913,19 @@ class TestRoundRun:
         assert self.run_matches_loop(table, twin, keys, 100, 5)[0] == answered
 
     @pytest.mark.parametrize("hard, idle, answered", [
-        (20, 0, 2),   # due at 30, round 2's install time
-        (0, 25, 2),   # due at 35, round 2's lookup time
+        (20, 0, 2),   # due at 20, round 2's install time
+        (0, 25, 2),   # due at 25, round 2's lookup time
         (45, 25, 2), (0, 26, 3), (0, 0, 6)])
     def test_stops_before_its_own_first_deadline(self, hard, idle, answered):
-        # The first key, installed at 10, is due at 10 + min(timeouts), as
-        # is the watched key, inserted at 10 with nothing ahead: an entry
-        # inserted earlier would fall due first. Installs go out at 10, 20,
-        # 30, ..., lookups at 15, 25, 35, ...
+        # The first key, installed at 0, is due at min(timeouts), as is the
+        # watched key, inserted at 0 into a table built at 0 with nothing
+        # ahead: that is the table's due. Installs go out at 0, 10, 20, ...,
+        # lookups at 5, 15, 25, ...
         table, twin = (FlowTable(20, "FIFO", hard, idle) for _ in range(2))
         for each in (table, twin):
-            each.insert(key(0), 10)
+            each.insert(key(0), 0)
         keys = [key(i) for i in range(10, 16)]
-        assert self.run_matches_loop(table, twin, keys, 10, 5)[0] == answered
+        assert self.run_matches_loop(table, twin, keys, 0, 5)[0] == answered
 
     @pytest.mark.parametrize("start_us, gap_us, first", [
         (1, 5, 0),    # behind the table clock
@@ -933,10 +935,10 @@ class TestRoundRun:
     ])
     def test_guards(self, start_us, gap_us, first):
         table = self.filled()
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         assert table.install_run([key(10), key(1), key(11)], start_us, gap_us,
                                  math.inf, owner_by_index, first, key(0)) == (0, [])
-        assert table_state(table, raw_heap=True) == before
+        assert table_state(table, raw=True) == before
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -957,7 +959,7 @@ class TestRoundRun:
             self, policy, capacity, fresh, steps, watch, start_dt, gap_us,
             until_dt, hard, idle, first, run):
         # `fresh` admitted entries go in first, so they sort ahead of the
-        # watched key; watch 8 and 9 are admitted keys (fresh, or absent).
+        # watched key; watch 8 and 9 are admitted keys (live, or absent).
         def build():
             table = FlowTable(capacity, policy, hard, idle)
             oracle = ReplayOracle(capacity=capacity, policy=policy)
@@ -996,18 +998,14 @@ class TestRoundRun:
         assert full == oracle_full
         if rounds:
             assert start_us + (2 * rounds - 1) * gap_us < until_us
-        if (gap_us >= 1 and first + rounds < len(keys)
-                and type(twin._entries.get(watched)) is FlowEntry):
+        if gap_us >= 1 and first + rounds < len(keys) and watched in twin.entries:
             # The run is maximal: the next key is live, its install would
             # evict the watched key, or a time of the next round could
             # purge or meet an arrival.
             at_us = start_us + (2 * rounds + 1) * gap_us  # the next lookup's
-            heap = twin._expiry_heap
-            timeout = min(t for t in (hard, idle, math.inf) if t > 0)
             assert (keys[first + rounds] in twin.entries
                     or (len(twin) >= capacity and next(iter(twin.entries)) == watched)
-                    or at_us >= until_us or (heap and at_us >= heap[0][0])
-                    or at_us >= start_us + timeout)
+                    or at_us >= until_us or at_us >= twin._due)
         # Flush with new keys so every surviving entry's victim rank shows.
         end_us = max(now, start_us + (2 * rounds - 1) * gap_us)
         for j in range(200, 200 + capacity):
@@ -1017,8 +1015,8 @@ class TestRoundRun:
 
 
 class TestAdmit:
-    """`admit` stores fresh entries; the table must behave as with one
-    `insert` per key, whatever is done with them afterwards."""
+    """`admit` installs a batch; the table must behave as with one `insert`
+    per key, whatever is done with the entries afterwards."""
 
     @staticmethod
     def insert_loop(table, keys, times, owner="background"):
@@ -1074,7 +1072,7 @@ class TestAdmit:
                 assert full == [j for j, (k, t) in enumerate(zip(keys, times))
                                 if oracle.insert(k, t, hard, idle, "background")[1]]
                 now = times[-1] if times else now
-            else:  # a hit run stops at a fresh key, which a lookup thaws
+            else:  # a hit run, which stops at a missing key
                 _, dt, gap, run = op
                 now += dt
                 keys = [probed(i) for i in run]
@@ -1091,23 +1089,20 @@ class TestAdmit:
                 key(j), now, hard, idle)[0]
         assert sorted(table.removal_log) == sorted(oracle.removal_log)
 
-    def test_stores_fresh_entries_with_one_queue_record(self):
+    def test_stores_entries_in_insert_order(self):
         table = FlowTable(4, hard_timeout=100)
         keys = [key(i) for i in range(3)]
         assert table.admit(keys, [0, 5, 5], "background") == []
-        assert list(table._entries.values()) == [
-            (0, 1, "background"), (5, 2, "background"), (5, 3, "background")]
-        assert table._expiry_heap == [(100, 1)]
-        assert [e.inserted_at for e in table.entries.values()] == [0, 5, 5]
+        assert [(e.inserted_at, e.last_access, e.seq, e.owner)
+                for e in table.entries.values()] == [
+            (0, 0, 1, "background"), (5, 5, 2, "background"), (5, 5, 3, "background")]
         assert table.occupancy(99) == (0, 3)
         assert table.purge_expired(105) == keys
 
-    def test_a_due_record_below_the_queue_record_expires_in_order(self):
-        # The heap holds the queue record on top, then the records of key(2)
-        # and key(3), early once each is hit. key(1) (due 50) and key(3)
-        # (hit at 12, due 62) expire, in that order, when key(5) goes in at
-        # 62, and key(2) (hit at 40, due 90) gets its record back; key(4)
-        # (due 70) and key(2) expire when key(6) goes in at 100.
+    def test_idle_expiries_follow_access_order(self):
+        # key(1) (due 50) and key(3) (hit at 12, due 62) expire, in that
+        # order, when key(5) goes in at 62; key(4) (due 70) and key(2) (hit
+        # at 40, due 90) expire when key(6) goes in at 100.
         table, twin = FlowTable(10, idle_timeout=50), FlowTable(10, idle_timeout=50)
         admits = ((table, lambda keys, times: table.admit(keys, times, "background")),
                   (twin, lambda keys, times: self.insert_loop(twin, keys, times)))
@@ -1118,18 +1113,16 @@ class TestAdmit:
             assert each.lookup(key(3), 12)
             admit([key(4)], [20])
             assert each.lookup(key(2), 40)
-        assert [k for _, _, *k in table._expiry_heap] == [[], [key(2)], [key(3)]]
+        assert list(table._used) == [key(1), key(3), key(4), key(2)]
         for each, admit in admits:
             admit([key(5), key(6)], [62, 100])
         assert table_state(table) == table_state(twin)
         assert [r.key for r in table.removal_log] == [key(1), key(3), key(4), key(2)]
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
-    def test_a_thaw_at_the_queue_records_deadline_with_int_keys(self, policy):
-        # The hit at 0 thaws key 0, the fresh queue's head, so its record
-        # ties with the queue record on (deadline, seq): the heap must never
-        # order the int key against the queue record, nor take key 0, which
-        # is falsy, for the queue record.
+    def test_a_hit_in_the_admit_microsecond_with_int_keys(self, policy):
+        # The hit at 0 on key 0, admitted at 0, changes nothing; key 0 is
+        # falsy, and both still expire at 300 in insert order.
         table, oracle = FlowTable(4, policy, idle_timeout=300), ReplayOracle(4, policy)
 
         def admit(keys, times):
@@ -1140,7 +1133,7 @@ class TestAdmit:
         admit([0, 1], [0, 0])
         assert table.lookup(0, 0) and oracle.lookup(0, 0)
         admit([2], [5])
-        assert table._expiry_heap == [(300, 1), (300, 1, 0)]
+        assert list(table._used) == [0, 1, 2] and table._due == 300
         assert table.purge_expired(300) == oracle.purge(300) == [0, 1]
         assert table.purge_expired(305) == oracle.purge(305) == [2]
         assert table.removal_log == oracle.removal_log
@@ -1154,25 +1147,24 @@ class TestAdmit:
     def test_reading_entries_changes_nothing(self):
         table = FlowTable(4, idle_timeout=50)
         table.insert(key(9), 0)
-        plain = table.entries
-        assert plain is table._entries
         table.admit([key(1), key(2)], [1, 2], "background")
-        before = copy.deepcopy(table_state(table, raw_heap=True))
+        before = copy.deepcopy(table_state(table, raw=True))
         view = table.entries
-        assert view is not table._entries and list(view) == [key(9), key(1), key(2)]
+        assert list(view) == [key(9), key(1), key(2)]
         view[key(1)].last_access = 40
-        assert table_state(table, raw_heap=True) == before
-        assert type(table._entries[key(1)]) is tuple
+        del view[key(9)]
+        assert table_state(table, raw=True) == before
+        assert table.entries is not table.entries
 
-    def test_a_hit_thaws_in_place(self):
-        table = FlowTable(4, "LRU", idle_timeout=50)
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    def test_a_hit_moves_the_entry_in_access_order_only(self, policy):
+        table = FlowTable(4, policy, idle_timeout=50)
         table.admit([key(1), key(2), key(3)], [0, 0, 0], "background")
         assert table.lookup(key(2), 10)
-        thawed = table._entries[key(2)]
-        assert type(thawed) is FlowEntry and thawed.last_access == 10
-        assert list(table._entries) == [key(1), key(3), key(2)]
-        assert (50, 2, key(2)) in table._expiry_heap
-        assert [k for _, _, k in table._fresh] == [key(1), key(3)]
+        assert table.entries[key(2)].last_access == 10
+        assert list(table._born) == [key(1), key(2), key(3)]
+        assert list(table._used) == [key(1), key(3), key(2)]
+        assert table.purge_expired(50) == [key(1), key(3)]
 
     def test_an_lru_touch_in_the_insert_microsecond_orders_the_tail(self):
         # key(0) hit at 5 moves to the back, then behind it go key(2), hit
@@ -1226,9 +1218,9 @@ def owner_by_range(k: FlowKey) -> str:
 
 class TestFreshOwners:
     """Background arrivals (`admit`) and the attacker's fresh-key runs
-    (`install_run`, with and without a watched key) share one fresh queue;
-    the table must behave as with one `lookup`, and `insert` on a miss, per
-    probe, whichever owner's entries it thaws, evicts or expires."""
+    (`install_run`, with and without a watched key) share one table; it
+    must behave as with one `lookup`, and `insert` on a miss, per probe,
+    whichever owner's entries it hits, evicts or expires."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1278,14 +1270,14 @@ class TestFreshOwners:
                 assert full == [j for j, (k, t) in enumerate(zip(keys, times))
                                 if oracle.insert(k, t, hard, idle, "background")[1]]
                 now = times[-1] if times else now
-            elif op[0] == "probe":  # a hit on a fresh key thaws it
+            elif op[0] == "probe":
                 now += op[1]
                 k = probed(op[2])
                 assert probe(table, k, now) == replay(k, now)
             else:  # a fresh-key run, driven as `SwitchSimulator.send_rounds` does
                 _, dt, gap, run, watch = op
                 now += dt
-                if watch is not None:  # live, and a `FlowEntry`, from here on
+                if watch is not None:  # live from here on
                     watch = probed(watch)
                     assert probe(table, watch, now) == replay(watch, now)
                     now += 1

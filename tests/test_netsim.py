@@ -857,6 +857,32 @@ class TestKeySpaces:
         assert {sim.owner_of(seq.key_at(i)) for i in self.INDEXES} == {owner}
         assert sim.owner_of(seq.key_at(2**32 - 1)) == owner
 
+    @pytest.mark.parametrize("i", [-1, 2**32])
+    def test_an_index_outside_its_prefix_is_rejected(self, i):
+        # Key 2**32 of 10.1 would be key 0 of 10.2, a background key.
+        seq = KeySequence(ATTACKER_PREFIX)
+        with pytest.raises(ValueError):
+            seq.key_at(i)
+        with pytest.raises(ValueError):
+            seq.keys(i, i + 1)
+        seq.index = i
+        with pytest.raises(ValueError):
+            seq.next_key()
+        assert seq.index == i
+
+    def test_the_first_and_last_index_are_kept(self):
+        seq = KeySequence(ATTACKER_PREFIX)
+        assert seq.key_at(0) == seq.base and seq.key_at(2**32 - 1) == seq.base + 2**32 - 1
+        assert list(seq.keys(2**32 - 2, 2**32)) == [seq.key_at(2**32 - 2),
+                                                    seq.key_at(2**32 - 1)]
+        with pytest.raises(ValueError):
+            seq.keys(2**32 - 1, 2**32 + 1)
+        with pytest.raises(ValueError):
+            seq.keys(-1, 2)
+        assert list(seq.keys(9, 3)) == list(seq.keys(2**32, 2**32)) == []
+        seq.index = 2**32 - 1
+        assert seq.next_key() == seq.key_at(2**32 - 1) and seq.index == 2**32
+
     def test_background_and_attacker_ranges_never_overlap(self):
         # Every index below 2**32 keeps its prefix's top bits.
         attacker = KeySequence(ATTACKER_PREFIX).keys(0, 2**32)
