@@ -3,7 +3,7 @@
 Everything here observes the switch exclusively through probe RTTs: first a
 bootstrap run calibrates the three latency bands (entry present; absent
 with space; absent with the table full), then timeout probes recover the
-entry lifetime limits, and finally one inference loop, for FIFO or LRU,
+entry lifetime limits, and finally the inference for FIFO or for LRU
 streams distinct keys until it has seen the table fill up and then lose one
 of the attacker's own entries.
 
@@ -21,7 +21,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .flowtable import FIFO, LRU
 from .netsim import (
@@ -297,7 +297,6 @@ def bootstrap_thresholds(session: ProbeSession,
         gap_us = max(ts2_us, session.send_gap_us)
         next_send = session.now_us
         fillers = 0
-        jumped = False
         while fillers < params.filler_budget:
             # A run of m <= n fillers, one send gap or ts2 apart, stops at
             # the first above `floor_cut`, the smallest running cut it can
@@ -342,11 +341,10 @@ def bootstrap_thresholds(session: ProbeSession,
                             "bands lie closer together than jump_factor")
                     t2_samples.append(us_to_ms(median))
                     t3_samples.append(us_to_ms(confirms[-1]))
-                    jumped = True
-                    break
+                    break  # out of the filler loop
             for rtt_us in (sample.rtt_us, *confirms):
                 insort(miss_sorted, rtt_us)
-        if not jumped:
+        else:
             raise JumpNeverObserved(
                 f"no RTT jump within {params.filler_budget} fillers"
             )
@@ -458,95 +456,24 @@ def check_feasibility(capacity_guess: int,
     )
 
 
-def _infer(session: ProbeSession, thresholds: RttThresholds, key_budget: int,
-           time_budget_ms: Optional[float], policy: str,
-           watched: Callable[[list[int]], Sequence[int]]) -> InferenceReport:
-    """The detection loop behind `infer_fifo` and `infer_lru`.
+def _budget_us(time_budget_ms: Optional[float]) -> float:
+    """A time budget in whole microseconds, or math.inf for None (no budget);
+    one that is not a finite number >= 0 is a ValueError."""
+    if time_budget_ms is None:
+        return math.inf
+    if not 0 <= time_budget_ms * US_PER_MS < math.inf:
+        raise ValueError(f"time_budget_ms={time_budget_ms!r} must be a finite "
+                         "number >= 0")
+    return ms_to_us(time_budget_ms)
 
-    Each round probes one fresh key; the first full-table RTT fixes n1.
-    Then `watched(keys)` names the attacker keys to re-probe; if there are
-    any, they go out as one burst that stops at the first miss, which fixes
-    n2 and ends the attack (the miss also reinstalls that key). Re-probes
-    count toward traffic but not toward the distinct-key budget. Once a
-    round that does not stop the attack ends past `time_budget_ms`, an LRU
-    run raises InfeasibleRate, and a FIFO run is flagged and keeps going.
-    Under FIFO the rounds before n1 watch nothing, and from the n1 round on
-    `watched` names one key, the same in every round. So both go out as
-    runs: the rounds before n1 as one fresh-key burst that stops at the
-    first full-table RTT, and the rounds after the n1 round as one run of a
-    fresh key, then the watched key, per round, that stops at its first
-    miss. Only a flag can depend on their time, and time only grows, so it
-    is checked once per run: at the end of the run, or as the round that
-    stops the attack begins, when the round before it ends.
-    """
-    budget_fatal, blind_until_full = policy == LRU, policy == FIFO
-    hit_cut_us = thresholds.hit_cut_ms * 1000.0
-    full_cut_us = thresholds.full_cut_ms * 1000.0
-    budget_us = None if time_budget_ms is None else ms_to_us(time_budget_ms)
-    start_us = session.now_us
-    probes_before = session.probes_sent
 
-    keys: list[int] = []
-    n1: Optional[int] = None
-    budget_exceeded = False
-    while len(keys) < key_budget:
-        begun_us = session.now_us  # as the round's first probe goes out
-        if n1 is not None and blind_until_full:
-            sent, miss = session.probe_fresh(key_budget - len(keys), hit_cut_us,
-                                             watch=watched(keys)[0])
-            keys += sent
-            if miss is None:
-                continue  # the key budget is spent
-            begun_us = miss.time_us - session.send_gap_us
-        else:
-            if n1 is None and blind_until_full:
-                sent, full = session.probe_fresh(key_budget - len(keys), full_cut_us)
-                keys += sent
-                if full is None:
-                    continue  # the key budget is spent
-                n1 = len(keys) - 1
-                begun_us = full.time_us
-            else:
-                key = session.fresh_key()
-                rtt_us = session.probe(key).rtt_us
-                if n1 is None and rtt_us >= full_cut_us:
-                    n1 = len(keys)
-                keys.append(key)
-            reprobe = watched(keys)
-            miss = session.probe_burst(reprobe, hit_cut_us) if reprobe else None
-        # The round that stops the attack checks no budget; the one before
-        # it, if any, ended as it began.
-        ended_us = session.now_us if miss is None else begun_us
-        if (budget_us is not None and ended_us - start_us > budget_us
-                and (miss is None or len(keys) > 1)):
-            if budget_fatal:
-                raise InfeasibleRate(
-                    f"rolling maintenance exceeded the {time_budget_ms} ms "
-                    f"timeout budget after {len(keys)} keys"
-                )
-            budget_exceeded = True
-            budget_us = None  # flag once, keep going
-        if miss is not None:
-            break
-    else:
-        raise BudgetExhausted(
-            f"no eviction of an attacker entry within {key_budget} keys"
-        )
+def _report(policy: str, keys: list[int], n1: int, probes: int,
+            budget_exceeded: bool) -> InferenceReport:
+    """The report of a run that stopped in its last key's round."""
     n2 = len(keys) - 1
-    if n1 is None:
-        n1 = n2  # eviction observed before any of our probes saw a full table
-
-    return InferenceReport(
-        policy_assumed=policy,
-        f_capacity=n2,
-        f_other=n2 - n1,
-        n1=n1,
-        n2=n2,
-        probes_sent=session.probes_sent - probes_before,
-        distinct_keys=len(keys),
-        reinstalls=1,
-        timeout_budget_exceeded=budget_exceeded,
-    )
+    return InferenceReport(policy_assumed=policy, f_capacity=n2, f_other=n2 - n1,
+                           n1=n1, n2=n2, probes_sent=probes, distinct_keys=len(keys),
+                           reinstalls=1, timeout_budget_exceeded=budget_exceeded)
 
 
 def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
@@ -554,15 +481,35 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
                time_budget_ms: Optional[float] = None) -> InferenceReport:
     """Capacity/usage inference against a FIFO-replacement table.
 
-    Once the table has been seen full, each round re-probes the earliest
-    attacker key: under FIFO it is provably the first attacker victim. The
-    rounds before n1 go out as one fresh-key burst, and the rounds after
-    the n1 round as one run of a fresh key, then the earliest key, per
-    round; both end exactly as the rounds one at a time would. A blown
-    time budget only sets `timeout_budget_exceeded`.
+    Each round probes one fresh key; the first full-table RTT fixes n1. From
+    that round on, each round re-probes the earliest attacker key, which
+    under FIFO is provably the first attacker victim: its first miss fixes
+    n2 and ends the attack. The rounds before n1 go out as one fresh-key
+    burst, and the rounds after the n1 round as one run of a fresh key,
+    then the earliest key, per round; both end exactly as the rounds one at
+    a time would. If the round before the one that ends the attack ends
+    past `time_budget_ms`, only `timeout_budget_exceeded` is set.
     """
-    return _infer(session, thresholds, key_budget, time_budget_ms, FIFO,
-                  lambda keys: keys[:1])
+    hit_cut_us = thresholds.hit_cut_ms * 1000.0
+    budget_us = _budget_us(time_budget_ms)
+    start_us, probes_before = session.now_us, session.probes_sent
+
+    keys, full = session.probe_fresh(key_budget, thresholds.full_cut_ms * 1000.0)
+    if full is None:
+        raise BudgetExhausted(
+            f"no eviction of an attacker entry within {key_budget} keys")
+    n1 = len(keys) - 1
+    ended_us = full.time_us  # each round before the n1 round is one probe
+    if session.probe_burst(keys[:1], hit_cut_us) is None:
+        sent, miss = session.probe_fresh(key_budget - len(keys), hit_cut_us,
+                                         watch=keys[0])
+        keys += sent
+        if miss is None:
+            raise BudgetExhausted(
+                f"no eviction of an attacker entry within {key_budget} keys")
+        ended_us = miss.time_us - session.send_gap_us
+    return _report(FIFO, keys, n1, session.probes_sent - probes_before,
+                   ended_us - start_us > budget_us)
 
 
 def infer_lru(session: ProbeSession, thresholds: RttThresholds,
@@ -570,10 +517,35 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
               time_budget_ms: Optional[float] = None) -> InferenceReport:
     """Capacity/usage inference against an LRU-replacement table.
 
-    After inserting each new key the rolling maintainer re-accesses every
-    earlier attacker key in insertion order, keeping them the most recently
-    used entries. That traffic is quadratic in the number of inserted keys,
-    so a blown time budget raises InfeasibleRate.
+    Each round probes one fresh key; the first full-table RTT fixes n1.
+    Then the rolling maintainer re-accesses every earlier attacker key in
+    insertion order, keeping them the most recently used, as one burst
+    whose first miss fixes n2 and ends the attack. That traffic is
+    quadratic in the number of keys, so a round that does not end the
+    attack and ends past `time_budget_ms` raises InfeasibleRate.
     """
-    return _infer(session, thresholds, key_budget, time_budget_ms, LRU,
-                  lambda keys: keys[:-1])
+    hit_cut_us = thresholds.hit_cut_ms * 1000.0
+    full_cut_us = thresholds.full_cut_ms * 1000.0
+    budget_us = _budget_us(time_budget_ms)
+    start_us, probes_before = session.now_us, session.probes_sent
+
+    keys: list[int] = []
+    n1: Optional[int] = None
+    while len(keys) < key_budget:
+        key = session.fresh_key()
+        rtt_us = session.probe(key).rtt_us
+        if n1 is None and rtt_us >= full_cut_us:
+            n1 = len(keys)
+        keys.append(key)
+        if session.probe_burst(keys[:-1], hit_cut_us) is not None:
+            break
+        if session.now_us - start_us > budget_us:
+            raise InfeasibleRate(
+                f"rolling maintenance exceeded the {time_budget_ms} ms "
+                f"timeout budget after {len(keys)} keys")
+    else:
+        raise BudgetExhausted(
+            f"no eviction of an attacker entry within {key_budget} keys")
+    if n1 is None:
+        n1 = len(keys) - 1  # eviction seen before any probe saw a full table
+    return _report(LRU, keys, n1, session.probes_sent - probes_before, False)

@@ -1,7 +1,9 @@
 """Tests for threshold bootstrap, timeout probing, feasibility and inference."""
 
 import itertools
+import math
 import random
+import re
 from bisect import insort
 from statistics import fmean
 
@@ -386,6 +388,19 @@ class TestInferFifo:
         assert report.f_capacity == 80
         assert report.probes_sent == 102
 
+    @pytest.mark.parametrize("time_budget_ms, exceeded", [(15.0, False),
+                                                          (14.999, True)])
+    def test_budget_is_checked_as_the_stopping_round_begins(self, time_budget_ms,
+                                                            exceeded):
+        # n2 = 120 after 152 probes 100 us apart: the stopping round, a fresh
+        # key and then the first key, begins at 15,000 us, as the round
+        # before it ends.
+        session = ProbeSession(make_sim(capacity=120, usage=30))
+        report = infer_fifo(session, MIDPOINT_THRESHOLDS, key_budget=1000,
+                            time_budget_ms=time_budget_ms)
+        assert (report.n2, report.probes_sent) == (120, 152)
+        assert report.timeout_budget_exceeded is exceeded
+
     def test_underestimates_with_concurrent_arrivals(self):
         for seed in range(20):
             capacity = 50 + seed * 7
@@ -436,6 +451,20 @@ class TestInferLru:
                       time_budget_ms=100.0)
         assert session.probes_sent == 105
 
+    def test_budget_is_checked_as_the_stopping_round_begins(self):
+        # n2 = 90: the rounds before the stopping one send 1 + 2 + ... + 90
+        # probes 100 us apart, so the stopping round begins at 409,500 us,
+        # as the round before it ends; it sends 91 probes and checks no
+        # budget.
+        def infer(time_budget_ms):
+            session = ProbeSession(make_sim(capacity=90, policy="LRU", usage=30))
+            return infer_lru(session, MIDPOINT_THRESHOLDS, key_budget=1000,
+                             time_budget_ms=time_budget_ms)
+
+        assert infer(409.5).probes_sent == 4186
+        with pytest.raises(InfeasibleRate, match="budget after 90 keys$"):
+            infer(409.499)
+
     def test_rolling_keeps_attacker_keys_most_recent(self):
         # Replicates the maintainer by hand and checks ground truth after
         # each round: the k most recent entries must be exactly our keys.
@@ -485,6 +514,19 @@ class TestUsageConsistency:
             infer = infer_fifo if policy == "FIFO" else infer_lru
             report = infer(session, MIDPOINT_THRESHOLDS, key_budget=2000)
             assert report.n2 - report.n1 == usage
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize("infer", [infer_fifo, infer_lru])
+    @pytest.mark.parametrize("time_budget_ms", [math.inf, math.nan, -1.0])
+    def test_a_budget_that_is_not_finite_and_at_least_0_is_rejected(
+            self, infer, time_budget_ms):
+        session = ProbeSession(make_sim(capacity=10))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"time_budget_ms={time_budget_ms!r}")):
+            infer(session, MIDPOINT_THRESHOLDS, key_budget=100,
+                  time_budget_ms=time_budget_ms)
+        assert session.probes_sent == 0
 
 
 def probe_loop(session, keys, stop_rtt_us):
@@ -872,6 +914,38 @@ def per_round_infer_fifo(session, thresholds, key_budget, time_budget_ms=None):
                            budget_exceeded)
 
 
+def per_probe_infer_lru(session, thresholds, key_budget, time_budget_ms=None):
+    """`infer_lru` with each rolling re-probe its own `probe`: per round one
+    fresh key, then every earlier key in insertion order up to the first
+    miss, and a budget check after each round that does not stop the
+    attack."""
+    hit_cut_us = thresholds.hit_cut_ms * 1000.0
+    full_cut_us = thresholds.full_cut_ms * 1000.0
+    budget_us = None if time_budget_ms is None else ms_to_us(time_budget_ms)
+    start_us, probes_before = session.now_us, session.probes_sent
+    keys, n1 = [], None
+    while len(keys) < key_budget:
+        key = session.fresh_key()
+        rtt_us = session.probe(key).rtt_us
+        if n1 is None and rtt_us >= full_cut_us:
+            n1 = len(keys)
+        keys.append(key)
+        if probe_loop(session, keys[:-1], hit_cut_us) is not None:
+            break
+        if budget_us is not None and session.now_us - start_us > budget_us:
+            raise InfeasibleRate(
+                f"rolling maintenance exceeded the {time_budget_ms} ms "
+                f"timeout budget after {len(keys)} keys")
+    else:
+        raise BudgetExhausted(
+            f"no eviction of an attacker entry within {key_budget} keys")
+    n2 = len(keys) - 1
+    n1 = n2 if n1 is None else n1
+    return InferenceReport("LRU", n2, n2 - n1, n1, n2,
+                           session.probes_sent - probes_before, len(keys), 1,
+                           False)
+
+
 def outcome(run):
     """A run's result, or the type and message of the attack error it raised."""
     try:
@@ -1009,3 +1083,38 @@ class TestFreshRuns:
             loop, MIDPOINT_THRESHOLDS, key_budget, time_budget_ms))
         assert session_state(runs) == session_state(loop)
         assert runs.sim._latency_rng.getstate() == loop.sim._latency_rng.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(("LRU", "LRU", "FIFO")),
+        noise=st.sampled_from(NOISE_MODES),
+        capacity=st.integers(1, 250),
+        usage=st.integers(0, 250),
+        rate=st.sampled_from((0.0, 0.0, 50.0, 2000.0, 50_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.0, 3.0, 40.0)),
+        idle_ms=st.sampled_from((0.0, 0.0, 1.5, 25.0)),
+        send_rate_pps=st.sampled_from((10_000.0, 10_000.0, 3000.0, 1e6)),
+        key_budget=st.integers(1, 300),
+        time_budget_ms=st.sampled_from((None, None, 0.1, 5.0, 15.0, 40.0)),
+        seed=st.integers(0, 2**16),
+        record_trace=st.sampled_from((False, False, True)),
+    )
+    def test_lru_inference_sweep_matches_the_per_probe_loop(
+            self, policy, noise, capacity, usage, rate, hard_ms, idle_ms,
+            send_rate_pps, key_budget, time_budget_ms, seed, record_trace):
+        # Each rolling re-probe burst ends as the per-probe loop does, and
+        # the budget is checked after each round that does not stop the
+        # attack; on a FIFO table the rolling keys are evicted in order.
+        def build():
+            sim = make_sim(capacity, policy, usage=min(usage, capacity), rate=rate,
+                           hard_ms=hard_ms, idle_ms=idle_ms,
+                           latency=LatencyModel(noise=noise), seed=seed,
+                           record_trace=record_trace)
+            return ProbeSession(sim, send_rate_pps)
+
+        runs, loop = build(), build()
+        result = outcome(lambda: infer_lru(runs, MIDPOINT_THRESHOLDS, key_budget,
+                                           time_budget_ms))
+        assert result == outcome(lambda: per_probe_infer_lru(
+            loop, MIDPOINT_THRESHOLDS, key_budget, time_budget_ms))
+        assert session_state(runs) == session_state(loop)
