@@ -499,7 +499,7 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
         raise BudgetExhausted(
             f"no eviction of an attacker entry within {key_budget} keys")
     n1 = len(keys) - 1
-    ended_us = full.time_us  # each round before the n1 round is one probe
+    ended_us = full.time_us  # as the one-probe round before the n1 round ends
     if session.probe_burst(keys[:1], hit_cut_us) is None:
         sent, miss = session.probe_fresh(key_budget - len(keys), hit_cut_us,
                                          watch=keys[0])

@@ -956,8 +956,8 @@ def outcome(run):
 
 class TestFreshRuns:
     """Bootstrap fillers and FIFO's rounds go out as fresh-key runs (after
-    n1, each fresh key followed by the first); all end exactly as the
-    per-probe loops they replace."""
+    n1, each fresh key followed by the first), and LRU's re-probes as one
+    burst per round; all end exactly as the per-probe loops they replace."""
 
     @pytest.mark.parametrize("noise", NOISE_MODES)
     @pytest.mark.parametrize("sim_kwargs, params, expected", [
@@ -1102,9 +1102,10 @@ class TestFreshRuns:
     def test_lru_inference_sweep_matches_the_per_probe_loop(
             self, policy, noise, capacity, usage, rate, hard_ms, idle_ms,
             send_rate_pps, key_budget, time_budget_ms, seed, record_trace):
-        # Each rolling re-probe burst ends as the per-probe loop does, and
-        # the budget is checked after each round that does not stop the
-        # attack; on a FIFO table the rolling keys are evicted in order.
+        # Each rolling burst must end as its per-probe loop does, and the
+        # budget is checked only after a round that does not stop the
+        # attack; on a FIFO table a re-probe refreshes nothing, so the
+        # earliest key is the first to miss.
         def build():
             sim = make_sim(capacity, policy, usage=min(usage, capacity), rate=rate,
                            hard_ms=hard_ms, idle_ms=idle_ms,
