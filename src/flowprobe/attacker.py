@@ -211,45 +211,43 @@ class ProbeSession:
                     gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
                     watch: Optional[int] = None,
                     ) -> tuple[list[int], Optional[RttSample]]:
-        """Probe up to `count` fresh keys `gap_us` apart (default: back to
-        back), each followed one gap later by a probe of `watch` if it is
-        given, as `SwitchSimulator.send_rounds` sends them: the run stops
-        after the first round whose last probe has an RTT of at least
-        `stop_rtt_us`. Each probe's RTT is appended to `rtts` if it is
-        given. Return the keys sent and the stopping sample (or None).
+        """Send `probe_burst`'s rounds over up to `count` fresh keys; return
+        the keys sent and the stopping sample (or None).
 
         Only the keys sent are consumed: the next `fresh_key()` is the first
-        one unsent. The cursor ends one send gap after the last probe sent.
+        one unsent.
         """
-        if gap_us is None:
-            gap_us = self.send_gap_us
-        per_key = 1 if watch is None else 2  # probes
         fresh = self._keys
         keys = fresh.keys(fresh.index, fresh.index + count)
-        sent, stop = self.sim.send_rounds(keys, self.now_us, gap_us, stop_rtt_us, watch,
-                                          rtts)
+        sent, stop = self._send(keys, stop_rtt_us, gap_us, rtts, watch)
         fresh.index += sent
-        if sent:
-            self.now_us += (per_key * sent - 1) * gap_us + self.send_gap_us
-            self.probes_sent += per_key * sent
         return list(keys[:sent]), stop
 
     def probe_burst(self, keys: Sequence[int], stop_rtt_us: float,
-                    gap_us: Optional[int] = None) -> Optional[RttSample]:
-        """Probe `keys` `gap_us` apart (default: back to back), as that many
-        `probe` calls with waits between them would, up to and including the
-        first whose RTT is at least `stop_rtt_us`.
+                    gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
+                    watch: Optional[int] = None) -> Optional[RttSample]:
+        """Probe `keys` `gap_us` apart (default: back to back), each followed
+        one gap later by a probe of `watch` if it is given, as
+        `SwitchSimulator.send_rounds` sends them: the run stops after the
+        first round whose last probe has an RTT of at least `stop_rtt_us`.
+        Each probe's RTT is appended to `rtts` if it is given.
 
-        Returns that probe's sample, or None if no probe reached the cut.
+        Returns the stopping sample, or None if no round reached the cut.
         The cursor ends one send gap after the last probe sent.
         """
-        if gap_us is None:
-            gap_us = self.send_gap_us
-        sent, stop = self.sim.send_rounds(keys, self.now_us, gap_us, stop_rtt_us)
+        return self._send(keys, stop_rtt_us, gap_us, rtts, watch)[1]
+
+    def _send(self, keys: Sequence[int], stop_rtt_us: float, gap_us: Optional[int],
+              rtts: Optional[list[int]], watch: Optional[int],
+              ) -> tuple[int, Optional[RttSample]]:
+        """`send_rounds` from the cursor; return the rounds sent and the stop."""
+        sent, stop = self.sim.send_rounds(
+            keys, self.now_us, self.send_gap_us if gap_us is None else gap_us,
+            stop_rtt_us, watch, rtts)
         if sent:
-            self.now_us += (sent - 1) * gap_us + self.send_gap_us
-        self.probes_sent += sent
-        return stop
+            self.now_us = self.sim.now_us + self.send_gap_us
+            self.probes_sent += sent if watch is None else 2 * sent
+        return sent, stop
 
     def wait_us(self, delta_us: int) -> None:
         self.now_us += delta_us
@@ -456,9 +454,12 @@ def check_feasibility(capacity_guess: int,
     )
 
 
-def _budget_us(time_budget_ms: Optional[float]) -> float:
+def _budget_us(key_budget: int, time_budget_ms: Optional[float]) -> float:
     """A time budget in whole microseconds, or math.inf for None (no budget);
-    one that is not a finite number >= 0 is a ValueError."""
+    one that is not a finite number >= 0, or a key budget below 1, is a
+    ValueError."""
+    if key_budget < 1:
+        raise ValueError(f"key_budget={key_budget!r} must be >= 1")
     if time_budget_ms is None:
         return math.inf
     if not 0 <= time_budget_ms * US_PER_MS < math.inf:
@@ -491,7 +492,7 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
     past `time_budget_ms`, only `timeout_budget_exceeded` is set.
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
-    budget_us = _budget_us(time_budget_ms)
+    budget_us = _budget_us(key_budget, time_budget_ms)
     start_us, probes_before = session.now_us, session.probes_sent
 
     keys, full = session.probe_fresh(key_budget, thresholds.full_cut_ms * 1000.0)
@@ -526,7 +527,7 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
-    budget_us = _budget_us(time_budget_ms)
+    budget_us = _budget_us(key_budget, time_budget_ms)
     start_us, probes_before = session.now_us, session.probes_sent
 
     keys: list[int] = []

@@ -383,29 +383,18 @@ def rtt_characterization(latency: LatencyModel, n_per_state: int,
     if n_per_state > 0:
         sim = SwitchSimulator(capacity=n_per_state + 2, latency=latency.with_seed(seed))
         session = ProbeSession(sim, send_rate_pps=1000.0)  # one probe per ms
-
-        def probe(key, expected_branch):
-            sample = session.probe(key)
-            if sample.branch != expected_branch:
-                raise RuntimeError(
-                    f"characterization drove branch {sample.branch}, "
-                    f"expected {expected_branch}"
-                )
-            return sample.rtt_us
-
         pinned = session.fresh_key()
-        probe(pinned, BRANCH_MISS_NOTFULL)  # install; not a sample
-        for _ in range(n_per_state):
-            samples[BRANCH_HIT].append(probe(pinned, BRANCH_HIT))
-        for _ in range(n_per_state):
-            samples[BRANCH_MISS_NOTFULL].append(
-                probe(session.fresh_key(), BRANCH_MISS_NOTFULL)
-            )
-        probe(session.fresh_key(), BRANCH_MISS_NOTFULL)  # fills the table
-        for _ in range(n_per_state):
-            samples[BRANCH_MISS_FULL].append(
-                probe(session.fresh_key(), BRANCH_MISS_FULL)
-            )
+        session.probe(pinned)  # install; not a sample
+        session.probe_burst([pinned] * n_per_state, math.inf, rtts=samples[BRANCH_HIT])
+        session.probe_fresh(n_per_state, math.inf, rtts=samples[BRANCH_MISS_NOTFULL])
+        session.probe(session.fresh_key())  # fills the table
+        session.probe_fresh(n_per_state, math.inf, rtts=samples[BRANCH_MISS_FULL])
+        # The bands are disjoint: an RTT outside its state's band took another branch.
+        for branch, rtts in samples.items():
+            lo, hi = latency.range_us(branch)
+            if not all(lo <= rtt <= hi for rtt in rtts):
+                raise RuntimeError(f"characterization drove an RTT out of [{lo}, {hi}] us, "
+                                   f"the {branch} band")
 
     summary: dict = {}
     for branch in branches:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count, repeat
 from math import cos, exp, log, sin, sqrt, tau
 from random import Random
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
@@ -437,21 +437,17 @@ class SwitchSimulator:
             raise ValueError(f"probe time {at_us} precedes simulator time {self.now_us}")
         if self._next_arrival_us <= at_us:
             self._process_arrivals(at_us)
-        # The owner is only resolved when an entry is installed or an event
-        # is traced; hits dominate the hot path.
-        owner = None
         if self.table.lookup(key, at_us):
             branch = BRANCH_HIT
         else:
-            owner = self.owner_of(key)
-            branch = (BRANCH_MISS_FULL if self.table.insert(key, at_us, owner).was_full
-                      else BRANCH_MISS_NOTFULL)
+            full = self.table.insert(key, at_us, self.owner_of(key)).was_full
+            branch = BRANCH_MISS_FULL if full else BRANCH_MISS_NOTFULL
         rtt = self._draw_rtt(branch)
         self.now_us = at_us
         self.events_processed += 1
         if self.trace is not None:
-            self.trace.append(SimEvent(at_us, EVENT_PROBE, key,
-                                       owner or self.owner_of(key), branch, rtt))
+            self.trace.append(SimEvent(at_us, EVENT_PROBE, key, self.owner_of(key),
+                                       branch, rtt))
         # RttSample(time_us, key, rtt_us, branch), built without the NamedTuple's
         # Python-level __new__.
         return tuple.__new__(RttSample, (at_us, key, rtt, branch))
@@ -468,18 +464,18 @@ class SwitchSimulator:
         `stop_rtt_us`. Returns the number of rounds sent and that probe's
         sample, or None if every round was sent; each probe's RTT is
         appended to `rtts` if it is given. The result and the simulator's
-        state are those of one `send_probe` call per probe.
+        state, its trace too, are those of one `send_probe` call per probe.
 
-        With tracing off, rounds that no arrival or expiry can interleave
-        are answered in one table pass, with the RTT draws of their probes,
-        which the table picks: `FlowTable.touch_run` a run of live keys,
-        given no `watch` and the hit band's top below the cut; else
-        `FlowTable.install_run` a run of absent keys, given the band of a
-        round's last probe with its top below the cut: the miss band without
-        `watch` (the pass then installs into free slots only), the hit band
-        with it. A round neither pass answers (the one whose install would
-        evict `watch`, for one) is one `send_probe` call per probe; then the
-        passes are retried.
+        Each try first applies the background arrivals due at its time.
+        Rounds that no later arrival or expiry can interleave are answered in
+        one table pass, with the RTT draws of their probes, which the table
+        picks: `FlowTable.touch_run` a run of live keys, given no `watch` and
+        the hit band's top below the cut; else `FlowTable.install_run` a run
+        of absent keys, given the band of a round's last probe with its top
+        below the cut: the miss band without `watch` (the pass then installs
+        into free slots only), the hit band with it. A round neither pass
+        answers (the one whose install would evict `watch`, for one) is one
+        `send_probe` call per probe; then the passes are retried.
         """
         if start_us < self.now_us:
             raise ValueError(f"probe time {start_us} precedes simulator time {self.now_us}")
@@ -487,30 +483,40 @@ class SwitchSimulator:
         answered = ([BRANCH_MISS_NOTFULL] if watch is None
                     else [BRANCH_MISS_NOTFULL, BRANCH_HIT])
         per_round = len(answered)
-        untraced = self.trace is None
-        touch = untraced and watch is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us
-        install = untraced and self._ranges[answered[-1]][1] < stop_rtt_us
-        keep = rtts is not None
-        kept = rtts if keep else []  # unread when the caller gave none
+        touch = watch is None and self._ranges[BRANCH_HIT][1] < stop_rtt_us
+        install = self._ranges[answered[-1]][1] < stop_rtt_us
+        trace = self.trace
+        keep = rtts is not None or trace is not None
+        kept = rtts if rtts is not None else []  # unread when the caller gave none
         sent = 0
         at_us = start_us
         while sent < len(keys):
+            if self._next_arrival_us <= at_us:
+                self._process_arrivals(at_us)
             probes = 0
             if touch:
                 probes = run = self.table.touch_run(keys, at_us, gap_us,
                                                     self._next_arrival_us, sent)
-                if run:
-                    kept += self._draw_rtts(repeat(BRANCH_HIT, run), run, keep)
+                # `_draw_rtts` uses up a `repeat`; only the trace reads them again.
+                branches = (repeat(BRANCH_HIT, run) if trace is None
+                            else [BRANCH_HIT] * run)
             if install and not probes:
                 run, full = self.table.install_run(
                     keys, at_us, gap_us, self._next_arrival_us, self.owner_of, sent, watch)
                 probes = per_round * run
-                if run:
-                    branches = answered * run
-                    for i in full:
-                        branches[per_round * i] = BRANCH_MISS_FULL
-                    kept += self._draw_rtts(branches, probes, keep)
+                branches = answered * run
+                for i in full:
+                    branches[per_round * i] = BRANCH_MISS_FULL
             if probes:
+                drawn = self._draw_rtts(branches, probes, keep)
+                kept += drawn
+                if trace is not None:
+                    probed = keys[sent:sent + run]
+                    if watch is not None:
+                        probed = [k for key in probed for k in (key, watch)]
+                    trace += [SimEvent(t, EVENT_PROBE, key, self.owner_of(key), branch, rtt)
+                              for t, key, branch, rtt
+                              in zip(count(at_us, gap_us), probed, branches, drawn)]
                 sent += run
                 at_us += probes * gap_us
                 self.now_us = at_us - gap_us

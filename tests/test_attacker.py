@@ -529,6 +529,14 @@ class TestTimeBudget:
         assert session.probes_sent == 0
 
 
+    @pytest.mark.parametrize("infer", [infer_fifo, infer_lru])
+    @pytest.mark.parametrize("key_budget", [0, -5])
+    def test_a_key_budget_below_1_is_rejected(self, infer, key_budget):
+        session = ProbeSession(make_sim(capacity=10))
+        with pytest.raises(ValueError, match=re.escape(f"key_budget={key_budget!r}")):
+            infer(session, MIDPOINT_THRESHOLDS, key_budget=key_budget)
+        assert session.probes_sent == 0
+
 def probe_loop(session, keys, stop_rtt_us):
     """The per-probe loop that `ProbeSession.probe_burst` stands for."""
     for key in keys:
@@ -777,6 +785,22 @@ class TestProbeBurst:
         assert passes == [("touch_run", 4), ("touch_run", 0), ("install_run", (4, []))]
         assert calls == []
         assert sim_state(sim) == sim_state(loop)
+
+    def test_arrivals_inside_a_fresh_key_run_cost_no_send_probe(self, monkeypatch):
+        # About 250 arrivals at 5,000/s fall due inside the 50 ms run of 500
+        # fresh keys. Each is applied before the next pass is tried, so the
+        # install passes answer every key, in the table's free slots.
+        build = lambda: ProbeSession(make_sim(2000, rate=5000.0, seed=5))
+        session, loop = build(), build()
+        expected = fresh_loop(loop, 500, float("inf"))
+        calls = []
+        send_probe = SwitchSimulator.send_probe
+        monkeypatch.setattr(SwitchSimulator, "send_probe",
+                            lambda sim, *args: calls.append(args) or send_probe(sim, *args))
+        assert session.probe_fresh(500, float("inf")) == expected
+        assert calls == []
+        assert session_state(session) == session_state(loop)
+        assert session.sim.background_arrivals > 200
 
     def test_tracing_on(self):
         keys = ATTACKER_KEYS[:4]

@@ -329,6 +329,15 @@ class TestCharacterization:
         assert summary["miss_notfull"]["cdf"] == [(4000, 1.0)]
         assert summary["miss_full"]["cdf"] == [(9000, 1.0)]
 
+    def test_a_probe_in_another_branch_is_an_error(self, monkeypatch):
+        # Two slots fewer: the table fills inside the not-full state.
+        build = experiments.SwitchSimulator
+        monkeypatch.setattr(experiments, "SwitchSimulator",
+                            lambda capacity, **kwargs: build(capacity - 2, **kwargs))
+        with pytest.raises(RuntimeError, match=re.escape(
+                "out of [3000, 5000] us, the miss_notfull band")):
+            rtt_characterization(LatencyModel(), n_per_state=10)
+
 
 class TestConfig:
     def test_scenario_from_dict_defaults(self):

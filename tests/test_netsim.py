@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowprobe.attacker import ProbeSession
 from flowprobe.flowtable import (
     EVICTED,
     EXPIRED,
@@ -668,6 +669,35 @@ class TestBranchDecisionDifferential:
         assert all(count > 100 for count in seen.values()), seen
 
 
+def assert_replays_through_the_oracle(sim):
+    """Replay `sim`'s preload and trace through the scan-based oracle, and
+    assert that every branch, eviction, removal and the occupancy agree."""
+    table = sim.table
+    usage = sim.workload.initial_usage
+    background = KeySequence(BACKGROUND_PREFIX)
+    oracle = ReplayOracle(table.capacity, table.policy)
+    hard, idle = table.hard_timeout, table.idle_timeout
+    victims = [oracle.insert(background.key_at(i), 0, hard, idle,
+                             OWNER_BACKGROUND)[0] for i in range(usage)]
+    branches = []
+    for event in sim.trace:
+        if oracle.lookup(event.key, event.time_us):
+            branches.append(BRANCH_HIT)
+            continue
+        victim, was_full = oracle.insert(event.key, event.time_us, hard, idle,
+                                         event.owner)
+        branches.append(BRANCH_MISS_FULL if was_full else BRANCH_MISS_NOTFULL)
+        victims.append(victim)
+    log = table.removal_log
+    assert branches == [event.branch for event in sim.trace]
+    assert [v for v in victims if v is not None] == [
+        r.key for r in log if r.reason == EVICTED]
+    # Expiries that share a timestamp may be logged in any order.
+    assert [r.time for r in log] == sorted(r.time for r in log)
+    assert sorted(log) == sorted(oracle.removal_log)
+    assert sim.ground_truth().occupancy == oracle.occupancy(sim.now_us)
+
+
 class TestOracleReplay:
     """A traced switch replayed through the scan-based oracle, as perfbench's
     lru-churn check replays its prefix. The switch holds its preload and
@@ -706,28 +736,60 @@ class TestOracleReplay:
             step_arrivals(stepped, at)
             assert sim.send_probe(key, at) == stepped.send_probe(key, at)
         assert sim_state(sim) == sim_state(stepped)
+        assert_replays_through_the_oracle(sim)
 
-        oracle = ReplayOracle(capacity, policy)
-        hard, idle = sim.table.hard_timeout, sim.table.idle_timeout
-        victims = [oracle.insert(background.key_at(i), 0, hard, idle,
-                                 OWNER_BACKGROUND)[0] for i in range(usage)]
-        branches = []
-        for event in sim.trace:
-            if oracle.lookup(event.key, event.time_us):
-                branches.append(BRANCH_HIT)
-                continue
-            victim, was_full = oracle.insert(event.key, event.time_us, hard, idle,
-                                             event.owner)
-            branches.append(BRANCH_MISS_FULL if was_full else BRANCH_MISS_NOTFULL)
-            victims.append(victim)
-        log = sim.table.removal_log
-        assert branches == [event.branch for event in sim.trace]
-        assert [v for v in victims if v is not None] == [
-            r.key for r in log if r.reason == EVICTED]
-        # Expiries that share a timestamp may be logged in any order.
-        assert [r.time for r in log] == sorted(r.time for r in log)
-        assert sorted(log) == sorted(oracle.removal_log)
-        assert sim.ground_truth().occupancy == oracle.occupancy(sim.now_us)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 10),
+        usage=st.integers(0, 14),
+        rate=st.sampled_from((0.0, 0.0, 2_000.0, 20_000.0, 100_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.0, 0.8)),
+        idle_ms=st.sampled_from((0.0, 0.0, 0.3)),
+        seed=st.integers(0, 2**16),
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from((0, 0, 1, 7, 60, 250, 600)),    # wait before, us
+                st.sampled_from(("burst", "fresh", "fresh+watch")),
+                st.lists(st.tuples(st.booleans(), st.integers(0, 40)),
+                         max_size=8),                           # burst keys
+                st.integers(1, 3),                              # times sent
+                st.integers(0, 12),                             # fresh keys
+                st.integers(0, 7),                              # watched key
+                st.sampled_from((None, 0, 1, 250)),             # gap, us
+                st.sampled_from((300, 4000, 6000, math.inf)),   # stop, us
+                st.booleans(),                                  # rtts
+            ),
+            min_size=1, max_size=8),
+    )
+    def test_traced_runs_match_the_oracle(self, policy, capacity, usage, rate,
+                                          hard_ms, idle_ms, seed, runs):
+        # Session runs go through `send_rounds`, whose table passes answer
+        # traced runs too: bursts of live keys, fresh-key runs with and
+        # without `watch`, each with or without `rtts`.
+        sim = SwitchSimulator(capacity, policy, hard_ms, idle_ms,
+                              LatencyModel(noise="none"),
+                              BackgroundWorkload(rate, usage, seed), True)
+        session = ProbeSession(sim)
+        background = KeySequence(BACKGROUND_PREFIX)
+        for wait_us, kind, indexes, times, fresh, watched, gap_us, stop, kept in runs:
+            session.wait_us(wait_us)
+            rtts = [] if kept else None
+            probes_before = session.probes_sent
+            if kind == "burst":
+                # Attacker keys the fresh runs send too, and background keys
+                # already issued, so a burst hits either owner's entries.
+                issued = usage + sim.background_arrivals
+                keys = [attacker_keys().key_at(i % 8) if ours or not issued
+                        else background.key_at(i % issued) for ours, i in indexes]
+                session.probe_burst(keys * times, stop, gap_us, rtts)
+            else:
+                watch = attacker_keys().key_at(watched) if kind == "fresh+watch" else None
+                session.probe_fresh(fresh, stop, gap_us, rtts, watch)
+            if kept:
+                probes = [e.rtt_us for e in sim.trace if e.kind == EVENT_PROBE]
+                assert rtts == probes[len(probes) - session.probes_sent + probes_before:]
+        assert_replays_through_the_oracle(sim)
 
     def test_a_hit_on_the_preload_at_time_zero(self):
         # The hit thaws the preloaded key, the fresh queue's head, at t = 0,
