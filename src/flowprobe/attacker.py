@@ -224,18 +224,17 @@ class ProbeSession:
         return list(keys[:sent]), stop
 
     def probe_burst(self, keys: Sequence[int], stop_rtt_us: float,
-                    gap_us: Optional[int] = None, rtts: Optional[list[int]] = None,
-                    watch: Optional[int] = None) -> Optional[RttSample]:
-        """Probe `keys` `gap_us` apart (default: back to back), each followed
-        one gap later by a probe of `watch` if it is given, as
+                    gap_us: Optional[int] = None,
+                    rtts: Optional[list[int]] = None) -> Optional[RttSample]:
+        """Probe `keys` `gap_us` apart (default: back to back), as
         `SwitchSimulator.send_rounds` sends them: the run stops after the
-        first round whose last probe has an RTT of at least `stop_rtt_us`.
-        Each probe's RTT is appended to `rtts` if it is given.
+        first probe with an RTT of at least `stop_rtt_us`. Each probe's RTT
+        is appended to `rtts` if it is given.
 
         Returns the stopping sample, or None if no round reached the cut.
         The cursor ends one send gap after the last probe sent.
         """
-        return self._send(keys, stop_rtt_us, gap_us, rtts, watch)[1]
+        return self._send(keys, stop_rtt_us, gap_us, rtts, None)[1]
 
     def _send(self, keys: Sequence[int], stop_rtt_us: float, gap_us: Optional[int],
               rtts: Optional[list[int]], watch: Optional[int],
@@ -454,10 +453,10 @@ def check_feasibility(capacity_guess: int,
     )
 
 
-def _budget_us(key_budget: int, time_budget_ms: Optional[float]) -> float:
-    """A time budget in whole microseconds, or math.inf for None (no budget);
-    one that is not a finite number >= 0, or a key budget below 1, is a
-    ValueError."""
+def _check_budgets(key_budget: int, time_budget_ms: Optional[float]) -> float:
+    """Check both budgets: a key budget below 1, or a time budget that is
+    not a finite number >= 0, is a ValueError. Return the time budget in
+    whole microseconds, or math.inf for None (no budget)."""
     if key_budget < 1:
         raise ValueError(f"key_budget={key_budget!r} must be >= 1")
     if time_budget_ms is None:
@@ -492,7 +491,7 @@ def infer_fifo(session: ProbeSession, thresholds: RttThresholds,
     past `time_budget_ms`, only `timeout_budget_exceeded` is set.
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
-    budget_us = _budget_us(key_budget, time_budget_ms)
+    budget_us = _check_budgets(key_budget, time_budget_ms)
     start_us, probes_before = session.now_us, session.probes_sent
 
     keys, full = session.probe_fresh(key_budget, thresholds.full_cut_ms * 1000.0)
@@ -527,7 +526,7 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
     """
     hit_cut_us = thresholds.hit_cut_ms * 1000.0
     full_cut_us = thresholds.full_cut_ms * 1000.0
-    budget_us = _budget_us(key_budget, time_budget_ms)
+    budget_us = _check_budgets(key_budget, time_budget_ms)
     start_us, probes_before = session.now_us, session.probes_sent
 
     keys: list[int] = []

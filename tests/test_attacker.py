@@ -528,7 +528,6 @@ class TestTimeBudget:
                   time_budget_ms=time_budget_ms)
         assert session.probes_sent == 0
 
-
     @pytest.mark.parametrize("infer", [infer_fifo, infer_lru])
     @pytest.mark.parametrize("key_budget", [0, -5])
     def test_a_key_budget_below_1_is_rejected(self, infer, key_budget):
@@ -536,6 +535,7 @@ class TestTimeBudget:
         with pytest.raises(ValueError, match=re.escape(f"key_budget={key_budget!r}")):
             infer(session, MIDPOINT_THRESHOLDS, key_budget=key_budget)
         assert session.probes_sent == 0
+
 
 def probe_loop(session, keys, stop_rtt_us):
     """The per-probe loop that `ProbeSession.probe_burst` stands for."""
