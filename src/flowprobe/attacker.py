@@ -536,8 +536,9 @@ def infer_lru(session: ProbeSession, thresholds: RttThresholds,
         rtt_us = session.probe(key).rtt_us
         if n1 is None and rtt_us >= full_cut_us:
             n1 = len(keys)
+        evicted = session.probe_burst(keys, hit_cut_us)  # before `key` joins: no copy
         keys.append(key)
-        if session.probe_burst(keys[:-1], hit_cut_us) is not None:
+        if evicted is not None:
             break
         if session.now_us - start_us > budget_us:
             raise InfeasibleRate(

@@ -239,7 +239,7 @@ class FlowTable:
         get = used.get
         move_to_end = used.move_to_end
         now = start_us
-        for key in keys[first:first + count]:
+        for key in keys if count == len(keys) else keys[first:first + count]:
             try:
                 get(key)[3] = now
             except TypeError:  # absent: `get` gave None

@@ -393,7 +393,7 @@ class SwitchSimulator:
         while at <= up_to_us:
             times.append(at)
             gap_us = -log(1.0 - random()) * rate_us
-            at = at + max(1, round(gap_us)) if gap_us < inf else inf
+            at = at + (round(gap_us) or 1) if gap_us < inf else inf
         self._next_arrival_us = at
         return times
 

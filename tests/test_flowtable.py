@@ -506,9 +506,10 @@ class TestTouchRun:
         gap_us=st.integers(0, 4),
         until_dt=st.integers(0, 60),
         run=st.lists(st.integers(0, 7), max_size=20),
+        data=st.data(),
     )
     def test_matches_a_lookup_loop(self, policy, capacity, hard, idle, steps, start_dt,
-                                   gap_us, until_dt, run):
+                                   gap_us, until_dt, run, data):
         def build():
             table = FlowTable(capacity, policy, hard, idle)
             now = 0
@@ -523,15 +524,17 @@ class TestTouchRun:
         start_us = now + start_dt
         until_us = start_us + until_dt
         keys = [key(i) for i in run]
+        # From 0 (the whole list) to len(run) (nothing left to answer).
+        first = data.draw(st.integers(0, len(run)), label="first")
         guarded = gap_us >= 1 and start_us > table._touched_at
-        touched = table.touch_run(keys, start_us, gap_us, until_us)
+        touched = table.touch_run(keys, start_us, gap_us, until_us, first)
         for i in range(touched):
-            assert twin.lookup(keys[i], start_us + i * gap_us)
+            assert twin.lookup(keys[first + i], start_us + i * gap_us)
         assert table_state(table) == table_state(twin)
-        if guarded and touched < len(keys):
+        if guarded and first + touched < len(keys):
             # The run is maximal: the next key misses or could interleave.
             at_us = start_us + touched * gap_us
-            assert (keys[touched] not in twin.entries or at_us >= until_us
+            assert (keys[first + touched] not in twin.entries or at_us >= until_us
                     or at_us >= twin._due)
 
 
