@@ -12,13 +12,12 @@ All timestamps are integer microseconds of virtual time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from itertools import count, repeat
 from math import cos, exp, log, sin, sqrt, tau
 from random import Random
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flowtable import (
     FIFO,
@@ -26,7 +25,6 @@ from .flowtable import (
     OWNER_BACKGROUND,
     FlowKey,
     FlowTable,
-    Occupancy,
 )
 
 BRANCH_HIT = "hit"
@@ -220,11 +218,9 @@ class KeySequence:
         return range(self.base + start, self.base + stop)
 
     def next_key(self) -> int:
-        i = self.index
-        if not 0 <= i < 1 << 32:
-            raise ValueError(f"key index {i} is outside [0, 2**32)")
-        self.index = i + 1
-        return self.base + i
+        key = self.key_at(self.index)
+        self.index += 1
+        return key
 
 
 def flow_key(key: int) -> FlowKey:
@@ -246,7 +242,7 @@ class RttSample(NamedTuple):
     """One probe's observation.
 
     `branch` is the ground-truth processing branch. It exists for tests and
-    trace exports; the inference side must classify `rtt_us` against its
+    the trace; the inference side must classify `rtt_us` against its
     calibrated thresholds instead of reading it.
     """
 
@@ -263,15 +259,6 @@ class SimEvent(NamedTuple):
     owner: str
     branch: str
     rtt_us: int
-
-
-class GroundTruth(NamedTuple):
-    capacity: int
-    occupancy: Occupancy
-    policy: str
-
-
-TRACE_COLUMNS = ("time_us", "kind", "owner", "branch", "rtt_us")
 
 
 class SwitchSimulator:
@@ -533,21 +520,3 @@ class SwitchSimulator:
                 return sent, sample
             at_us += gap_us
         return sent, None
-
-    def ground_truth(self) -> GroundTruth:
-        """Hidden state for tests and result auditing; never for inference."""
-        return GroundTruth(
-            capacity=self.table.capacity,
-            occupancy=self.table.occupancy(self.now_us),
-            policy=self.table.policy,
-        )
-
-    def write_trace_csv(self, out: TextIO) -> None:
-        if self.trace is None:
-            raise ValueError("simulator was built with record_trace=False")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for event in self.trace:
-            writer.writerow(
-                (event.time_us, event.kind, event.owner, event.branch, event.rtt_us)
-            )

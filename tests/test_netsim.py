@@ -1,6 +1,5 @@
 """Tests for the switch/controller simulator: branches, noise, workload."""
 
-import io
 import math
 import random
 from collections import Counter
@@ -88,7 +87,7 @@ class TestProbeBranches:
         sample = sim.send_probe(attacker_keys().next_key(), 0)
         assert sample.branch == BRANCH_MISS_NOTFULL
         assert 3000 <= sample.rtt_us <= 5000
-        assert sim.ground_truth().occupancy.attacker == 1
+        assert sim.table.occupancy(sim.now_us).attacker == 1
 
     def test_second_probe_hits(self):
         sim = SwitchSimulator(capacity=10)
@@ -107,7 +106,7 @@ class TestProbeBranches:
         assert sample.branch == BRANCH_MISS_FULL
         assert 8000 <= sample.rtt_us <= 10000
         assert len(sim.table.removal_log) == 1
-        assert sim.ground_truth().occupancy.total == 3
+        assert sim.table.occupancy(sim.now_us).total == 3
 
     @pytest.mark.parametrize("noise", ["none", "uniform", "truncated-gaussian"])
     def test_draws_stay_inside_branch_ranges(self, noise):
@@ -150,7 +149,7 @@ class TestBackgroundWorkload:
         sim.send_probe(attacker_keys().next_key(), 10**6)
         assert [e.kind for e in sim.trace] == [EVENT_PROBE]
         assert sim.background_arrivals == 0
-        assert sim.ground_truth().occupancy == (1, 0)
+        assert sim.table.occupancy(sim.now_us) == (1, 0)
 
     def test_preload_is_visible_at_time_zero(self):
         sim = SwitchSimulator(
@@ -161,7 +160,7 @@ class TestBackgroundWorkload:
         # The preload is no event; the probe finds 300 of 400 slots taken.
         assert [e.kind for e in sim.trace] == [EVENT_PROBE]
         assert sample.branch == BRANCH_MISS_NOTFULL
-        assert sim.ground_truth().occupancy == (1, 300)
+        assert sim.table.occupancy(sim.now_us) == (1, 300)
 
     def test_poisson_arrivals_reproduce_from_seed(self):
         # Oracle: regenerate the arrival schedule from the same seed with the
@@ -215,7 +214,7 @@ class TestBackgroundWorkload:
             64, workload=BackgroundWorkload(arrival_rate=1e-302, seed=seed))
         sim.send_probe(attacker_keys().next_key(), 10**400)
         assert sim.background_arrivals == 0
-        assert sim.ground_truth().occupancy == (1, 0)
+        assert sim.table.occupancy(sim.now_us) == (1, 0)
 
     def test_gaps_are_floored_at_one_microsecond(self):
         # At 1e9 flows/s every drawn gap is far below 0.5 us.
@@ -232,7 +231,7 @@ class TestBackgroundWorkload:
         sim.send_probe(attacker_keys().next_key(), ms_to_us(100.0))
         # ~100 arrivals due in the first 100 ms; the table must reflect them.
         assert sim.background_arrivals > 50
-        assert sim.ground_truth().occupancy.total == 5
+        assert sim.table.occupancy(sim.now_us).total == 5
 
 
 def next_arrival(sim, after_us):
@@ -619,15 +618,14 @@ class TestDrawRtts:
 class TestGroundTruth:
     def test_echoes_configuration(self):
         sim = SwitchSimulator(capacity=400, policy="LRU")
-        truth = sim.ground_truth()
-        assert truth.capacity == 400 and truth.policy == "LRU"
+        assert sim.table.capacity == 400 and sim.table.policy == "LRU"
 
     def test_attacker_fill_reaches_capacity(self):
         sim = SwitchSimulator(capacity=400)
         keys = attacker_keys()
         for t in range(400):
             sim.send_probe(keys.next_key(), t * 10)
-        assert sim.ground_truth().occupancy == (400, 0)
+        assert sim.table.occupancy(sim.now_us) == (400, 0)
 
 
 class TestBranchDecisionDifferential:
@@ -695,7 +693,7 @@ def assert_replays_through_the_oracle(sim):
     # Expiries that share a timestamp may be logged in any order.
     assert [r.time for r in log] == sorted(r.time for r in log)
     assert sorted(log) == sorted(oracle.removal_log)
-    assert sim.ground_truth().occupancy == oracle.occupancy(sim.now_us)
+    assert sim.table.occupancy(sim.now_us) == oracle.occupancy(sim.now_us)
 
 
 class TestOracleReplay:
@@ -816,7 +814,7 @@ class TestEvictionAudit:
             removed = sum(
                 1 for r in sim.table.removal_log if r.owner == OWNER_ATTACKER
             )
-            occupancy = sim.ground_truth().occupancy
+            occupancy = sim.table.occupancy(sim.now_us)
             assert occupancy.attacker == inserted - removed
 
     def test_removal_log_reasons(self):
@@ -832,26 +830,6 @@ class TestEvictionAudit:
         assert [e.branch for e in sim.trace] == [
             BRANCH_MISS_NOTFULL, BRANCH_MISS_NOTFULL, BRANCH_MISS_FULL,
             BRANCH_MISS_NOTFULL]
-
-
-class TestTraceExport:
-    def test_csv_columns_and_rows(self):
-        sim = SwitchSimulator(capacity=4, record_trace=True)
-        keys = attacker_keys()
-        key = keys.next_key()
-        sim.send_probe(key, 0)
-        sim.send_probe(key, 50)
-        out = io.StringIO()
-        sim.write_trace_csv(out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "time_us,kind,owner,branch,rtt_us"
-        assert lines[1].startswith("0,probe,attacker,miss_notfull,")
-        assert lines[2].startswith("50,probe,attacker,hit,")
-
-    def test_export_requires_tracing(self):
-        sim = SwitchSimulator(capacity=4)
-        with pytest.raises(ValueError):
-            sim.write_trace_csv(io.StringIO())
 
 
 class TestKeySpaces:

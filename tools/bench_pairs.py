@@ -9,16 +9,22 @@ pair and workload runs `perfbench/run.py --seed 0` once in that export and
 once in the working tree, alternating which side goes first from one pair
 to the next. After the pairs it runs each workload once per tree at seed
 7919, which the benchmark was not tuned on, and one `--trace 1` run per
-workload and tree, whose per-layer counts both sides should share.
+workload and tree, whose per-layer counts both sides should share, and
+the Tier-1 suite once per tree. `--pairs` must be even, so that each tree
+runs first equally often.
 
 The output file holds `what`, `host`, `parent`, `change`, `claim`,
 `claim_met`, `all_correct`, `probes_equal`, `summary`, `seed_7919`,
-`traced_pass`, `traced_counts_equal`, `notes` (empty, for the reader's
+`traced_pass`, `traced_counts_equal`, `tier1`, `notes` (empty, for the reader's
 conclusions) and `runs`. `summary` gives, per
 workload and end-to-end metric of BENCHMARK.json, both medians, the
 parent's quartiles and their spread, how many pairs the change won, and
 `worse_by`: how much worse the change's median is than the parent's, as a
-fraction of the parent's, to set against the metric's `bound`. A claim
+fraction of the parent's, to set against the metric's `bound`; and
+`ratio_by_first`: per metric, the median change-to-parent ratio over the
+pairs the parent ran first and over those the change ran first, which
+shows a run-order effect. `tier1` gives, per tree, the passed and failed
+test counts and the suite's wall seconds. A claim
 holds when the change wins at least nine pairs in ten and its median is
 better than the parent's by more than the parent's quartile spread.
 
@@ -33,6 +39,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -86,6 +93,19 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return json.loads(lines[-1])
 
 
+def tier1(tree: Path) -> dict:
+    """Run the Tier-1 suite in `tree` once; its passed and failed counts."""
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tree, env=env, text=True, capture_output=True)
+    seconds = time.perf_counter() - start
+    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", tail)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "wall_s": round(seconds, 2)}
+
+
 def run_record(result: dict, **fields) -> dict:
     record = dict(fields, correct=result["correct"], attempted=result["attempted"],
                   failed=result["failed"])
@@ -132,6 +152,13 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
             entry[m["name"]] = compare([r[m["name"]] for r in side["parent"]],
                                        [r[m["name"]] for r in side["change"]],
                                        m["better"], m["bound"])
+        entry["ratio_by_first"] = {
+            m["name"]: {f"{first}_first": round(statistics.median(
+                c[m["name"]] / p[m["name"]]
+                for p, c in zip(side["parent"], side["change"])
+                if p["first"] == (first == "parent") and p[m["name"]]), 4)
+                for first in ("parent", "change")}
+            for m in metrics}
         entry["failed_ops"] = {s: sum(r["failed"] for r in side[s]) for s in side}
         entry["all_correct"] = all(r["correct"] for r in mine)
         summary[workload] = entry
@@ -156,8 +183,9 @@ def main() -> int:
                         help="repeatable; default: every workload")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     args = parser.parse_args()
-    if args.pairs < 2:
-        sys.exit("bench_pairs: --pairs must be at least 2, to have quartiles")
+    if args.pairs < 2 or args.pairs % 2:
+        sys.exit("bench_pairs: --pairs must be even and at least 2, so that each "
+                 "tree runs first equally often")
     workloads = args.workload or list(WORKLOADS)
     if args.claim and args.claim.split(":", 1)[0] not in workloads:
         sys.exit(f"bench_pairs: the claim {args.claim!r} names no workload that is run")
@@ -198,6 +226,7 @@ def main() -> int:
                 result = perfbench(trees[side], workload, 0, args.seconds, 1)
                 record = run_record(result, workload=workload, side=side)
                 traced.append({k: record[k] for k in kept if k in record})
+        suites = {side: tier1(tree) for side, tree in trees.items()}
 
     summary = summarize(runs, workloads, metrics)
     # Per workload: one probe count over its seed-0 runs, one over its seed-7919 runs.
@@ -224,6 +253,7 @@ def main() -> int:
                                 if k not in ("side", "trace.overhead_ratio")}, sort_keys=True)
                     for r in traced if r["workload"] == w}) == 1
             for w in workloads},
+        "tier1": suites,
         "notes": [],
         "runs": runs,
     }
