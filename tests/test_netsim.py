@@ -832,6 +832,24 @@ class TestEvictionAudit:
             BRANCH_MISS_NOTFULL]
 
 
+class TestTrace:
+    def test_probe_events_echo_their_samples(self):
+        sim = SwitchSimulator(capacity=4, record_trace=True)
+        key = attacker_keys().next_key()
+        first, second = sim.send_probe(key, 0), sim.send_probe(key, 50)
+        assert sim.trace == [
+            SimEvent(0, EVENT_PROBE, key, OWNER_ATTACKER, BRANCH_MISS_NOTFULL,
+                     first.rtt_us),
+            SimEvent(50, EVENT_PROBE, key, OWNER_ATTACKER, BRANCH_HIT,
+                     second.rtt_us),
+        ]
+
+    def test_nothing_is_recorded_without_record_trace(self):
+        sim = SwitchSimulator(capacity=4)
+        sim.send_probe(attacker_keys().next_key(), 0)
+        assert sim.trace is None
+
+
 class TestKeySpaces:
     def test_attacker_and_background_keys_disjoint(self):
         attacker = [KeySequence("10.1").key_at(i) for i in range(500)]
