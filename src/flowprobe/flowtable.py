@@ -101,10 +101,13 @@ class FlowTable:
     a head can fall due next. `_hard_due` and `_idle_due` are at or below
     their head's deadline (a hit only moves a deadline later), and `_due` is
     the smaller; a timer's heads are removed only once its own due passes.
+
+    With `log`, every eviction and expiry appends a `RemovalRecord` to
+    `removal_log`; without it `removal_log` stays empty.
     """
 
     def __init__(self, capacity: int, policy: str = FIFO, hard_timeout: int = 0,
-                 idle_timeout: int = 0):
+                 idle_timeout: int = 0, log: bool = True):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if policy not in POLICIES:
@@ -119,6 +122,7 @@ class FlowTable:
         self._victims, self._others = ((self._used, self._born) if self._lru
                                        else (self._born, self._used))
         self.removal_log: list[RemovalRecord] = []
+        self._log = self.removal_log if log else None  # where removals go
         # Latest time any entry's last_access was set; while it differs from
         # `now`, a refreshed LRU entry is the sole one touched at `now`.
         self._touched_at = -1
@@ -144,10 +148,14 @@ class FlowTable:
         if now < self._now:
             raise ClockError(f"clock went backwards: {now} < {self._now}")
         self._now = now
-        start = len(self.removal_log)
+        removed: list[RemovalRecord] = []
         if self._due <= now:
+            log, self._log = self._log, removed
             self._expire(now)
-        return [record.key for record in self.removal_log[start:]]
+            self._log = log
+            if log is not None:
+                log += removed
+        return [record.key for record in removed]
 
     def _expire(self, now: int) -> None:
         """Remove the entries due at `now` of each timer whose due has
@@ -165,15 +173,16 @@ class FlowTable:
         timeout`, and return the next head's deadline. Once the table is
         empty, every later entry goes in at `now` or after, so each enabled
         timer's due becomes its timeout after `now`."""
-        born, used, log = self._born, self._used, self.removal_log
+        born, used, log = self._born, self._used, self._log
         while order:
             key = next(iter(order))
             record = order[key]
             if record[field] + timeout > now:
                 return record[field] + timeout
             del born[key], used[key]
-            # RemovalRecord(time, key, owner, reason), built as InsertResult is.
-            log.append(tuple.__new__(RemovalRecord, (now, key, record[2], EXPIRED)))
+            if log is not None:
+                # RemovalRecord(time, key, owner, reason), built as InsertResult is.
+                log.append(tuple.__new__(RemovalRecord, (now, key, record[2], EXPIRED)))
         hard, idle = self.hard_timeout, self.idle_timeout
         self._hard_due = now + hard if hard else math.inf
         self._idle_due = now + idle if idle else math.inf
@@ -325,7 +334,8 @@ class FlowTable:
         """Evict the next victim at `now` and return its key."""
         key, record = self._victims.popitem(last=False)
         del self._others[key]
-        self.removal_log.append(tuple.__new__(RemovalRecord, (now, key, record[2], EVICTED)))
+        if self._log is not None:
+            self._log.append(tuple.__new__(RemovalRecord, (now, key, record[2], EVICTED)))
         return key
 
     def insert(self, key: Hashable, now: int, owner: str = OWNER_ATTACKER) -> InsertResult:

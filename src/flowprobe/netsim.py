@@ -283,7 +283,7 @@ class SwitchSimulator:
         self.latency = latency or LatencyModel()
         self.workload = workload or BackgroundWorkload()
         self.table = FlowTable(capacity, policy, ms_to_us(hard_timeout_ms),
-                               ms_to_us(idle_timeout_ms))
+                               ms_to_us(idle_timeout_ms), log=record_trace)
         self.now_us = 0
         self.events_processed = 0
         self.background_arrivals = 0

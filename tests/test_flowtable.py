@@ -209,6 +209,22 @@ class TestPurge:
             assert table.lookup(key(1), t * MS // 10) is True
         assert calls == [1000 * MS] and table._due == 999_900 + 1000 * MS
 
+    @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
+    @pytest.mark.parametrize("log", [True, False])
+    def test_a_hard_and_an_idle_head_falling_due_together(self, policy, log):
+        # key(1) in at 0 and hit at 45 is due at 100 by its hard timeout;
+        # key(2), in at 40, by its idle one. key(3), in at 50, lives to 110.
+        table = FlowTable(4, policy, hard_timeout=100, idle_timeout=60, log=log)
+        table.insert(key(1), 0)
+        table.insert(key(2), 40)
+        assert table.lookup(key(1), 45)
+        table.insert(key(3), 50)
+        assert table.purge_expired(99) == []
+        assert table.purge_expired(100) == [key(1), key(2)]
+        assert list(table.entries) == [key(3)]
+        assert table.removal_log == ([(100, key(1), "attacker", EXPIRED),
+                                      (100, key(2), "attacker", EXPIRED)] if log else [])
+
     def test_frequent_access_prevents_idle_expiry(self):
         idle = 1000 * MS
         table = FlowTable(capacity=4, idle_timeout=idle)
@@ -1362,3 +1378,60 @@ class TestTableTimeouts:
             assert sorted(table.purge_expired(now)) == sorted(oracle.purge(now))
         assert table.removal_log == sorted(oracle.removal_log)
         assert [r.time for r in table.removal_log] == ([] if due is None else [due] * 2)
+
+
+def unlogged_state(table):
+    """`table_state(table, raw=True)` less the removal log, in which twins
+    built with and without `log` differ."""
+    state = list(table_state(table, raw=True))
+    assert state.pop(3) is table.removal_log
+    return state
+
+
+class TestUnlogged:
+    """A table built with `log=False` keeps `removal_log` empty and
+    otherwise runs exactly as one with the log."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        capacity=st.integers(1, 6),
+        hard=st.sampled_from((0, 40, 150)),
+        idle=st.sampled_from((0, 25, 90)),
+        ops=st.lists(st.tuples(
+            st.sampled_from(("lookup", "insert", "admit", "touch_run",
+                             "install_run", "purge_expired", "occupancy")),
+            st.integers(0, 60),                                   # wait before, us
+            st.lists(st.integers(0, 11), min_size=1, max_size=8),  # keys
+            st.integers(0, 3),                                    # gap, us
+            st.sampled_from((30, 200, math.inf)),                 # until, after now
+            st.integers(0, 2),                                    # first
+            st.one_of(st.none(), st.integers(0, 11)),             # watched key
+        ), max_size=20),
+    )
+    def test_matches_a_logged_twin(self, policy, capacity, hard, idle, ops):
+        logged = FlowTable(capacity, policy, hard, idle)
+        unlogged = FlowTable(capacity, policy, hard, idle, log=False)
+        for name, wait, indexes, gap, until, first, watched in ops:
+            now = logged._now + wait
+            keys = [key(i) for i in indexes]
+            args = {
+                "lookup": (keys[0], now),
+                "insert": (keys[0], now, owner_by_index(keys[0])),
+                "admit": (keys, [now + gap * i for i in range(len(keys))], "background"),
+                "touch_run": (keys, now, gap, now + until, first),
+                "install_run": (keys, now, gap, now + until, owner_by_index, first,
+                                None if watched is None else key(watched)),
+                "purge_expired": (now,),
+                "occupancy": (now,),
+            }[name]
+
+            def outcome(table):
+                try:
+                    return getattr(table, name)(*args)
+                except DuplicateEntryError as error:  # a live key, in both
+                    return str(error)
+
+            assert outcome(unlogged) == outcome(logged)
+            assert unlogged_state(unlogged) == unlogged_state(logged)
+            assert unlogged.removal_log == []

@@ -43,7 +43,7 @@ from flowprobe.netsim import (
 
 from oracles import ReplayOracle
 from test_attacker import sim_state
-from test_flowtable import table_state
+from test_flowtable import table_state, unlogged_state
 
 
 def attacker_keys():
@@ -98,7 +98,7 @@ class TestProbeBranches:
         assert 200 <= sample.rtt_us <= 300
 
     def test_probe_at_capacity_evicts(self):
-        sim = SwitchSimulator(capacity=3)
+        sim = SwitchSimulator(capacity=3, record_trace=True)
         keys = attacker_keys()
         for t in range(3):
             sim.send_probe(keys.next_key(), t * 100)
@@ -287,11 +287,14 @@ class TestArrivalBatch:
             assert batch.send_probe(key, at) == stepped.send_probe(key, at)
             assert sim_state(batch) == sim_state(stepped)
         # The 19.7 ms gap is one batch of hundreds of arrivals, inside which
-        # entries both expired and were evicted.
+        # entries both expired and were evicted; only a traced switch logs them.
         assert batch.background_arrivals > 300
-        inside = Counter(r.reason for r in batch.table.removal_log
-                         if 300 < r.time < 20_000)
-        assert inside[EXPIRED] > 10 and inside[EVICTED] > 10
+        if record_trace:
+            inside = Counter(r.reason for r in batch.table.removal_log
+                             if 300 < r.time < 20_000)
+            assert inside[EXPIRED] > 10 and inside[EVICTED] > 10
+        else:
+            assert batch.table.removal_log == stepped.table.removal_log == []
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -333,7 +336,8 @@ class TestPreload:
     def test_matches_an_insert_loop(self, usage, hard_ms, idle_ms):
         # A usage past capacity evicts at t = 0, as one insert per key does.
         sim = SwitchSimulator(6, hard_timeout_ms=hard_ms, idle_timeout_ms=idle_ms,
-                              workload=BackgroundWorkload(initial_usage=usage))
+                              workload=BackgroundWorkload(initial_usage=usage),
+                              record_trace=True)
         twin = FlowTable(6, hard_timeout=ms_to_us(hard_ms), idle_timeout=ms_to_us(idle_ms))
         keys = [KeySequence(BACKGROUND_PREFIX).key_at(i) for i in range(usage)]
         for key in keys:
@@ -363,7 +367,7 @@ class TestSendBurst:
         assert (sim.now_us, sim.events_processed) == (15, 3)
 
     def test_never_stops(self):
-        sim = SwitchSimulator(capacity=2)
+        sim = SwitchSimulator(capacity=2, record_trace=True)
         keys = [attacker_keys().key_at(i) for i in range(3)]
         assert sim.send_rounds(keys, 0, 7, math.inf) == (3, None)
         assert (sim.now_us, sim.events_processed) == (14, 3)
@@ -424,7 +428,8 @@ class TestSendBurst:
         # fills the free slot, then k1 hits. Round 1's fresh key evicts k1,
         # the head, so it goes through send_probe, and k1's probe at 25 us
         # misses on a full table.
-        sim = SwitchSimulator(capacity=2, latency=LatencyModel(noise="none"))
+        sim = SwitchSimulator(capacity=2, latency=LatencyModel(noise="none"),
+                              record_trace=True)
         keys = attacker_keys()
         k1 = keys.next_key()
         sim.send_probe(k1, 0)
@@ -804,6 +809,7 @@ class TestEvictionAudit:
             policy="FIFO",
             idle_timeout_ms=50.0,
             workload=BackgroundWorkload(arrival_rate=300.0, initial_usage=10, seed=4),
+            record_trace=True,
         )
         keys = attacker_keys()
         inserted = 0
@@ -830,6 +836,56 @@ class TestEvictionAudit:
         assert [e.branch for e in sim.trace] == [
             BRANCH_MISS_NOTFULL, BRANCH_MISS_NOTFULL, BRANCH_MISS_FULL,
             BRANCH_MISS_NOTFULL]
+
+
+class TestUntraced:
+    """A switch built without `record_trace` logs no removal and otherwise
+    runs exactly as a traced twin."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(("FIFO", "LRU")),
+        noise=st.sampled_from(NOISE_MODES),
+        capacity=st.integers(1, 10),
+        usage=st.integers(0, 12),
+        rate=st.sampled_from((0.0, 5_000.0, 50_000.0)),
+        hard_ms=st.sampled_from((0.0, 0.5, 3.0)),
+        idle_ms=st.sampled_from((0.0, 0.3, 2.0)),
+        seed=st.integers(0, 2**16),
+        sends=st.lists(st.tuples(
+            st.integers(0, 2000),                                # wait before, us
+            st.lists(st.integers(0, 15), min_size=1, max_size=8),  # key indexes
+            st.sampled_from((None, 0, 1, 40)),                   # gap (None: one probe)
+            st.one_of(st.none(), st.integers(0, 15)),            # watched key
+            st.sampled_from((3000, 6000, math.inf)),             # stop, us
+            st.booleans(),                                       # rtts
+        ), min_size=1, max_size=10),
+    )
+    def test_matches_a_traced_twin(self, policy, noise, capacity, usage, rate,
+                                   hard_ms, idle_ms, seed, sends):
+        untraced, traced = (SwitchSimulator(
+            capacity, policy, hard_ms, idle_ms, LatencyModel(noise=noise, seed=seed),
+            BackgroundWorkload(rate, usage, seed + 1), record_trace)
+            for record_trace in (False, True))
+        keys = attacker_keys()
+        for wait_us, indexes, gap_us, watched, stop, kept in sends:
+            at = untraced.now_us + wait_us
+            probed = [keys.key_at(i) for i in indexes]
+            if gap_us is None:
+                results = [sim.send_probe(probed[0], at) for sim in (untraced, traced)]
+            else:
+                watch = None if watched is None else keys.key_at(watched)
+                results = [(sim.send_rounds(probed, at, gap_us, stop, watch, rtts), rtts)
+                           for sim in (untraced, traced)
+                           for rtts in ([] if kept else None,)]
+            assert results[0] == results[1]
+            states = [(sim.now_us, sim.events_processed, sim.background_arrivals,
+                       sim._next_arrival_us, sim._latency_rng.getstate(),
+                       sim._arrival_rng.getstate(), *unlogged_state(sim.table))
+                      for sim in (untraced, traced)]
+            assert states[0] == states[1]
+            assert untraced.table.removal_log == []
+        assert untraced.trace is None
 
 
 class TestTrace:
