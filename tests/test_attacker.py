@@ -33,6 +33,7 @@ from flowprobe.attacker import (
     measure_hard_timeout,
     measure_idle_timeout,
 )
+from flowprobe.flowtable import EVICTED, EXPIRED
 from flowprobe.netsim import (
     BRANCH_MISS_FULL,
     EVENT_PROBE,
@@ -622,7 +623,7 @@ class TestProbeBurst:
         idle_ms=st.sampled_from((0.0, 0.0, 0.3, 2.0)),
         send_rate_pps=st.sampled_from((2000.0, 10_000.0, 1e6)),
         seed=st.integers(0, 2**16),
-        record_trace=st.booleans(),
+        record_trace=st.sampled_from((False, True, True)),
         rounds=st.lists(
             st.tuples(
                 st.sampled_from((0, 0, 150, 400, 2500)),      # wait before, us
@@ -687,7 +688,7 @@ class TestProbeBurst:
         keys = ATTACKER_KEYS[:8]
         (sent, stop), sim = burst_matches_loop(
             lambda: make_sim(8, policy, latency=LatencyModel(noise=noise),
-                             seed=3),
+                             seed=3, record_trace=True),
             installed(keys), keys * 5, 800, 100, 1000)
         assert (sent, stop, sim.now_us) == (40, None, 4700)
 
@@ -700,31 +701,40 @@ class TestProbeBurst:
             installed([a, b, c], gap_us=0)(sim)
             sim.send_probe(b, 10)
 
-        _, sim = burst_matches_loop(lambda: make_sim(4, "LRU"), setup,
+        _, sim = burst_matches_loop(lambda: make_sim(4, "LRU", record_trace=True), setup,
                                     [a, c], 10, 5, 1000)
         assert list(sim.table.entries) == [a, b, c]
 
     @pytest.mark.parametrize("hard_ms, idle_ms", [(1.0, 0.0), (0.0, 0.45)])
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_expiry_deadline_inside_the_window(self, policy, hard_ms, idle_ms):
-        # Installed at 0-300 us; the burst runs from 400 to 1500 us.
+        # Installed at 0-300 us; the burst runs from 400 to 1500 us. Each
+        # key falls hard-due 1 ms after its install, inside the burst, and
+        # is re-probed every 400 us, too soon to idle out.
         keys = ATTACKER_KEYS[:4]
-        burst_matches_loop(
-            lambda: make_sim(4, policy, hard_ms=hard_ms, idle_ms=idle_ms),
+        _, sim = burst_matches_loop(
+            lambda: make_sim(4, policy, hard_ms=hard_ms, idle_ms=idle_ms,
+                             record_trace=True),
             installed(keys), keys * 3, 400, 100, float("inf"))
+        assert [(r.time, r.reason) for r in sim.table.removal_log] == (
+            [(1000, EXPIRED), (1100, EXPIRED), (1200, EXPIRED), (1300, EXPIRED)]
+            if hard_ms else [])
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_background_arrival_inside_the_window(self, policy):
         # At seed 6 the first arrival is due at 783 us, inside the burst's
         # 400-2300 us window.
         keys = ATTACKER_KEYS[:4]
-        build = lambda: make_sim(4, policy, rate=500.0, seed=6)
+        build = lambda: make_sim(4, policy, rate=500.0, seed=6, record_trace=True)
         probe = build()
         installed(keys)(probe)
         assert (probe.background_arrivals, probe._next_arrival_us) == (0, 783)
         _, sim = burst_matches_loop(build, installed(keys), keys * 5, 400, 100,
                                     float("inf"))
         assert sim.background_arrivals >= 1
+        # The arrival takes the full table's victim, so the burst logs it.
+        first = sim.table.removal_log[0]
+        assert (first.time, first.reason) == (783, EVICTED)
 
     @pytest.mark.parametrize("policy", ["FIFO", "LRU"])
     def test_probes_after_the_pass_go_through_send_probe(self, policy):
@@ -760,7 +770,7 @@ class TestProbeBurst:
         # slots: the table picks touch_run for the hits and install_run for
         # the misses, and no probe goes through send_probe.
         live, absent = ATTACKER_KEYS[:4], ATTACKER_KEYS[4:8]
-        build = lambda: make_sim(8, policy)
+        build = lambda: make_sim(8, policy, record_trace=True)
         sim, loop = build(), build()
         for twin in (sim, loop):
             installed(live)(twin)
@@ -790,7 +800,8 @@ class TestProbeBurst:
         # About 250 arrivals at 5,000/s fall due inside the 50 ms run of 500
         # fresh keys. Each is applied before the next pass is tried, so the
         # install passes answer every key, in the table's free slots.
-        build = lambda: ProbeSession(make_sim(2000, rate=5000.0, seed=5))
+        build = lambda: ProbeSession(make_sim(2000, rate=5000.0, seed=5,
+                                              record_trace=True))
         session, loop = build(), build()
         expected = fresh_loop(loop, 500, float("inf"))
         calls = []
@@ -814,7 +825,8 @@ class TestProbeBurst:
     def test_stop_cut_at_or_below_the_hit_band_top(self, noise, stop_rtt_us):
         keys = ATTACKER_KEYS[:8]
         (sent, stop), _ = burst_matches_loop(
-            lambda: make_sim(8, "LRU", latency=LatencyModel(noise=noise)),
+            lambda: make_sim(8, "LRU", latency=LatencyModel(noise=noise),
+                             record_trace=True),
             installed(keys), keys * 20, 800, 100, stop_rtt_us)
         assert sent < 160 and stop.rtt_us == stop_rtt_us
 
@@ -1007,7 +1019,8 @@ class TestFreshRuns:
     def test_bootstrap_matches_the_per_filler_loop(self, noise, sim_kwargs,
                                                     params, expected):
         def build():
-            sim = make_sim(latency=LatencyModel(noise=noise), seed=11, **sim_kwargs)
+            sim = make_sim(latency=LatencyModel(noise=noise), seed=11,
+                           record_trace=True, **sim_kwargs)
             return ProbeSession(sim)
 
         runs, loop = build(), build()
@@ -1028,7 +1041,8 @@ class TestFreshRuns:
         draws = [0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.9, 0.0]
 
         def build():
-            sim = make_sim(capacity=12, latency=LatencyModel(), seed=1)
+            sim = make_sim(capacity=12, latency=LatencyModel(), seed=1,
+                           record_trace=True)
             script = iter(draws)
             sim._rand = lambda: next(script, 0.5)
             return ProbeSession(sim)
@@ -1064,8 +1078,8 @@ class TestFreshRuns:
     ])
     def test_fifo_inference_matches_the_per_round_loop(
             self, sim_kwargs, key_budget, time_budget_ms):
-        runs = ProbeSession(make_sim(**sim_kwargs))
-        loop = ProbeSession(make_sim(**sim_kwargs))
+        runs = ProbeSession(make_sim(record_trace=True, **sim_kwargs))
+        loop = ProbeSession(make_sim(record_trace=True, **sim_kwargs))
         result = outcome(lambda: infer_fifo(runs, MIDPOINT_THRESHOLDS, key_budget,
                                             time_budget_ms))
         assert result == outcome(lambda: per_round_infer_fifo(
@@ -1085,7 +1099,7 @@ class TestFreshRuns:
         key_budget=st.integers(1, 600),
         time_budget_ms=st.sampled_from((None, None, 0.1, 5.0, 15.0, 40.0)),
         seed=st.integers(0, 2**16),
-        record_trace=st.sampled_from((False, False, True)),
+        record_trace=st.sampled_from((False, True, True)),
     )
     def test_fifo_inference_sweep_matches_the_per_round_loop(
             self, policy, noise, capacity, usage, rate, hard_ms, idle_ms,
@@ -1121,7 +1135,7 @@ class TestFreshRuns:
         key_budget=st.integers(1, 300),
         time_budget_ms=st.sampled_from((None, None, 0.1, 5.0, 15.0, 40.0)),
         seed=st.integers(0, 2**16),
-        record_trace=st.sampled_from((False, False, True)),
+        record_trace=st.sampled_from((False, True, True)),
     )
     def test_lru_inference_sweep_matches_the_per_probe_loop(
             self, policy, noise, capacity, usage, rate, hard_ms, idle_ms,

@@ -306,7 +306,7 @@ class TestArrivalBatch:
         hard_ms=st.sampled_from((0.0, 0.5, 3.0)),
         idle_ms=st.sampled_from((0.0, 0.3, 2.0)),
         seed=st.integers(0, 2**16),
-        record_trace=st.booleans(),
+        record_trace=st.sampled_from((False, True, True)),
         probes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5000)),
                         min_size=1, max_size=10),
     )
